@@ -12,15 +12,15 @@ from .fitting import FittedModel, empirical_contrast, exact_loss, fit_model, p_t
 from .harness import (Method, SimulationReport, SweepReport, oracle_ratio,
                       parse_method, penalty_sweep, run_example, summarize)
 from .models import (ExactModelQuantities, ModelCollection, ModelSpec,
-                     PairDiagnostics, basis_eval, build_fourier_collection,
+                     basis_eval, build_fourier_collection,
                      build_regular_histograms, build_two_block_collection,
-                     exact_quantities, pair_diagnostics)
+                     exact_quantities)
 from .penalties import (EFRON, LEAVE_ONE_OUT, RADEMACHER_PAIR, PenaltyValue,
                         ResamplingScheme, dimension_penalty,
                         ideal_deterministic_penalty, resampling_penalty,
                         resampling_penalty_mc)
 from .rng import RngStream
 from .slope import (NoJumpError, SelectionResult, SlopePath, detect_kmin,
-                    select, slope_path, slope_select)
+                    select, slope_path, slope_pick)
 
 __version__ = "0.1.0"

@@ -14,20 +14,17 @@ Flags can be preloaded from a flat ``key = value`` config file via
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import report
 from .conclab import (check_p_concentration, check_resampling_concentration,
                       check_ustat_concentration, regularization_comparison)
 from .densities import density_from_config
-from .fitting import fit_model
-from .harness import (DEFAULT_METHODS, parse_method, penalty_sweep,
+from .harness import (DEFAULT_METHODS, make_lab, parse_method, penalty_sweep,
                       run_example)
-from .models import build_collection
-from .penalties import (dimension_penalty, ideal_deterministic_penalty,
-                        resampling_penalty)
 from .rng import RngStream
-from .slope import select, slope_path
+from .slope import LOG_THRESHOLD, SelectionResult, detect_kmin, slope_pick
 
 
 class UsageError(Exception):
@@ -39,9 +36,12 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Either 'lo:hi:step' or a comma list."""
+    """Either 'lo:hi:step' (finite, step > 0) or a comma list."""
     if ":" in text:
         lo, hi, step = (float(t) for t in text.split(":"))
+        if not (all(map(math.isfinite, (lo, hi, step))) and step > 0.0):
+            raise UsageError(f"--k-grid {text!r}: need finite lo:hi:step "
+                             "with step > 0")
         count = int(round((hi - lo) / step)) + 1
         return [lo + i * step for i in range(count)]
     return _parse_floats(text)
@@ -71,19 +71,23 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # abbreviated flags are off everywhere: an abbreviation would not be
+    # recognized as explicit and would lose to a --config value
     parser = argparse.ArgumentParser(
-        prog="densel",
+        prog="densel", allow_abbrev=False,
         description="Penalized least-squares density estimation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("select", help="one penalized selection on a sample")
+    p = sub.add_parser("select", help="one penalized selection on a sample",
+                       allow_abbrev=False)
     _add_common(p)
     p.add_argument("--collection", default="regular-hist",
                    choices=["regular-hist", "two-block", "fourier"])
     p.add_argument("--penalty", default="resampling",
                    help="resampling | dimension:K | ideal:K (default resampling)")
 
-    p = sub.add_parser("slope-path", help="exact K -> model path as CSV")
+    p = sub.add_parser("slope-path", help="exact K -> model path as CSV",
+                       allow_abbrev=False)
     _add_common(p)
     p.add_argument("--collection", default="regular-hist",
                    choices=["regular-hist", "two-block", "fourier"])
@@ -92,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jump-rule", default="max", choices=["max", "log"],
                    help="calibration rule reported on stdout (default max)")
 
-    p = sub.add_parser("simulate", help="oracle-ratio study (examples 1/2)")
+    p = sub.add_parser("simulate", help="oracle-ratio study (examples 1/2)",
+                       allow_abbrev=False)
     _add_common(p)
     p.add_argument("--example", type=int, default=1, choices=[1, 2])
     p.add_argument("--reps", type=int, default=None,
@@ -103,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw-out", default=None,
                    help="also write per-replication ratios to this CSV")
 
-    p = sub.add_parser("conc-check", help="Monte-Carlo concentration checks")
+    p = sub.add_parser("conc-check", help="Monte-Carlo concentration checks",
+                       allow_abbrev=False)
     _add_common(p)
     p.add_argument("--bound", default="p",
                    choices=["p", "resampling", "ustat", "regularization"])
@@ -115,7 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", default="1,5,20,40,80",
                    help="comma list of deviation levels")
 
-    p = sub.add_parser("sweep", help="selection along a penalty-constant grid")
+    p = sub.add_parser("sweep", help="selection along a penalty-constant grid",
+                       allow_abbrev=False)
     _add_common(p)
     p.add_argument("--collection", default="regular-hist",
                    choices=["regular-hist", "two-block", "fourier"])
@@ -157,75 +164,69 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
     return parser.parse_args(argv + config_argv)
 
 
+def _check_counts(args: argparse.Namespace) -> None:
+    """Reject replication and thread counts below 1 before any work."""
+    for name in ("reps", "threads"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise UsageError(f"--{name} must be >= 1, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # Command implementations
 # ---------------------------------------------------------------------------
 
-def _cmd_select(args) -> int:
+def _penalty_spec(text: str) -> tuple[float, str]:
+    """(K, complexity) of a ``--penalty`` spec: K * complexity / n."""
+    spec = text.strip().lower()
+    if spec == "resampling":
+        return 2.0, "dmw"
+    for prefix, complexity in (("dimension:", "dim"), ("ideal:", "d_exact")):
+        if spec.startswith(prefix):
+            k_const = float(spec[len(prefix):])
+            if not 0.0 <= k_const < float("inf"):
+                raise UsageError("penalty constant must be >= 0 and finite")
+            return k_const, complexity
+    raise UsageError(f"unknown penalty spec {text!r}")
+
+
+def _evaluate(args):
+    """The lab evaluation of the command's sample."""
     density = _density_from_args(args)
-    collection = build_collection(args.collection, args.n)
-    sample = density.sample(args.n, RngStream(args.seed, 0, "data"))
-    fits = [fit_model(m, sample) for m in collection]
-    spec = args.penalty.strip().lower()
-    if spec == "resampling":
-        pens = [resampling_penalty(f, sample) for f in fits]
-    elif spec.startswith("dimension:"):
-        k_const = float(spec.split(":", 1)[1])
-        pens = [dimension_penalty(m, k_const, args.n) for m in collection]
-    elif spec.startswith("ideal:"):
-        k_const = float(spec.split(":", 1)[1])
-        from .models import exact_quantities
-        pens = [ideal_deterministic_penalty(exact_quantities(m, density, args.n),
-                                            args.n, k_const)
-                for m in collection]
-    else:
-        raise UsageError(f"unknown penalty spec {args.penalty!r}")
-    dims = {m.id: m.dim for m in collection}
-    result = select([(f.model.id, f.emp_contrast) for f in fits], pens, dims)
-    if spec == "resampling":
-        chosen = next(f for f in fits if f.model.id == result.model_id)
-        from dataclasses import replace
-        from .penalties import resampling_dmw
-        result = replace(result, dmw=resampling_dmw(chosen, sample))
-    elif spec.startswith("ideal:"):
-        from dataclasses import replace
-        from .models import exact_quantities
-        chosen_model = collection.by_id(result.model_id)
-        result = replace(
-            result,
-            d_exact=exact_quantities(chosen_model, density, args.n).d_exact)
-    rows = report.selection_rows(result)
+    lab = make_lab(args.collection, args.n, density)
+    return lab.evaluate(density.sample(args.n, RngStream(args.seed, 0, "data")))
+
+
+def _cmd_select(args) -> int:
+    k_const, complexity = _penalty_spec(args.penalty)
+    row = _evaluate(args).argmin(k_const, complexity)
+    result = SelectionResult(
+        model_id=row.model_id, criterion=row.criterion, penalty=row.penalty,
+        dim=row.dim,
+        d_exact=row.d_exact if complexity == "d_exact" else None,
+        dmw=row.dmw if complexity == "dmw" else None)
     if args.out:
-        report.write_csv(args.out, report.SELECTION_HEADER, rows)
+        report.write_csv(args.out, report.SELECTION_HEADER,
+                         report.selection_rows(result))
     print(f"selected {result.model_id} criterion={result.criterion:.6g} "
           f"penalty={result.penalty:.6g}")
     return 0
 
 
 def _cmd_slope_path(args) -> int:
-    density = _density_from_args(args)
-    sample = density.sample(args.n, RngStream(args.seed, 0, "data"))
-    collection = build_collection(args.collection, args.n)
-    fits = [fit_model(m, sample) for m in collection]
-    if args.complexity == "dim":
-        deltas = {m.id: float(m.dim) for m in collection}
-    else:
-        deltas = {f.model.id: resampling_penalty(f, sample).value * args.n / 2.0
-                  for f in fits}
-    path = slope_path([(f.model.id, f.emp_contrast, deltas[f.model.id])
-                       for f in fits])
+    path = _evaluate(args).path(args.complexity)
     if args.out:
         report.write_csv(args.out, report.PATH_HEADER, report.path_rows(path))
-    from .slope import LOG_THRESHOLD, MAX_JUMP, NoJumpError, detect_kmin
-    rule = MAX_JUMP if args.jump_rule == "max" else LOG_THRESHOLD
-    try:
-        k_min = detect_kmin(path, rule, args.n,
-                            delta_max=max(deltas.values()))
+    if args.jump_rule == "log":
+        k_min = detect_kmin(path, LOG_THRESHOLD, args.n)
         final = path.model_at(2.0 * k_min)
-        print(f"segments={len(path.segments)} K_min={k_min:.6g} "
-              f"selected={final}")
-    except NoJumpError:
-        print(f"segments={len(path.segments)} K_min=undefined (no jump)")
+    else:
+        pos, k_min, flag = slope_pick(path)
+        if flag:
+            print(f"segments={len(path.segments)} K_min=undefined (no jump)")
+            return 0
+        final = path.segments[pos].model_id
+    print(f"segments={len(path.segments)} K_min={k_min:.6g} selected={final}")
     return 0
 
 
@@ -304,6 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = _apply_config(parser, argv)
+        _check_counts(args)
         handler = {"select": _cmd_select,
                    "slope-path": _cmd_slope_path,
                    "simulate": _cmd_simulate,

@@ -1,17 +1,24 @@
 """End-to-end experiments: oracle-ratio simulations and penalty sweeps.
 
-A replication draws one sample, fits every model of a collection once, and
-then applies each selection method to the same fits; its score is the
-oracle ratio, the exact loss of the selected estimator divided by the
-smallest exact loss in the collection.  Reports aggregate mean, median and
-0.95-quantile (nearest-rank) over replications.
+A replication draws one sample and evaluates every model of a collection
+once; each selection method then picks from that evaluation, and its score
+is the oracle ratio, the exact loss of the selected estimator divided by
+the smallest exact loss in the collection.  Reports aggregate mean, median
+and 0.95-quantile (nearest-rank) over replications.
 
-Two evaluation engines are provided.  The generic one loops over the
-models of any collection.  The two-block engine exploits the product
-structure of that family: every per-model statistic splits into a left
-part depending on (k, j1) and a right part depending on (k, j2), so the
-argmin over roughly n^3/6 models costs O(n^2) per replication, and the
-full slope path is assembled from per-block lower envelopes.
+A lab holds a collection's exact population tables and evaluates a sample
+into per-model contrast, dmw, variance number D and loss.  Every caller,
+the CLI included, picks from an evaluation through two operations:
+``argmin`` of contrast + K * complexity / n, and ``path``, the exact slope
+path, on which ``slope.slope_pick`` makes the slope heuristic's pick.  Both
+break ties on the criterion, then the dimension, then enumeration order.
+
+``CollectionLab`` holds the statistics of any collection as arrays.
+``TwoBlockLab`` exploits the product structure of the two-block family:
+every per-model statistic splits into a left part depending on (k, j1) and
+a right part depending on (k, j2), so the argmin over roughly n^3/6 models
+costs O(n^2) per replication, and the path is assembled from per-block
+lower envelopes.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -28,13 +36,13 @@ from .models import (ExactModelQuantities, ModelCollection, build_collection,
                      exact_quantities)
 from .penalties import resampling_dmw
 from .rng import RngStream
-from .slope import (LOG_THRESHOLD, MAX_JUMP, NoJumpError, PathSegment,
-                    SlopePath, detect_kmin, lower_envelope)
+from .slope import SlopePath, envelope_path, lower_envelope, slope_pick
 
 __all__ = [
     "Method",
     "parse_method",
     "MethodOutcome",
+    "ModelRow",
     "SimulationReport",
     "SweepReport",
     "CollectionLab",
@@ -94,6 +102,68 @@ class MethodOutcome:
 
 
 # ---------------------------------------------------------------------------
+# Evaluations: the two operations every caller picks with
+# ---------------------------------------------------------------------------
+
+_SLOPE_COMPLEXITY = {"slope-dim": "dim", "resampling-slope": "dmw"}
+
+
+@dataclass(frozen=True)
+class ModelRow:
+    """One model's statistics on one sample under one penalty.
+
+    ``criterion`` is the empirical contrast plus ``penalty``; ``dmw`` is
+    the resampling estimate of the variance number, ``d_exact`` its exact
+    value D, and ``loss`` the exact loss of the fitted estimator.
+    """
+
+    model_id: str
+    criterion: float
+    penalty: float
+    dim: int
+    dmw: float
+    d_exact: float
+    loss: float
+
+
+class _LabEvaluation:
+    """Selection on one evaluated sample.
+
+    Subclasses key their models in their own way and provide
+    ``_argmin(k_const, complexity) -> (key, penalty)``,
+    ``_path(complexity) -> (SlopePath, key per segment)``,
+    ``_row(key, penalty)`` and ``oracle_loss()``.
+    """
+
+    def argmin(self, k_const: float, complexity: str) -> ModelRow:
+        """The model minimizing contrast + k_const * complexity / n, where
+        the complexity is ``dim``, ``dmw`` or ``d_exact``."""
+        return self._row(*self._argmin(k_const, complexity))
+
+    def path(self, complexity: str) -> SlopePath:
+        """Exact slope path for the complexity ``dim`` or ``dmw``."""
+        return self._path(complexity)[0]
+
+    def apply(self, method: Method) -> MethodOutcome:
+        if method.kind in _SLOPE_COMPLEXITY:
+            path, keys = self._path(_SLOPE_COMPLEXITY[method.kind])
+            pos, k_min, flag = slope_pick(path)
+            row = self._row(keys[pos], 2.0 * k_min * path.segments[pos].delta)
+        elif method.kind == "resampling":
+            row, flag = self.argmin(2.0, "dmw"), None
+        elif method.kind == "ideal":
+            row, flag = self.argmin(method.k_const, "d_exact"), None
+        else:
+            raise ValueError(f"unknown method {method.kind!r}")
+        oracle = self.oracle_loss()
+        if oracle <= ORACLE_EPS:
+            return MethodOutcome(method=method.name, ratio=float("nan"),
+                                 selected=row.model_id, flag="degenerate-oracle")
+        return MethodOutcome(method=method.name, ratio=row.loss / oracle,
+                             selected=row.model_id, flag=flag)
+
+
+# ---------------------------------------------------------------------------
 # Generic per-collection engine
 # ---------------------------------------------------------------------------
 
@@ -121,6 +191,7 @@ class CollectionLab:
         self.ids = [m.id for m in collection]
         self.dims = np.array([m.dim for m in collection], dtype=float)
         self.d_exact = np.array([self.table[i].d_exact for i in self.ids])
+        self.d_max = float(self.d_exact.max())
 
     def _fourier_table(self) -> dict[str, ExactModelQuantities]:
         big = max(self.collection, key=lambda m: m.dim)
@@ -173,8 +244,9 @@ class CollectionLab:
 
 
 @dataclass
-class _Evaluation:
-    """All per-model statistics of one replication."""
+class _Evaluation(_LabEvaluation):
+    """All per-model statistics of one replication; a model's key is its
+    position in the collection."""
 
     ids: list[str]
     dims: np.ndarray
@@ -184,51 +256,31 @@ class _Evaluation:
     d_exact: np.ndarray
     n: int
 
-    def argmin_criterion(self, penalties: np.ndarray) -> int:
-        crit = self.contrasts + penalties
-        order = np.lexsort((self.dims, crit))
-        return int(order[0])
+    def _complexity(self, name: str) -> np.ndarray:
+        if name == "dmw" and self.n < 2:
+            raise ValueError("resampling estimate needs n >= 2")
+        return {"dim": self.dims, "dmw": self.dmws, "d_exact": self.d_exact}[name]
 
-    def outcome(self, method: Method, idx: int, flag: str | None) -> MethodOutcome:
-        oracle = float(self.losses.min())
-        if oracle <= ORACLE_EPS:
-            return MethodOutcome(method=method.name, ratio=float("nan"),
-                                 selected=self.ids[idx], flag="degenerate-oracle")
-        return MethodOutcome(method=method.name,
-                             ratio=float(self.losses[idx] / oracle),
-                             selected=self.ids[idx], flag=flag)
+    def _argmin(self, k_const: float, complexity: str) -> tuple[int, float]:
+        pens = k_const * self._complexity(complexity) / self.n
+        idx = int(np.lexsort((self.dims, self.contrasts + pens))[0])
+        return idx, pens[idx]
 
-    def apply(self, method: Method) -> MethodOutcome:
-        if method.kind == "resampling":
-            idx = self.argmin_criterion(2.0 * self.dmws / self.n)
-            return self.outcome(method, idx, None)
-        if method.kind == "ideal":
-            idx = self.argmin_criterion(method.k_const * self.d_exact / self.n)
-            return self.outcome(method, idx, None)
-        if method.kind == "slope-dim":
-            deltas = self.dims
-        elif method.kind == "resampling-slope":
-            deltas = self.dmws
-        else:
-            raise ValueError(f"unknown method {method.kind!r}")
-        idx, flag = _slope_pick(deltas, self.contrasts, self.n)
-        return self.outcome(method, idx, flag)
+    def _path(self, complexity: str) -> tuple[SlopePath, list[int]]:
+        deltas = self._complexity(complexity)
+        return envelope_path(self.contrasts, deltas, self.ids.__getitem__,
+                             deltas.max())
 
+    def _row(self, idx: int, penalty: float) -> ModelRow:
+        return ModelRow(model_id=self.ids[idx],
+                        criterion=float(self.contrasts[idx] + penalty),
+                        penalty=float(penalty), dim=int(self.dims[idx]),
+                        dmw=float(self.dmws[idx]),
+                        d_exact=float(self.d_exact[idx]),
+                        loss=float(self.losses[idx]))
 
-def _slope_pick(deltas: np.ndarray, contrasts: np.ndarray,
-                n: int) -> tuple[int, str | None]:
-    """Index selected by the slope algorithm over arrays of lines."""
-    hull, starts = lower_envelope(deltas, contrasts)
-    segs = [(starts[p], hull[p]) for p in range(len(hull))]
-    flag = None
-    if len(segs) < 2:
-        return segs[0][1], "no-jump-fallback"
-    hull_deltas = deltas[hull]
-    drops = -np.diff(hull_deltas)
-    k_min = segs[int(np.argmax(drops)) + 1][0]
-    k_sel = 2.0 * k_min
-    pos = int(np.searchsorted(starts, k_sel, side="right")) - 1
-    return hull[pos], flag
+    def oracle_loss(self) -> float:
+        return float(self.losses.min())
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +345,9 @@ class TwoBlockLab:
 
     def _block_stats(self, tables, x: np.ndarray, lo: float, hi: float,
                      jmax: int):
-        """A (sum sq coeffs), V (variance part of dmw), L (loss part), D."""
+        """A (sum sq coeffs), V (variance part of dmw), L (loss part), D.
+
+        V = sum c (n - c) / (n^2 w) over the cells, never negative."""
         starts, pop, js, d_vec = tables
         n = self.n
         total = starts[-1] + jmax
@@ -314,79 +368,62 @@ class TwoBlockLab:
         return a, v, loss_part, d_vec
 
 
+def _two_block_id(kk: int, i1: int, i2: int) -> str:
+    return f"two-block:k={kk + 1},j1={i1 + 1},j2={i2 + 1}"
+
+
 @dataclass
-class _TwoBlockEvaluation:
+class _TwoBlockEvaluation(_LabEvaluation):
+    """Per-cut block statistics of one replication; a model's key is
+    (cut index, left cell index, right cell index)."""
+
     lab: TwoBlockLab
-    per_k: list
+    per_k: list          # per cut: (left, right) block statistics (A, V, L, D)
 
-    def _model_id(self, kk: int, i1: int, i2: int) -> str:
-        return f"two-block:k={kk + 1},j1={i1 + 1},j2={i2 + 1}"
+    @staticmethod
+    def _part(blk, complexity: str) -> np.ndarray:
+        """One block's share of a complexity: its cell count, V or D."""
+        if complexity == "dim":
+            return np.arange(1, blk[0].size + 1, dtype=float)
+        return {"dmw": blk[1], "d_exact": blk[3]}[complexity]
 
-    def _loss(self, kk: int, i1: int, i2: int) -> float:
-        left, right = self.per_k[kk]
-        return self.lab.s_norm + left[2][i1] + right[2][i2]
-
-    def oracle_loss(self) -> float:
-        best = np.inf
-        for left, right in self.per_k:
-            best = min(best, left[2].min() + right[2].min())
-        return self.lab.s_norm + best
-
-    def _argmin_separable(self, pen_scale_left, pen_scale_right):
-        """Best (k, j1, j2) for criterion -A + penalty with separable
-        penalties given per block as arrays."""
-        best = (np.inf, -1, -1, -1)
+    def _argmin(self, k_const: float, complexity: str):
+        n = self.lab.n
+        # k dmw / n with dmw = n/(n-1) (V_left + V_right)
+        scale = k_const / (n - 1.0) if complexity == "dmw" else k_const / n
+        best_key, best = None, None
         for kk, (left, right) in enumerate(self.per_k):
-            g1 = -left[0] + pen_scale_left(kk, left)
-            g2 = -right[0] + pen_scale_right(kk, right)
-            i1 = int(np.argmin(g1))
-            i2 = int(np.argmin(g2))
-            crit = g1[i1] + g2[i2]
-            if crit < best[0]:
-                best = (crit, kk, i1, i2)
+            p1 = scale * self._part(left, complexity)
+            p2 = scale * self._part(right, complexity)
+            g1, g2 = p1 - left[0], p2 - right[0]
+            m1, m2 = g1.min(), g2.min()
+            crit = m1 + m2
+            if best_key is not None and crit > best_key[0]:
+                continue
+            # exact ties: rounding is monotone, so a pair sums to crit only
+            # if each of its parts does so with the other block's minimum
+            tied = min((i1 + i2, i1, i2)
+                       for i1 in np.flatnonzero(g1 + m2 == crit)
+                       for i2 in np.flatnonzero(m1 + g2 == crit)
+                       if g1[i1] + g2[i2] == crit)
+            key = (crit, tied[0])
+            if best_key is None or key < best_key:
+                best_key = key
+                best = ((kk, int(tied[1]), int(tied[2])),
+                        p1[tied[1]] + p2[tied[2]])
         return best
 
-    def apply(self, method: Method) -> MethodOutcome:
-        n = self.lab.n
-        oracle = self.oracle_loss()
-        if oracle <= ORACLE_EPS:
-            return MethodOutcome(method=method.name, ratio=float("nan"),
-                                 selected="", flag="degenerate-oracle")
-        if method.kind == "resampling":
-            # pen = 2 dmw / n with dmw = n/(n-1) (v_left + v_right)
-            scale = 2.0 / (n - 1.0)
-            crit, kk, i1, i2 = self._argmin_separable(
-                lambda _, blk: scale * blk[1],
-                lambda _, blk: scale * blk[1])
-            flag = None
-        elif method.kind == "ideal":
-            kc = method.k_const / n
-            crit, kk, i1, i2 = self._argmin_separable(
-                lambda _, blk: kc * blk[3],
-                lambda _, blk: kc * blk[3])
-            flag = None
-        elif method.kind in ("slope-dim", "resampling-slope"):
-            kk, i1, i2, flag = self._slope_pick(method.kind)
-        else:
-            raise ValueError(f"unknown method {method.kind!r}")
-        loss = self._loss(kk, i1, i2)
-        return MethodOutcome(method=method.name, ratio=loss / oracle,
-                             selected=self._model_id(kk, i1, i2), flag=flag)
-
-    def _slope_pick(self, kind: str):
+    def _path(self, complexity: str):
         n = self.lab.n
         lines_s: list[float] = []
         lines_c: list[float] = []
         tags: list[tuple[int, int, int]] = []
         delta_max = 0.0
         for kk, (left, right) in enumerate(self.per_k):
-            if kind == "slope-dim":
-                s1 = np.arange(1, left[0].size + 1, dtype=float)
-                s2 = np.arange(1, right[0].size + 1, dtype=float)
-            else:
-                # per-block share of dmw = n/(n-1) (v_left + v_right)
-                s1 = left[1] * n / (n - 1.0)
-                s2 = right[1] * n / (n - 1.0)
+            s1 = self._part(left, complexity)
+            s2 = self._part(right, complexity)
+            if complexity == "dmw":
+                s1, s2 = s1 * n / (n - 1.0), s2 * n / (n - 1.0)
             delta_max = max(delta_max, float(s1.max() + s2.max()))
             h1, st1 = lower_envelope(s1, -left[0])
             h2, st2 = lower_envelope(s2, -right[0])
@@ -405,25 +442,28 @@ class _TwoBlockEvaluation:
                     a += 1
                 if nxt_b == nxt:
                     b += 1
-        hull, starts = lower_envelope(np.asarray(lines_s), np.asarray(lines_c))
-        segs = tuple(PathSegment(
-            k_lo=starts[p],
-            k_hi=starts[p + 1] if p + 1 < len(hull) else np.inf,
-            model_id=self._model_id(*tags[hull[p]]),
-            delta=lines_s[hull[p]], contrast=lines_c[hull[p]])
-            for p in range(len(hull)))
-        path = SlopePath(segments=segs)
-        flag = None
-        try:
-            k_min = detect_kmin(path, MAX_JUMP, n)
-        except NoJumpError:
-            flag = "no-jump-fallback"
-            k_min = 0.0 if len(segs) == 1 else detect_kmin(
-                path, LOG_THRESHOLD, n, delta_max=delta_max)
-        pos = int(np.searchsorted(np.array([s.k_lo for s in segs]),
-                                  2.0 * k_min, side="right")) - 1
-        kk, i1, i2 = tags[hull[pos]]
-        return kk, i1, i2, flag
+        path, hull = envelope_path(np.asarray(lines_c), np.asarray(lines_s),
+                                   lambda i: _two_block_id(*tags[i]),
+                                   delta_max)
+        return path, [tags[i] for i in hull]
+
+    def _row(self, key: tuple[int, int, int], penalty: float) -> ModelRow:
+        kk, i1, i2 = key
+        left, right = self.per_k[kk]
+        n = self.lab.n
+        return ModelRow(
+            model_id=_two_block_id(kk, i1, i2),
+            criterion=float(penalty - left[0][i1] - right[0][i2]),
+            penalty=float(penalty), dim=i1 + i2 + 2,
+            dmw=float((left[1][i1] + right[1][i2]) * n / (n - 1.0)),
+            d_exact=float(left[3][i1] + right[3][i2]),
+            loss=float(self.lab.s_norm + left[2][i1] + right[2][i2]))
+
+    def oracle_loss(self) -> float:
+        best = np.inf
+        for left, right in self.per_k:
+            best = min(best, left[2].min() + right[2].min())
+        return self.lab.s_norm + best
 
 
 def make_lab(kind: str, n: int, density: Density):
@@ -498,29 +538,41 @@ class SweepReport:
 _WORKER: dict = {}
 
 
-def _init_worker(lab, methods, seed):
+def _init_worker(lab, task, seed):
     _WORKER["lab"] = lab
-    _WORKER["methods"] = methods
+    _WORKER["task"] = task
     _WORKER["seed"] = seed
 
 
-def _one_rep(rep: int) -> list[MethodOutcome]:
+def _one_rep(rep: int):
     lab = _WORKER["lab"]
     sample = lab.density.sample(lab.n, RngStream(_WORKER["seed"], rep, "data"))
-    ev = lab.evaluate(sample)
-    return [ev.apply(m) for m in _WORKER["methods"]]
+    return _WORKER["task"](lab.evaluate(sample))
 
 
-def _run_reps(lab, methods, seed: int, reps: int, threads: int):
+def _run_reps(lab, task, seed: int, reps: int, threads: int):
+    """``task(evaluation)`` for every replication, in replication order."""
     if threads <= 1:
-        _init_worker(lab, methods, seed)
+        _init_worker(lab, task, seed)
         return [_one_rep(r) for r in range(reps)]
     ctx = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=threads, mp_context=ctx,
                              initializer=_init_worker,
-                             initargs=(lab, methods, seed)) as ex:
+                             initargs=(lab, task, seed)) as ex:
         return list(ex.map(_one_rep, range(reps),
                            chunksize=max(1, reps // (threads * 8))))
+
+
+def _apply_all(methods, ev) -> list[MethodOutcome]:
+    return [ev.apply(m) for m in methods]
+
+
+def _sweep_rep(k_grid, ev) -> list[tuple[float, float]]:
+    """(oracle ratio, D of the pick) per K of the penalty K * D / n."""
+    oracle = ev.oracle_loss()
+    rows = [ev.argmin(float(k), "d_exact") for k in k_grid]
+    return [(r.loss / oracle if oracle > ORACLE_EPS else float("nan"),
+             r.d_exact) for r in rows]
 
 
 def run_example(example: int, n: int, reps: int,
@@ -536,7 +588,7 @@ def run_example(example: int, n: int, reps: int,
     density = density if density is not None else PowerLaw()
     methods = tuple(methods)
     lab = make_lab("regular-hist" if example == 1 else "two-block", n, density)
-    rows = _run_reps(lab, methods, seed, reps, threads)
+    rows = _run_reps(lab, partial(_apply_all, methods), seed, reps, threads)
     ratios = {m.name: np.array([row[i].ratio for row in rows])
               for i, m in enumerate(methods)}
     selected = {m.name: [row[i].selected for row in rows]
@@ -560,33 +612,10 @@ def penalty_sweep(kind: str, n: int, k_grid, reps: int, seed: int = 0,
     k_grid = np.asarray(sorted(k_grid), dtype=float)
     if k_grid.size == 0 or np.any(np.diff(k_grid) <= 0):
         raise ValueError("K grid must be non-empty and strictly increasing")
-    methods = tuple(Method("ideal", k_const=float(k)) for k in k_grid)
     lab = make_lab(kind, n, density)
-    rows = _run_reps(lab, methods, seed, reps, threads)
-    if kind == "two-block":
-        d_by_model = None
-        d_max = lab.d_max
-    else:
-        d_by_model = {mid: lab.table[mid].d_exact for mid in lab.ids}
-        d_max = max(d_by_model.values())
-    d_ratio = np.empty((reps, k_grid.size))
-    oracle = np.empty((reps, k_grid.size))
-    for r, row in enumerate(rows):
-        for i, out in enumerate(row):
-            oracle[r, i] = out.ratio
-            if d_by_model is None:
-                d_sel = _two_block_d(lab, out.selected)
-            else:
-                d_sel = d_by_model[out.selected]
-            d_ratio[r, i] = d_sel / d_max
+    out = np.array(_run_reps(lab, partial(_sweep_rep, k_grid), seed, reps,
+                             threads)).reshape(reps, k_grid.size, 2)
     return SweepReport(collection=kind, n=n, reps=reps, seed=seed,
-                       k_grid=k_grid, mean_d_ratio=d_ratio.mean(axis=0),
-                       mean_oracle_ratio=oracle.mean(axis=0))
-
-
-def _two_block_d(lab: TwoBlockLab, model_id: str) -> float:
-    body = model_id.split(":", 1)[1]
-    parts = dict(p.split("=") for p in body.split(","))
-    kk = int(parts["k"]) - 1
-    return float(lab.left[kk][3][int(parts["j1"]) - 1]
-                 + lab.right[kk][3][int(parts["j2"]) - 1])
+                       k_grid=k_grid,
+                       mean_d_ratio=(out[:, :, 1] / lab.d_max).mean(axis=0),
+                       mean_oracle_ratio=out[:, :, 0].mean(axis=0))

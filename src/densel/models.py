@@ -21,10 +21,9 @@ thresholds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
-from scipy import integrate
 
 from .densities import Density, PowerLaw
 
@@ -32,7 +31,6 @@ __all__ = [
     "ModelSpec",
     "ModelCollection",
     "ExactModelQuantities",
-    "PairDiagnostics",
     "build_regular_histograms",
     "build_two_block_collection",
     "build_fourier_collection",
@@ -41,7 +39,6 @@ __all__ = [
     "two_block_breaks",
     "basis_eval",
     "exact_quantities",
-    "pair_diagnostics",
     "scale_constants",
 ]
 
@@ -252,6 +249,7 @@ def _fourier_pop_coeffs(density: Density, j: int, tol: float = 1e-10) -> np.ndar
     For the power-law density the substitution x = t**4 removes the
     endpoint singularity, leaving a smooth integrand.
     """
+    from scipy import integrate     # slow to import; only quadrature needs it
     coeffs = [1.0]  # psi_0 == 1 integrates s to 1
     power = isinstance(density, PowerLaw)
     for k in range(1, j + 1):
@@ -322,97 +320,3 @@ def scale_constants(model: ModelSpec, density: Density, n: int) -> tuple[float, 
         e = model.dim / n
         v2 = float(np.sqrt(density.l2_norm_sq() * model.dim))
     return e, v2
-
-
-# ---------------------------------------------------------------------------
-# Pair diagnostics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PairDiagnostics:
-    """Scale constants of a model pair plus the margin and risk ratios.
-
-    ``v_ratio_sq`` and ``e_ratio`` are the two margin-weighted terms whose
-    maximum must vanish for the selection guarantees to bite:
-    (v2/(R v R'))^2 * l^2 and (e/(R v R')) * l^2 with l the log-margin
-    below.  ``risk_ratio`` and ``bias_ratio`` compare the best achievable
-    risk and the maximal-variance model: R_best/D_max and
-    n*bias(argmax D)/D_max.
-    """
-
-    e_pair: float
-    v2_pair: float
-    log_margin: float
-    v_ratio_sq: float
-    e_ratio: float
-    risk_ratio: float
-    bias_ratio: float
-
-
-def _union_refinement(m: ModelSpec, m2: ModelSpec) -> np.ndarray:
-    return np.unique(np.concatenate((m.breaks, m2.breaks)))
-
-
-def pair_scale_constants(m: ModelSpec, m2: ModelSpec, density: Density,
-                         n: int) -> tuple[float, float]:
-    """(e, v2) for the sum space of two models of the same basis type."""
-    if m.basis != m2.basis:
-        raise ValueError("pair diagnostics need models with the same basis type")
-    if m.basis == "histogram":
-        brk = _union_refinement(m, m2)
-        widths = np.diff(brk)
-        probs = density.cell_probabilities(brk)
-        e = float(np.max(1.0 / widths)) / n
-        v2 = float(np.max(probs * (1.0 - probs) / widths))
-    else:
-        d = max(m.dim, m2.dim)
-        e = d / n
-        v2 = float(np.sqrt(density.l2_norm_sq() * d))
-    return e, v2
-
-
-def risk_strata(risks: Sequence[float]) -> dict[int, int]:
-    """Count models per integer risk stratum [k, k+1)."""
-    counts: dict[int, int] = {}
-    for r in risks:
-        k = int(np.floor(r))
-        counts[k] = counts.get(k, 0) + 1
-    return counts
-
-
-def log_margin(r1: float, r2: float, strata: dict[int, int], n: int,
-               gamma: float) -> float:
-    """ln(1+card[k]) + ln(1+card[k']) + ln((r+1)(r'+1)) + (ln n)^gamma."""
-    c1 = strata.get(int(np.floor(r1)), 0)
-    c2 = strata.get(int(np.floor(r2)), 0)
-    return (np.log1p(c1) + np.log1p(c2)
-            + np.log((r1 + 1.0) * (r2 + 1.0)) + np.log(n) ** gamma)
-
-
-def pair_diagnostics(m: ModelSpec, m2: ModelSpec, density: Density, n: int,
-                     gamma: float, collection: ModelCollection) -> PairDiagnostics:
-    """Finite-n diagnostics for one model pair within its collection."""
-    e_pair, v2_pair = pair_scale_constants(m, m2, density, n)
-    table = {mm.id: exact_quantities(mm, density, n) for mm in collection}
-    risks = [q.risk for q in table.values()]
-    strata = risk_strata(risks)
-    r1, r2 = table[m.id].risk, table[m2.id].risk
-    lng = log_margin(r1, r2, strata, n, gamma)
-    rmax = max(r1, r2)
-    v_ratio_sq = (v2_pair / rmax) ** 2 * lng ** 2 if rmax > 0 else np.inf
-    e_ratio = (e_pair / rmax) * lng ** 2 if rmax > 0 else np.inf
-    best = min(risks)
-    istar = int(np.argmax([q.d_exact for q in table.values()]))
-    qstar = list(table.values())[istar]
-    d_star = qstar.d_exact
-    risk_ratio = best / d_star if d_star > 0 else np.inf
-    bias_ratio = n * qstar.bias_sq / d_star if d_star > 0 else np.inf
-    return PairDiagnostics(
-        e_pair=e_pair,
-        v2_pair=v2_pair,
-        log_margin=lng,
-        v_ratio_sq=v_ratio_sq,
-        e_ratio=e_ratio,
-        risk_ratio=risk_ratio,
-        bias_ratio=bias_ratio,
-    )

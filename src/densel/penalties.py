@@ -111,25 +111,38 @@ def _basis_matrix(fit: FittedModel, sample: Sample) -> np.ndarray:
     return mat
 
 
+def _cell_counts(fit: FittedModel, sample: Sample) -> np.ndarray:
+    """Bin counts of a histogram fit."""
+    if fit.counts is not None:
+        return fit.counts
+    from .fitting import histogram_counts
+    return histogram_counts(fit.model.breaks, sample)
+
+
 def _mean_sq_basis(fit: FittedModel, sample: Sample) -> np.ndarray:
     """Pn(psi_lambda^2) per basis function."""
     model = fit.model
     if model.basis == "histogram":
-        counts = fit.counts
-        if counts is None:
-            from .fitting import histogram_counts
-            counts = histogram_counts(model.breaks, sample)
-        return counts / (fit.n * model.widths)
+        return _cell_counts(fit, sample) / (fit.n * model.widths)
     return (fourier_basis_matrix(model.j, sample.points) ** 2).mean(axis=0)
 
 
 def resampling_dmw(fit: FittedModel, sample: Sample) -> float:
-    """Exchangeable-weight estimate of the variance number D (closed form)."""
+    """Exchangeable-weight estimate of the variance number D (closed form).
+
+    For a histogram the per-cell term Pn(psi^2) - (Pn psi)^2 is
+    c (n - c) / (n^2 w), computed from the counts so that it cannot cancel
+    below zero.
+    """
     n = fit.n
     if n < 2:
         raise ValueError("resampling estimate needs n >= 2")
-    mean_sq = _mean_sq_basis(fit, sample)
-    return n / (n - 1.0) * float(np.sum(mean_sq - fit.coeffs ** 2))
+    if fit.model.basis == "histogram":
+        c = _cell_counts(fit, sample)
+        var = np.sum(c * (n - c) / (n * n * fit.model.widths))
+    else:
+        var = np.sum(_mean_sq_basis(fit, sample) - fit.coeffs ** 2)
+    return n / (n - 1.0) * float(var)
 
 
 def resampling_penalty(fit: FittedModel, sample: Sample) -> PenaltyValue:

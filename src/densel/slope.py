@@ -1,6 +1,6 @@
 """Penalized selection, the exact penalty-constant path, and jump rules.
 
-``select`` is the plain argmin of contrast + penalty.  ``slope_path``
+``select`` is the plain argmin of contrast + penalty.  ``envelope_path``
 computes, exactly, the map from the penalty constant K to the selected
 model when the penalty is K times a per-model complexity: each model is a
 line K -> contrast + K * delta, and the selected model is the lower
@@ -8,13 +8,16 @@ envelope of those lines, found by a convex-hull pass instead of a K grid.
 The jump detectors then read the calibration constant off the path: either
 the breakpoint with the largest complexity drop, or the first K beyond
 which the selected complexity falls under max_complexity / ln(n).
+``slope_pick`` is the slope algorithm itself: the maximal jump, then the
+model selected at twice that constant.  ``select`` and ``slope_path`` take
+per-model lists; the experiment labs feed arrays to ``envelope_path``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -28,10 +31,11 @@ __all__ = [
     "MAX_JUMP",
     "LOG_THRESHOLD",
     "lower_envelope",
+    "envelope_path",
     "select",
     "slope_path",
     "detect_kmin",
-    "slope_select",
+    "slope_pick",
 ]
 
 MAX_JUMP = "max"
@@ -66,9 +70,14 @@ class PathSegment:
 
 @dataclass(frozen=True)
 class SlopePath:
-    """The exact piecewise-constant map K -> selected model on [0, inf)."""
+    """The exact piecewise-constant map K -> selected model on [0, inf).
+
+    ``delta_max`` is the largest complexity in the whole collection, not
+    only on the path; the log-threshold rule is scaled by it.
+    """
 
     segments: tuple[PathSegment, ...]
+    delta_max: float
 
     def __post_init__(self) -> None:
         if not self.segments:
@@ -168,6 +177,29 @@ def select(fits: Sequence[tuple[str, float]],
                            dim=dim if dims is not None else None)
 
 
+def envelope_path(contrasts: np.ndarray, deltas: np.ndarray,
+                  model_id: Callable[[int], str],
+                  delta_max: float) -> tuple[SlopePath, list[int]]:
+    """Exact path of the lines contrasts[i] + K * deltas[i].
+
+    Returns the path and, per segment, the index of its line; only the
+    lines on the envelope get an id, through ``model_id(index)``.  Ties
+    follow ``lower_envelope``.
+    """
+    deltas = np.asarray(deltas, dtype=float)
+    contrasts = np.asarray(contrasts, dtype=float)
+    if np.any(deltas < 0.0):
+        raise ValueError("complexities must be >= 0")
+    hull, starts = lower_envelope(deltas, contrasts)
+    segs = tuple(
+        PathSegment(k_lo=starts[pos],
+                    k_hi=starts[pos + 1] if pos + 1 < len(hull) else np.inf,
+                    model_id=model_id(i), delta=deltas[i],
+                    contrast=contrasts[i])
+        for pos, i in enumerate(hull))
+    return SlopePath(segments=segs, delta_max=float(delta_max)), hull
+
+
 def slope_path(points: Sequence[tuple[str, float, float]]) -> SlopePath:
     """Exact selected-model path for penalties K * delta.
 
@@ -181,16 +213,9 @@ def slope_path(points: Sequence[tuple[str, float, float]]) -> SlopePath:
     pts = sorted(points, key=lambda p: p[0])
     deltas = np.array([p[2] for p in pts])
     contrasts = np.array([p[1] for p in pts])
-    if np.any(deltas < 0.0):
-        raise ValueError("complexities must be >= 0")
-    hull, starts = lower_envelope(deltas, contrasts)
-    segs = []
-    for pos, i in enumerate(hull):
-        k_hi = starts[pos + 1] if pos + 1 < len(hull) else np.inf
-        segs.append(PathSegment(k_lo=starts[pos], k_hi=k_hi,
-                                model_id=pts[i][0], delta=deltas[i],
-                                contrast=contrasts[i]))
-    return SlopePath(segments=tuple(segs))
+    path, _ = envelope_path(contrasts, deltas, lambda i: pts[i][0],
+                            delta_max=deltas.max())
+    return path
 
 
 def detect_kmin(path: SlopePath, rule: str, n: int,
@@ -199,21 +224,20 @@ def detect_kmin(path: SlopePath, rule: str, n: int,
 
     ``max``: breakpoint with the largest complexity drop (earliest wins on
     ties).  ``log``: smallest K from which the selected complexity is at
-    most ``delta_max / ln(n)``; when no segment qualifies, the last
-    breakpoint (or 0 for a one-segment path) is returned.
+    most ``delta_max / ln(n)``, ``delta_max`` defaulting to the path's;
+    when no segment qualifies, the last breakpoint (or 0 for a one-segment
+    path) is returned.
     """
     segs = path.segments
     if rule == MAX_JUMP:
         if len(segs) < 2:
             raise NoJumpError("path has a single segment, no jump to detect")
-        drops = [segs[i].delta - segs[i + 1].delta for i in range(len(segs) - 1)]
-        i_best = int(np.argmax(drops))
-        return segs[i_best + 1].k_lo
+        return slope_pick(path)[1]
     if rule == LOG_THRESHOLD:
         if n < 3:
             raise ValueError("the log-threshold rule needs n >= 3")
         if delta_max is None:
-            delta_max = max(seg.delta for seg in segs)
+            delta_max = path.delta_max
         thresh = delta_max / np.log(n)
         for seg in segs:
             if seg.delta <= thresh:
@@ -222,33 +246,17 @@ def detect_kmin(path: SlopePath, rule: str, n: int,
     raise ValueError(f"unknown jump rule {rule!r}")
 
 
-def slope_select(fits: Sequence[tuple[str, float]],
-                 complexities: Mapping[str, float],
-                 rule: str = MAX_JUMP,
-                 n: int | None = None,
-                 delta_max: float | None = None) -> SelectionResult:
-    """Full slope algorithm: path, calibration constant, pick at twice it.
+def slope_pick(path: SlopePath) -> tuple[int, float, str | None]:
+    """The slope algorithm: (position of the picked segment, K_min, flag).
 
-    When the maximal-jump rule finds no jump the log-threshold rule is the
-    fallback and the result is flagged; a one-segment path then resolves to
-    K = 0, i.e. the single available model.
+    K_min is the breakpoint with the largest complexity drop and the pick
+    is the segment active at 2 * K_min.  A one-segment path has no jump:
+    its only model is picked at K_min = 0 and flagged ``no-jump-fallback``.
     """
-    points = [(mid, contrast, complexities[mid]) for mid, contrast in fits]
-    path = slope_path(points)
-    if delta_max is None:
-        delta_max = max(complexities.values())
-    flag = None
-    n_eff = n if n is not None else max(3, len(fits))
-    try:
-        k_min = detect_kmin(path, rule, n_eff, delta_max=delta_max)
-    except NoJumpError:
-        flag = "no-jump-fallback"
-        if len(path.segments) == 1:
-            k_min = 0.0
-        else:
-            k_min = detect_kmin(path, LOG_THRESHOLD, n_eff, delta_max=delta_max)
-    seg = path.segment_at(2.0 * k_min)
-    pen = 2.0 * k_min * seg.delta
-    return SelectionResult(model_id=seg.model_id,
-                           criterion=seg.contrast + pen,
-                           penalty=pen, flag=flag)
+    segs = path.segments
+    if len(segs) == 1:
+        return 0, 0.0, "no-jump-fallback"
+    drops = [segs[i].delta - segs[i + 1].delta for i in range(len(segs) - 1)]
+    k_min = segs[int(np.argmax(drops)) + 1].k_lo
+    starts = [seg.k_lo for seg in segs]
+    return bisect_right(starts, 2.0 * k_min) - 1, k_min, None

@@ -1,9 +1,19 @@
 """Command-line interface: schemas, determinism, config handling."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from densel.cli import build_parser, main
+from densel.densities import PowerLaw
+from densel.fitting import fit_model
+from densel.models import build_collection, exact_quantities
+from densel.penalties import (dimension_penalty, ideal_deterministic_penalty,
+                              resampling_dmw, resampling_penalty)
+from densel.rng import RngStream
+from densel.slope import select, slope_path
 
 
 def _read(path):
@@ -25,10 +35,17 @@ def test_help_lists_flags_for_every_subcommand(capsys):
         assert "default" in text
 
 
-def test_unknown_flag_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--bogus", "1"])
-    assert exc.value.code == 2
+def test_unknown_flag_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("seed = 3\n")
+    for argv in (["simulate", "--bogus", "1"],
+                 # abbreviations are unknown flags: --se would not count as
+                 # explicit and would lose to the config's seed
+                 ["select", "--config", str(cfg), "--se", "9", "--n", "20"],
+                 ["sweep", "--rep", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_simulate_summary_schema_and_determinism(tmp_path):
@@ -133,6 +150,91 @@ def test_select_penalties(tmp_path):
 
 def test_select_bad_penalty_exits_2():
     assert main(["select", "--n", "10", "--penalty", "bic"]) == 2
+    assert main(["select", "--n", "10", "--penalty", "dimension:-1"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--k-grid", "0:1:0"],
+    ["sweep", "--k-grid", "1:0:-0.5"],
+    ["sweep", "--k-grid", "0:inf:1"],
+    ["simulate", "--reps", "0"],
+    ["sweep", "--reps", "-1"],
+    ["conc-check", "--reps", "0"],
+    ["simulate", "--reps", "2", "--threads", "-3"],
+    ["sweep", "--threads", "0"],
+])
+def test_bad_counts_and_grids_exit_2_before_work(argv, capsys):
+    assert main(argv + ["--n", "10"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_import_skips_quadrature_module():
+    code = "import sys, densel.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
+def test_two_block_dmw_path_nonnegative(tmp_path):
+    # dmw once cancelled below zero on this sample and the command failed
+    out = tmp_path / "path.csv"
+    assert main(["slope-path", "--collection", "two-block", "--n", "60",
+                 "--seed", "1", "--complexity", "dmw", "--out", str(out)]) == 0
+    assert all(float(line.rsplit(",", 1)[1]) >= 0.0
+               for line in _lines(out)[1:])
+
+
+def _oracle_criteria(kind, n, seed, penalty):
+    """Per-model fits and penalties: (select() pick, criterion per id)."""
+    density = PowerLaw()
+    collection = build_collection(kind, n)
+    sample = density.sample(n, RngStream(seed, 0, "data"))
+    fits = [fit_model(m, sample) for m in collection]
+    if penalty == "resampling":
+        pens = [resampling_penalty(f, sample) for f in fits]
+    elif penalty.startswith("dimension:"):
+        pens = [dimension_penalty(m, 1.5, n) for m in collection]
+    else:
+        pens = [ideal_deterministic_penalty(exact_quantities(m, density, n),
+                                            n, 2.0) for m in collection]
+    pick = select([(f.model.id, f.emp_contrast) for f in fits], pens,
+                  {m.id: m.dim for m in collection}).model_id
+    crit = {f.model.id: f.emp_contrast + p.value for f, p in zip(fits, pens)}
+    return pick, crit, fits, sample
+
+
+@pytest.mark.parametrize("kind,n", [("regular-hist", 25), ("fourier", 12),
+                                    ("two-block", 9)])
+def test_cli_matches_per_model_oracle(kind, n, tmp_path, capsys):
+    """select and slope-path run on the labs; the per-model fits are the
+    oracle.  Picks may differ only on exact criterion ties, which float
+    noise can point at different tied models."""
+    for seed in range(4):
+        for penalty in ("resampling", "dimension:1.5", "ideal:2"):
+            assert main(["select", "--collection", kind, "--n", str(n),
+                         "--seed", str(seed), "--penalty", penalty]) == 0
+            got = capsys.readouterr().out.split()[1]
+            want, crit, fits, sample = _oracle_criteria(kind, n, seed, penalty)
+            if got != want:
+                assert crit[got] == pytest.approx(crit[want], abs=1e-9)
+        if kind == "two-block":
+            continue
+        for complexity in ("dim", "dmw"):
+            out = tmp_path / "path.csv"
+            assert main(["slope-path", "--collection", kind, "--n", str(n),
+                         "--seed", str(seed), "--complexity", complexity,
+                         "--out", str(out)]) == 0
+            capsys.readouterr()
+            rows = [line.split(",") for line in _lines(out)[1:]]
+            delta = {f.model.id: (f.model.dim if complexity == "dim"
+                                  else resampling_dmw(f, sample))
+                     for f in fits}
+            want = slope_path([(f.model.id, f.emp_contrast, delta[f.model.id])
+                               for f in fits])
+            assert [r[2] for r in rows] == [s.model_id for s in want.segments]
+            assert [float(r[0]) for r in rows] == pytest.approx(
+                [s.k_lo for s in want.segments], rel=1e-9, abs=1e-15)
 
 
 def test_config_file_defaults_and_override(tmp_path):

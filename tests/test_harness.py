@@ -1,12 +1,15 @@
 """Experiment harness: ratios, reports, the fast two-block engine."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from densel.densities import PowerLaw, Uniform
-from densel.harness import (CollectionLab, Method, TwoBlockLab, make_lab,
-                            oracle_ratio, parse_method, penalty_sweep,
-                            run_example, summarize)
+from densel.harness import (CollectionLab, Method, TwoBlockLab, _Evaluation,
+                            _TwoBlockEvaluation, make_lab, oracle_ratio,
+                            parse_method, penalty_sweep, run_example,
+                            summarize)
 from densel.models import (build_regular_histograms,
                            build_two_block_collection)
 from densel.rng import RngStream
@@ -99,6 +102,33 @@ def test_two_block_fast_engine_matches_generic(n):
                 for idx in (ia, ib):
                     line = ev_g.contrasts[idx] + ks * deltas[idx]
                     assert np.min(line - env) <= 1e-9
+
+
+def _two_block_eval(left_a, right_a):
+    """A two-block evaluation of n = 4 from per-cut A arrays alone."""
+    def block(a):
+        a = np.asarray(a, dtype=float)
+        return a, np.zeros_like(a), np.zeros_like(a), np.zeros_like(a)
+    lab = SimpleNamespace(n=4, s_norm=0.0)
+    return _TwoBlockEvaluation(lab=lab, per_k=[
+        (block(la), block(ra)) for la, ra in zip(left_a, right_a)])
+
+
+def test_ties_go_to_criterion_then_dim_then_order():
+    """Both labs break exact criterion ties on the smaller dimension, then
+    on the earlier model in enumeration order (k, then j1, then j2)."""
+    ev = _Evaluation(ids=["a", "b", "c"], dims=np.array([3.0, 1.0, 1.0]),
+                     contrasts=np.full(3, -1.0), dmws=np.zeros(3),
+                     losses=np.ones(3), d_exact=np.zeros(3), n=4)
+    assert ev.argmin(0.0, "dim").model_id == "b"
+    # every cut reaches contrast -1; the best dimensions are 3, 3 and 2
+    right = ([0.25, 0.5, 0.5], [0.5, 0.25], [0.5])
+    ev = _two_block_eval(([0.5], [0.25, 0.5], [0.5, 0.5, 0.5]), right)
+    row = ev.argmin(0.0, "dim")
+    assert (row.model_id, row.dim) == ("two-block:k=3,j1=1,j2=1", 2)
+    # with dimension 3 at the last cut too, the first cut wins
+    ev = _two_block_eval(([0.5], [0.25, 0.5], [0.25, 0.5, 0.5]), right)
+    assert ev.argmin(0.0, "dim").model_id == "two-block:k=1,j1=1,j2=2"
 
 
 def test_two_block_dim_penalties_match_spec_dims():

@@ -1,4 +1,4 @@
-"""Model spaces: collections, bases, exact quantities, pair diagnostics."""
+"""Model spaces: collections, bases, exact quantities, scale constants."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,7 @@ from densel.densities import PowerLaw, Uniform
 from densel.models import (basis_eval, build_fourier_collection,
                            build_regular_histograms,
                            build_two_block_collection, exact_quantities,
-                           fourier_model, histogram_model, pair_diagnostics,
-                           pair_scale_constants, scale_constants,
+                           fourier_model, histogram_model, scale_constants,
                            two_block_breaks)
 from densel.rng import RngStream
 
@@ -205,7 +204,7 @@ def test_d_exact_matches_monte_carlo(model, density, n):
 
 
 # ---------------------------------------------------------------------------
-# Scale constants and pair diagnostics
+# Scale constants
 # ---------------------------------------------------------------------------
 
 def test_scale_constants_examples():
@@ -216,57 +215,3 @@ def test_scale_constants_examples():
     assert v2 == pytest.approx(0.5)
     e_f, _ = scale_constants(fourier_model(3), Uniform(), n)
     assert e_f == pytest.approx(7.0 / 100.0)
-
-
-def test_pair_scale_constants_same_model():
-    m2 = histogram_model([0.0, 0.5, 1.0])
-    e, v2 = pair_scale_constants(m2, m2, Uniform(), 100)
-    assert e == pytest.approx(2.0 / 100.0)
-    assert v2 == pytest.approx(0.5)
-
-
-def test_pair_scale_constants_refinement():
-    m2 = histogram_model(np.linspace(0.0, 1.0, 3))
-    m3 = histogram_model(np.linspace(0.0, 1.0, 4))
-    e, v2 = pair_scale_constants(m2, m3, Uniform(), 100)
-    # union refinement has a cell of width 1/6
-    assert e == pytest.approx(6.0 / 100.0)
-    assert v2 <= 100.0 * e + 1e-12
-
-
-def test_pair_scale_constants_fourier():
-    e, v2 = pair_scale_constants(fourier_model(3), fourier_model(1),
-                                 Uniform(), 100)
-    assert e == pytest.approx(7.0 / 100.0)
-    assert v2 == pytest.approx(np.sqrt(7.0))
-
-
-def test_pair_mixed_basis_rejected():
-    with pytest.raises(ValueError):
-        pair_scale_constants(histogram_model([0.0, 1.0]), fourier_model(1),
-                             Uniform(), 10)
-
-
-def test_pair_diagnostics_fields():
-    col = build_regular_histograms(6)
-    diag = pair_diagnostics(col.models[1], col.models[2], PowerLaw(), 6,
-                            gamma=1.5, collection=col)
-    assert diag.e_pair > 0 and diag.v2_pair >= 0
-    assert diag.v2_pair <= 6 * diag.e_pair + 1e-12
-    assert diag.log_margin >= np.log(6) ** 1.5
-    assert diag.risk_ratio > 0 and diag.bias_ratio >= 0
-
-
-def test_log_margin_hand_value():
-    """One fully hand-computed margin for a two-model collection."""
-    col = build_regular_histograms(4)
-    density = Uniform()
-    # under the uniform density every model has zero bias and D = d - 1
-    from densel.models import log_margin, risk_strata
-    risks = [exact_quantities(m, density, 4).risk for m in col]
-    strata = risk_strata(risks)
-    # risks are 0, 1, 2, 3 -> one model per integer stratum
-    got = log_margin(risks[1], risks[3], strata, 4, gamma=2.0)
-    want = (np.log(2.0) + np.log(2.0) + np.log((risks[1] + 1) * (risks[3] + 1))
-            + np.log(4.0) ** 2.0)
-    assert got == pytest.approx(want, abs=1e-12)

@@ -50,6 +50,16 @@ def test_constant_model_zero_penalty():
     assert resampling_penalty(fit, s).value == pytest.approx(0.0, abs=1e-14)
 
 
+def test_histogram_dmw_never_negative():
+    """Two-block models of the n = 40, seed-1 sample on which the form
+    Pn(psi^2) - (Pn psi)^2 cancelled to about -2.3e-16."""
+    n = 40
+    s = PowerLaw().sample(n, RngStream(1, 0, "data"))
+    for k, j1, j2 in ((38, 1, 1), (38, 1, 2), (39, 1, 1)):
+        m = histogram_model(two_block_breaks(n, k, j1, j2))
+        assert resampling_dmw(fit_model(m, s), s) >= 0.0
+
+
 def test_single_point_rejected():
     s = Sample(np.array([0.5]))
     fit = fit_model(D2, s)

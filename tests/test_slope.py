@@ -5,7 +5,7 @@ import pytest
 
 from densel.penalties import PenaltyValue
 from densel.slope import (LOG_THRESHOLD, MAX_JUMP, NoJumpError, detect_kmin,
-                          select, slope_path, slope_select)
+                          select, slope_path, slope_pick)
 
 ABC = [("A", -1.0, 10.0), ("B", -0.5, 4.0), ("C", 0.0, 1.0)]
 
@@ -166,7 +166,7 @@ def test_negative_complexity_rejected():
 
 
 # ---------------------------------------------------------------------------
-# detect_kmin / slope_select
+# detect_kmin / slope_pick
 # ---------------------------------------------------------------------------
 
 def test_kmin_abc():
@@ -209,11 +209,18 @@ def test_kmin_earliest_on_ties():
         path.segments[1].k_lo)
 
 
+def _pick(points):
+    """(model id, flag, penalty 2 K_min delta) of the slope pick."""
+    path = slope_path(points)
+    pos, k_min, flag = slope_pick(path)
+    seg = path.segments[pos]
+    return seg.model_id, flag, 2.0 * k_min * seg.delta
+
+
 def test_slope_select_abc():
-    res = slope_select([(m, c) for m, c, _ in ABC],
-                       {m: d for m, _, d in ABC})
-    assert res.model_id == "C"
-    assert res.flag is None
+    model_id, flag, _ = _pick(ABC)
+    assert model_id == "C"
+    assert flag is None
 
 
 def test_slope_select_collinear_contrasts():
@@ -226,12 +233,11 @@ def test_slope_select_collinear_contrasts():
     path = slope_path(pts)
     assert [s.delta for s in path.segments] == [9.0, 1.0]
     assert path.breakpoints == pytest.approx([k0])
-    res = slope_select([(m, c) for m, c, _ in pts], {m: d for m, c, d in pts})
-    assert res.model_id == "m3"
+    assert _pick(pts)[0] == "m3"
 
 
 def test_slope_select_single_model_fallback():
-    res = slope_select([("only", -1.0)], {"only": 4.0})
-    assert res.model_id == "only"
-    assert res.flag == "no-jump-fallback"
-    assert res.penalty == 0.0
+    model_id, flag, penalty = _pick([("only", -1.0, 4.0)])
+    assert model_id == "only"
+    assert flag == "no-jump-fallback"
+    assert penalty == 0.0
