@@ -21,8 +21,9 @@ from . import report
 from .conclab import (check_p_concentration, check_resampling_concentration,
                       check_ustat_concentration, regularization_comparison)
 from .densities import density_from_config
-from .harness import (DEFAULT_METHODS, make_lab, parse_method, penalty_sweep,
-                      run_example)
+from .harness import (DEFAULT_METHODS, make_lab, parse_method,
+                      penalty_constant, penalty_sweep, run_example)
+from .models import build_regular_histograms, fourier_model
 from .rng import RngStream
 from .slope import LOG_THRESHOLD, SelectionResult, detect_kmin, slope_pick
 
@@ -35,15 +36,21 @@ def _parse_floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
+MAX_GRID_POINTS = 10_000
+
+
 def _parse_grid(text: str) -> list[float]:
-    """Either 'lo:hi:step' (finite, step > 0) or a comma list."""
+    """'lo:hi:step' (finite, step > 0, bounded count) or a comma list."""
     if ":" in text:
         lo, hi, step = (float(t) for t in text.split(":"))
         if not (all(map(math.isfinite, (lo, hi, step))) and step > 0.0):
             raise UsageError(f"--k-grid {text!r}: need finite lo:hi:step "
                              "with step > 0")
-        count = int(round((hi - lo) / step)) + 1
-        return [lo + i * step for i in range(count)]
+        span = (hi - lo) / step             # inf when hi - lo overflows
+        if not span + 0.5 < MAX_GRID_POINTS:
+            raise UsageError(f"--k-grid {text!r}: {span + 1:.3g} points, "
+                             f"more than {MAX_GRID_POINTS}")
+        return [lo + i * step for i in range(int(round(span)) + 1)]
     return _parse_floats(text)
 
 
@@ -183,10 +190,7 @@ def _penalty_spec(text: str) -> tuple[float, str]:
         return 2.0, "dmw"
     for prefix, complexity in (("dimension:", "dim"), ("ideal:", "d_exact")):
         if spec.startswith(prefix):
-            k_const = float(spec[len(prefix):])
-            if not 0.0 <= k_const < float("inf"):
-                raise UsageError("penalty constant must be >= 0 and finite")
-            return k_const, complexity
+            return penalty_constant(spec[len(prefix):]), complexity
     raise UsageError(f"unknown penalty spec {text!r}")
 
 
@@ -254,14 +258,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_conc_check(args) -> int:
+    xs = _parse_floats(args.x)
+    if not (xs and all(0.0 < x < math.inf for x in xs)):
+        raise UsageError(f"--x {args.x!r}: need deviation levels that are "
+                         "finite and > 0")
     density = _density_from_args(args)
     if args.basis == "hist":
-        from .models import build_regular_histograms
         model = build_regular_histograms(args.dim).models[-1]
     else:
-        from .models import fourier_model
         model = fourier_model(max(1, (args.dim - 1) // 2))
-    xs = _parse_floats(args.x)
     rng = RngStream(args.seed, 0, f"conc-{args.bound}")
     if args.bound == "regularization":
         rep_out = regularization_comparison(model, density, args.n,
@@ -312,10 +317,7 @@ def main(argv: list[str] | None = None) -> int:
                    "conc-check": _cmd_conc_check,
                    "sweep": _cmd_sweep}[args.command]
         return handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -86,6 +86,8 @@ def simulate_model_statistics(model: ModelSpec, density: Density, n: int,
                               compute_u: bool = False,
                               chunk: int = 512) -> dict[str, np.ndarray]:
     """Per-replication p, dmw (and optionally the double-sum u)."""
+    if n < 2:
+        raise ValueError("dmw divides by n - 1: need n >= 2")
     quantities = exact_quantities(model, density, n)
     pop = quantities.pop_coeffs
     gen = rng.generator()
@@ -209,8 +211,6 @@ def check_resampling_concentration(model: ModelSpec, density: Density, n: int,
                                    rng: RngStream | None = None) -> TailReport:
     """Tails of dmw - D (one- and two-sided) and of p - dmw/n, plus the
     unbiasedness row mean(dmw) = D within three standard errors."""
-    if n < 2:
-        raise ValueError("resampling concentration needs n >= 2")
     rng = rng if rng is not None else RngStream(0, 0, "conc-dmw")
     q = exact_quantities(model, density, n)
     e, v2 = scale_constants(model, density, n)
@@ -246,8 +246,6 @@ def check_ustat_concentration(model: ModelSpec, density: Density, n: int,
                               rng: RngStream | None = None) -> TailReport:
     """Tails of the degenerate U-statistic, plus the algebraic identity
     row max |u - (p - dmw/n)| over replications (relative, 1e-10)."""
-    if n < 2:
-        raise ValueError("U-statistic needs n >= 2")
     rng = rng if rng is not None else RngStream(0, 0, "conc-u")
     q = exact_quantities(model, density, n)
     e, v2 = scale_constants(model, density, n)

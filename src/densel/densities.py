@@ -2,9 +2,9 @@
 
 Three density families are provided.  All are supported on [0,1] and all
 expose exact closed forms, so every population quantity in the package
-(projection coefficients, model variances, risks) can be computed without
-estimation error.  Numerical quadrature is used only as an independent
-cross-check in the tests.
+(projection coefficients, model variances, risks) is computed without
+estimation error; Fourier coefficients by a Gauss-Legendre rule over the
+quantile function.  Adaptive quadrature is only a cross-check in the tests.
 
 * ``PowerLaw``: s(x) = 0.75 * x**(-0.25), unbounded at 0 but square
   integrable; the standard hard case for histogram selection.

@@ -32,14 +32,15 @@ import numpy as np
 
 from .densities import Density, PowerLaw, Sample
 from .fitting import fit_model, p_term
-from .models import (ExactModelQuantities, ModelCollection, build_collection,
-                     exact_quantities)
+from .models import (ModelCollection, build_collection, exact_quantities,
+                     fourier_basis_matrix)
 from .penalties import resampling_dmw
 from .rng import RngStream
 from .slope import SlopePath, envelope_path, lower_envelope, slope_pick
 
 __all__ = [
     "Method",
+    "penalty_constant",
     "parse_method",
     "MethodOutcome",
     "ModelRow",
@@ -76,12 +77,22 @@ class Method:
         return self.kind
 
 
+def penalty_constant(text: str) -> float:
+    """The constant K of a K * complexity / n penalty: finite and >= 0."""
+    k_const = float(text)
+    if not 0.0 <= k_const < float("inf"):
+        raise ValueError(f"penalty constant must be >= 0 and finite, "
+                         f"got {text.strip()!r}")
+    return k_const
+
+
 def parse_method(spec: str) -> Method:
     spec = spec.strip().lower()
     if spec in ("slope-dim", "resampling", "resampling-slope"):
         return Method(kind=spec)
     if spec.startswith("ideal:"):
-        return Method(kind="ideal", k_const=float(spec.split(":", 1)[1]))
+        return Method(kind="ideal",
+                      k_const=penalty_constant(spec.split(":", 1)[1]))
     if spec == "ideal":
         return Method(kind="ideal", k_const=2.0)
     raise ValueError(f"unknown method {spec!r}")
@@ -168,79 +179,60 @@ class _LabEvaluation:
 # ---------------------------------------------------------------------------
 
 class CollectionLab:
-    """Per-model exact tables plus a per-sample evaluator (generic loop).
+    """Exact population arrays of a collection plus a per-sample evaluator.
 
-    Nested Fourier models share coefficients, so for a Fourier collection
-    the population table is built once from the largest model and each
-    sample is fitted once, per-model statistics falling out of prefix sums.
+    Nested Fourier models share coefficients: ``pop`` holds those of the
+    largest model, every model's bias and D fall out of one cumulative sum,
+    and each sample is fitted once.  Other collections keep one
+    ``ExactModelQuantities`` per model and are evaluated by the generic
+    per-model loop.
     """
 
-    def __init__(self, collection: ModelCollection, density: Density,
-                 table: dict[str, ExactModelQuantities] | None = None):
+    def __init__(self, collection: ModelCollection, density: Density):
         self.collection = collection
         self.density = density
         self.n = collection.n
         self.kind = collection.kind
-        if table is not None:
-            self.table = table
-        elif collection.kind == "fourier":
-            self.table = self._fourier_table()
-        else:
-            self.table = {m.id: exact_quantities(m, density, self.n)
-                          for m in collection}
         self.ids = [m.id for m in collection]
         self.dims = np.array([m.dim for m in collection], dtype=float)
-        self.d_exact = np.array([self.table[i].d_exact for i in self.ids])
+        if self.kind == "fourier":
+            big = max(collection, key=lambda m: m.dim)
+            self.pop = exact_quantities(big, density, self.n).pop_coeffs
+            self._last = self.dims.astype(int) - 1    # last coefficient
+            sm = np.cumsum(self.pop ** 2)[self._last]
+            bias_sq, d_exact = density.l2_norm_sq() - sm, self.dims - sm
+        else:
+            self.table = [exact_quantities(m, density, self.n)
+                          for m in collection]
+            bias_sq = [q.bias_sq for q in self.table]
+            d_exact = [q.d_exact for q in self.table]
+        # guard the float tail: bias and D are nonnegative by construction
+        self.bias_sq = np.maximum(bias_sq, 0.0)
+        self.d_exact = np.maximum(d_exact, 0.0)
         self.d_max = float(self.d_exact.max())
 
-    def _fourier_table(self) -> dict[str, ExactModelQuantities]:
-        big = max(self.collection, key=lambda m: m.dim)
-        full = exact_quantities(big, self.density, self.n)
-        s_norm = self.density.l2_norm_sq()
-        table = {}
-        for m in self.collection:
-            pop = full.pop_coeffs[:m.dim]
-            sm = float(np.sum(pop ** 2))
-            bias = max(s_norm - sm, 0.0)
-            d_ex = max(m.dim - sm, 0.0)
-            table[m.id] = ExactModelQuantities(
-                model_id=m.id, n=self.n, pop_coeffs=pop, sm_norm_sq=sm,
-                bias_sq=bias, d_exact=d_ex, risk=self.n * bias + d_ex)
-        return table
-
     def evaluate(self, sample: Sample):
-        contrasts = np.empty(len(self.ids))
-        dmws = np.empty(len(self.ids))
-        losses = np.empty(len(self.ids))
+        n = sample.n
         if self.kind == "fourier":
-            self._evaluate_fourier(sample, contrasts, dmws, losses)
+            mat = fourier_basis_matrix(self.pop.size // 2, sample.points)
+            coeffs = mat.mean(axis=0)
+            var = (mat ** 2).mean(axis=0) - coeffs ** 2
+            contrasts = -np.cumsum(coeffs ** 2)[self._last]
+            dmws = (n / (n - 1.0) * np.cumsum(var)[self._last] if n >= 2
+                    else np.full(len(self.ids), np.nan))
+            losses = (self.bias_sq
+                      + np.cumsum((coeffs - self.pop) ** 2)[self._last])
         else:
-            for i, model in enumerate(self.collection):
+            contrasts, dmws, losses = (np.empty(len(self.ids))
+                                       for _ in range(3))
+            for i, (model, q) in enumerate(zip(self.collection, self.table)):
                 fit = fit_model(model, sample)
                 contrasts[i] = fit.emp_contrast
-                dmws[i] = resampling_dmw(fit, sample) if sample.n >= 2 else np.nan
-                q = self.table[model.id]
+                dmws[i] = resampling_dmw(fit, sample) if n >= 2 else np.nan
                 losses[i] = q.bias_sq + p_term(fit, q)
         return _Evaluation(ids=self.ids, dims=self.dims, contrasts=contrasts,
                            dmws=dmws, losses=losses, d_exact=self.d_exact,
                            n=self.n)
-
-    def _evaluate_fourier(self, sample: Sample, contrasts, dmws, losses) -> None:
-        from .models import fourier_basis_matrix
-        big = max(self.collection, key=lambda m: m.dim)
-        mat = fourier_basis_matrix(big.j, sample.points)
-        coeffs = mat.mean(axis=0)
-        mean_sq = (mat ** 2).mean(axis=0)
-        pop = self.table[big.id].pop_coeffs
-        n = sample.n
-        cum_sq = np.cumsum(coeffs ** 2)
-        cum_var = np.cumsum(mean_sq - coeffs ** 2)
-        cum_p = np.cumsum((coeffs - pop) ** 2)
-        for i, model in enumerate(self.collection):
-            d = model.dim
-            contrasts[i] = -cum_sq[d - 1]
-            dmws[i] = n / (n - 1.0) * cum_var[d - 1] if n >= 2 else np.nan
-            losses[i] = self.table[model.id].bias_sq + cum_p[d - 1]
 
 
 @dataclass
@@ -478,10 +470,9 @@ def make_lab(kind: str, n: int, density: Density):
 # ---------------------------------------------------------------------------
 
 def oracle_ratio(sample: Sample, collection: ModelCollection, method: Method,
-                 density: Density,
-                 table: dict[str, ExactModelQuantities] | None = None) -> float:
+                 density: Density) -> float:
     """Exact loss of the method's pick divided by the collection minimum."""
-    lab = CollectionLab(collection, density, table=table)
+    lab = CollectionLab(collection, density)
     outcome = lab.evaluate(sample).apply(method)
     if outcome.flag == "degenerate-oracle":
         raise ArithmeticError("oracle loss is numerically zero")

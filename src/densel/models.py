@@ -11,11 +11,11 @@ sqrt(2)sin(2*pi*k*x), k <= j}.  Three enumerable collections are shipped:
 * Fourier spaces with cutoff j = 1..n.
 
 Given a known density, every population quantity of a model is available in
-closed form (histograms) or by quadrature (Fourier coefficients): the
-projection coefficients, the projection norm, the squared bias, the
-variance number ``d_exact`` (n times the expected squared estimation error,
-written D below), and the scale constants that drive all concentration
-thresholds.
+closed form (histograms) or from one Gauss-Legendre rule over the quantile
+function (Fourier coefficients): the projection coefficients, the
+projection norm, the squared bias, the variance number ``d_exact`` (n times
+the expected squared estimation error, written D below), and the scale
+constants that drive all concentration thresholds.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .densities import Density, PowerLaw
+from .densities import Density
 
 __all__ = [
     "ModelSpec",
@@ -243,35 +243,42 @@ class ExactModelQuantities:
     risk: float
 
 
-def _fourier_pop_coeffs(density: Density, j: int, tol: float = 1e-10) -> np.ndarray:
-    """Population coefficients integral(s * psi) by adaptive quadrature.
+def _fourier_pop_coeffs(density: Density, j: int) -> np.ndarray:
+    """Population coefficients E psi(X) of the Fourier basis up to cutoff j.
 
-    For the power-law density the substitution x = t**4 removes the
-    endpoint singularity, leaving a smooth integrand.
+    E psi(X) = integral over [0, 1] of psi(Q(t**3)) 3 t**2 dt, Q the quantile.
+    Between the kinks t = F(b)**(1/3) at the density's breaks Q(t**3) is
+    analytic (t**4 for the power law, a cubic for uniform and step
+    densities), so a composite 32-point Gauss-Legendre rule with j+1 panels
+    per piece converges exponentially; the same rule at 2(j+1) panels must
+    agree within 1e-10.  One frequency at a time keeps memory O(nodes).
     """
-    from scipy import integrate     # slow to import; only quadrature needs it
-    coeffs = [1.0]  # psi_0 == 1 integrates s to 1
-    power = isinstance(density, PowerLaw)
+    breaks = np.asarray(getattr(density, "breaks", (0.0, 1.0)), dtype=float)
+    kinks = np.cbrt(density.cdf(breaks))
+    kinks[0], kinks[-1] = 0.0, 1.0
+    kinks = np.unique(kinks)            # zero-mass cells have no width in t
+    gl_x, gl_w = np.polynomial.legendre.leggauss(32)
+    rules = []
+    for panels in (j + 1, 2 * (j + 1)):
+        edges = kinks[:-1, None] + np.diff(kinks)[:, None] * (
+            np.arange(panels + 1) / panels)
+        half = 0.5 * np.diff(edges, axis=1).reshape(-1, 1)
+        t = (edges[:, :-1].reshape(-1, 1) + half * (1.0 + gl_x)).ravel()
+        rules.append((density.quantile(t ** 3),
+                      np.sqrt(2.0) * (half * gl_w).ravel() * 3.0 * t * t))
+    coeffs = np.empty(2 * j + 1)
+    coeffs[0] = 1.0                     # psi_0 == 1 integrates s to 1
     for k in range(1, j + 1):
-        for trig in (np.cos, np.sin):
-            if power:
-                def f(t, trig=trig, k=k):
-                    # s(t^4) * psi(t^4) * 4 t^3 with s(x)=0.75 x^-0.25
-                    return 3.0 * t ** 2 * np.sqrt(2.0) * trig(2.0 * np.pi * k * t ** 4)
-                val, err = integrate.quad(f, 0.0, 1.0, epsabs=tol, epsrel=tol,
-                                          limit=200)
-            else:
-                def f(x, trig=trig, k=k):
-                    return density.pdf(np.asarray(x)) * np.sqrt(2.0) * trig(2.0 * np.pi * k * x)
-                pts = list(density.breaks[1:-1]) if hasattr(density, "breaks") else None
-                val, err = integrate.quad(f, 0.0, 1.0, epsabs=tol, epsrel=tol,
-                                          limit=200, points=pts)
-            if err > 1e-6:
-                raise ArithmeticError(
-                    f"quadrature for Fourier coefficient k={k} did not converge "
-                    f"(reported error {err:.2e})")
-            coeffs.append(val)
-    return np.asarray(coeffs)
+        (c1, s1), (c2, s2) = [(w @ np.cos(2.0 * np.pi * k * x),
+                               w @ np.sin(2.0 * np.pi * k * x))
+                              for x, w in rules]
+        err = max(abs(c1 - c2), abs(s1 - s2))
+        if not err <= 1e-10:
+            raise ArithmeticError(
+                f"Gauss-Legendre rule for Fourier coefficient k={k} did not "
+                f"converge (two rules differ by {err:.2e})")
+        coeffs[2 * k - 1], coeffs[2 * k] = c2, s2
+    return coeffs
 
 
 def exact_quantities(model: ModelSpec, density: Density, n: int) -> ExactModelQuantities:

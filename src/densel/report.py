@@ -70,11 +70,12 @@ PATH_HEADER = ["K_lo", "K_hi", "model_id", "delta"]
 
 
 def tail_rows(report: TailReport) -> list[list]:
-    return [[report.bound, row.x, row.threshold, row.frequency, row.cap,
-             row.mc_se, row.passed] for row in report.rows]
+    return [[report.bound, row.label, row.x, row.threshold, row.frequency,
+             row.cap, row.mc_se, row.passed] for row in report.rows]
 
 
-TAIL_HEADER = ["bound", "x", "threshold", "frequency", "cap", "mc_se", "pass"]
+TAIL_HEADER = ["bound", "label", "x", "threshold", "frequency", "cap",
+               "mc_se", "pass"]
 
 
 def regularization_rows(report: RegularizationReport) -> list[list]:

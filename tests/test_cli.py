@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -105,7 +106,11 @@ def test_conc_check_csv(tmp_path):
                  "--reps", "400", "--seed", "1", "--x", "3,5",
                  "--out", str(out)])
     assert code == 0
-    assert _lines(out)[0] == "bound,x,threshold,frequency,cap,mc_se,pass"
+    assert _lines(out)[0] == ("bound,label,x,threshold,frequency,cap,mc_se,"
+                              "pass")
+    labels = [line.split(",")[1] for line in _lines(out)[1:]]
+    assert labels == ["identity-u-eq-p-minus-dmw", "u-upper", "u-lower",
+                      "u-upper", "u-lower"]
     assert all(line.endswith("true") for line in _lines(out)[1:])
 
 
@@ -151,6 +156,11 @@ def test_select_penalties(tmp_path):
 def test_select_bad_penalty_exits_2():
     assert main(["select", "--n", "10", "--penalty", "bic"]) == 2
     assert main(["select", "--n", "10", "--penalty", "dimension:-1"]) == 2
+    assert main(["select", "--n", "10", "--penalty", "ideal:nan"]) == 2
+    # simulate's ideal:K methods obey the same rule as select's penalties
+    for method in ("ideal:-1", "ideal:nan", "ideal:inf"):
+        assert main(["simulate", "--n", "10", "--reps", "2",
+                     "--methods", f"slope-dim,{method}"]) == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -162,18 +172,32 @@ def test_select_bad_penalty_exits_2():
     ["conc-check", "--reps", "0"],
     ["simulate", "--reps", "2", "--threads", "-3"],
     ["sweep", "--threads", "0"],
+    ["conc-check", "--n", "1", "--bound", "p"],
+    ["conc-check", "--n", "1", "--bound", "regularization"],
+    ["conc-check", "--x", "-1"],
+    ["conc-check", "--x", "5,nan"],
+    ["conc-check", "--x", ","],
+    ["sweep", "--k-grid", "0:1e9:1e-9"],
+    ["sweep", "--k-grid=-1e308:1e308:1"],
 ])
 def test_bad_counts_and_grids_exit_2_before_work(argv, capsys):
-    assert main(argv + ["--n", "10"]) == 2
+    assert main(argv if "--n" in argv else argv + ["--n", "10"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_import_skips_quadrature_module():
-    code = "import sys, densel.cli; print('scipy.integrate' in sys.modules)"
+    """Neither the import nor Fourier population coefficients load scipy."""
+    code = textwrap.dedent("""
+        import sys, densel.cli
+        codes = [densel.cli.main("select --collection fourier --penalty "
+                                 "ideal:2 --n 20".split()),
+                 densel.cli.main("conc-check --basis fourier --n 30 --dim 7 "
+                                 "--reps 200 --x 1,5".split())]
+        print(codes, [m for m in sys.modules if m.startswith("scipy")])""")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip().splitlines()[-1] == "[0, 0] []"
 
 
 def test_two_block_dmw_path_nonnegative(tmp_path):

@@ -1,11 +1,13 @@
 """Model spaces: collections, bases, exact quantities, scale constants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
 
 from densel.conclab import simulate_model_statistics
-from densel.densities import PowerLaw, Uniform
+from densel.densities import Density, PiecewiseConstant, PowerLaw, Uniform
 from densel.models import (basis_eval, build_fourier_collection,
                            build_regular_histograms,
                            build_two_block_collection, exact_quantities,
@@ -148,13 +150,83 @@ def test_fourier_uniform_quantities():
     assert q.pop_coeffs == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
 
 
-def test_fourier_powerlaw_coeffs_match_quadrature():
-    q = exact_quantities(fourier_model(2), PowerLaw(), 30)
-    # recompute one coefficient on the original scale with breakpoints
-    val, _ = integrate.quad(
-        lambda x: 0.75 * x ** -0.25 * np.sqrt(2.0) * np.cos(2 * np.pi * x),
-        1e-12, 1.0, epsabs=1e-11, limit=400)
-    assert q.pop_coeffs[1] == pytest.approx(val, abs=1e-6)
+STEP3 = PiecewiseConstant(np.array([0.0, 0.3, 0.7, 1.0]),
+                          np.array([0.5, 1.75, 0.5]))
+STEP_ZERO = PiecewiseConstant(np.array([0.0, 0.25, 0.5, 1.0]),
+                              np.array([2.0, 0.0, 1.0]))
+
+
+def _quad_coeff(density, k, trig):
+    """E sqrt2 trig(2 pi k X) by adaptive quadrature; the power law on
+    x = t**4, which removes its pole at 0."""
+    if isinstance(density, PowerLaw):
+        def f(t):
+            return 3.0 * t ** 2 * np.sqrt(2.0) * trig(2.0 * np.pi * k * t ** 4)
+        pts = None
+    else:
+        def f(x):
+            s = float(density.pdf(x))
+            return s * np.sqrt(2.0) * trig(2.0 * np.pi * k * x)
+        pts = list(getattr(density, "breaks", [0.0, 1.0])[1:-1]) or None
+    return integrate.quad(f, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=400,
+                          points=pts)[0]
+
+
+@pytest.mark.parametrize("j", [2, 40])
+@pytest.mark.parametrize("density", [PowerLaw(), Uniform(), STEP3, STEP_ZERO],
+                         ids=["powerlaw", "uniform", "step", "step-zero-cell"])
+def test_fourier_coeffs_match_quadrature(density, j):
+    pop = exact_quantities(fourier_model(j), density, 30).pop_coeffs
+    assert pop[0] == 1.0
+    for k in range(1, j + 1):
+        assert pop[2 * k - 1] == pytest.approx(
+            _quad_coeff(density, k, np.cos), abs=1e-12)
+        assert pop[2 * k] == pytest.approx(
+            _quad_coeff(density, k, np.sin), abs=1e-12)
+    if isinstance(density, PiecewiseConstant):
+        # closed form: each cell adds h * sqrt2 * (primitive at b - at a)
+        w = 2.0 * np.pi * np.arange(1, j + 1)[:, None]
+        a, b, h = density.breaks[:-1], density.breaks[1:], density.heights
+        scale = np.sqrt(2.0) / w[:, 0]
+        assert pop[1::2] == pytest.approx(
+            scale * (h * (np.sin(w * b) - np.sin(w * a))).sum(1), abs=1e-13)
+        assert pop[2::2] == pytest.approx(
+            scale * (h * (np.cos(w * a) - np.cos(w * b))).sum(1), abs=1e-13)
+
+
+class _HiddenKink(Density):
+    """A step density that does not expose its breaks: the rule's panels
+    straddle the kink of its quantile and the two rules disagree."""
+
+    def __init__(self):
+        self.inner = PiecewiseConstant(np.array([0.0, 0.3, 1.0]),
+                                       np.array([2.0, 0.4 / 0.7]))
+
+    def cdf(self, x):
+        return self.inner.cdf(x)
+
+    def quantile(self, u):
+        return self.inner.quantile(u)
+
+    def l2_norm_sq(self):
+        return self.inner.l2_norm_sq()
+
+
+def test_fourier_coeffs_unconverged_rule_raises():
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        exact_quantities(fourier_model(5), _HiddenKink(), 30)
+
+
+def test_fourier_coeffs_memory_independent_of_cutoff():
+    # one frequency at a time: O(nodes); an O(j * nodes) table at j = 300
+    # would take about 46 MB
+    tracemalloc.start()
+    try:
+        exact_quantities(fourier_model(300), PowerLaw(), 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("model", [
