@@ -25,7 +25,7 @@ from .harness import (DEFAULT_METHODS, make_lab, parse_method,
                       penalty_constant, penalty_sweep, run_example)
 from .models import build_regular_histograms, fourier_model
 from .rng import RngStream
-from .slope import LOG_THRESHOLD, SelectionResult, detect_kmin, slope_pick
+from .slope import LOG_THRESHOLD, detect_kmin, slope_pick
 
 
 class UsageError(Exception):
@@ -40,7 +40,8 @@ MAX_GRID_POINTS = 10_000
 
 
 def _parse_grid(text: str) -> list[float]:
-    """'lo:hi:step' (finite, step > 0, bounded count) or a comma list."""
+    """'lo:hi:step' (finite, step > 0, bounded count) or a comma list of
+    penalty constants, each 0 <= K < inf."""
     if ":" in text:
         lo, hi, step = (float(t) for t in text.split(":"))
         if not (all(map(math.isfinite, (lo, hi, step))) and step > 0.0):
@@ -50,8 +51,13 @@ def _parse_grid(text: str) -> list[float]:
         if not span + 0.5 < MAX_GRID_POINTS:
             raise UsageError(f"--k-grid {text!r}: {span + 1:.3g} points, "
                              f"more than {MAX_GRID_POINTS}")
-        return [lo + i * step for i in range(int(round(span)) + 1)]
-    return _parse_floats(text)
+        grid = [lo + i * step for i in range(int(round(span)) + 1)]
+    else:
+        grid = _parse_floats(text)
+    try:
+        return [penalty_constant(k) for k in grid]
+    except ValueError as exc:
+        raise UsageError(f"--k-grid {text!r}: {exc}") from None
 
 
 def _density_from_args(args) -> object:
@@ -121,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", default="p",
                    choices=["p", "resampling", "ustat", "regularization"])
     p.add_argument("--dim", type=int, default=10,
-                   help="regular-histogram cells of the checked model")
+                   help="dimension of the checked model: its cells for "
+                        "hist, 2j+1 for fourier (default 10)")
     p.add_argument("--basis", default="hist", choices=["hist", "fourier"],
                    help="basis of the checked model (default hist)")
     p.add_argument("--reps", type=int, default=10_000)
@@ -204,16 +211,11 @@ def _evaluate(args):
 def _cmd_select(args) -> int:
     k_const, complexity = _penalty_spec(args.penalty)
     row = _evaluate(args).argmin(k_const, complexity)
-    result = SelectionResult(
-        model_id=row.model_id, criterion=row.criterion, penalty=row.penalty,
-        dim=row.dim,
-        d_exact=row.d_exact if complexity == "d_exact" else None,
-        dmw=row.dmw if complexity == "dmw" else None)
     if args.out:
         report.write_csv(args.out, report.SELECTION_HEADER,
-                         report.selection_rows(result))
-    print(f"selected {result.model_id} criterion={result.criterion:.6g} "
-          f"penalty={result.penalty:.6g}")
+                         report.selection_rows(row, complexity))
+    print(f"selected {row.model_id} criterion={row.criterion:.6g} "
+          f"penalty={row.penalty:.6g}")
     return 0
 
 
@@ -262,11 +264,16 @@ def _cmd_conc_check(args) -> int:
     if not (xs and all(0.0 < x < math.inf for x in xs)):
         raise UsageError(f"--x {args.x!r}: need deviation levels that are "
                          "finite and > 0")
+    if args.basis == "hist" and args.dim < 1:
+        raise UsageError(f"--dim {args.dim}: need at least 1 histogram cell")
+    if args.basis == "fourier" and not (args.dim >= 3 and args.dim % 2 == 1):
+        raise UsageError(f"--dim {args.dim}: a Fourier model has dimension "
+                         "2j+1 with j >= 1")
     density = _density_from_args(args)
     if args.basis == "hist":
         model = build_regular_histograms(args.dim).models[-1]
     else:
-        model = fourier_model(max(1, (args.dim - 1) // 2))
+        model = fourier_model((args.dim - 1) // 2)
     rng = RngStream(args.seed, 0, f"conc-{args.bound}")
     if args.bound == "regularization":
         rep_out = regularization_comparison(model, density, args.n,

@@ -1,10 +1,13 @@
-"""Projection fits: empirical coefficients, contrast, and exact losses.
+"""Projection fits: empirical coefficients, contrast, estimation error.
 
 Fitting a model to a sample means taking the empirical mean of each basis
 function.  For histograms this reduces to bin counts, obtained by binary
 search on the (sorted) sample, so a fit costs O(d + log n).  The empirical
 contrast of the fitted estimator is minus the sum of squared coefficients;
-it is the data term of every selection criterion in this package.
+it is the data term of every selection criterion in this package.  The
+generic lab of ``densel.harness`` fits one model at a time with
+``fit_model`` and scores it with ``p_term``, the squared distance to the
+population projection.
 """
 
 from __future__ import annotations
@@ -13,14 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import Density, Sample
+from .densities import Sample
 from .models import (ExactModelQuantities, ModelSpec, fourier_basis_matrix)
 
 __all__ = [
     "FittedModel",
     "fit_model",
-    "empirical_contrast",
-    "exact_loss",
     "p_term",
 ]
 
@@ -64,11 +65,6 @@ def fit_model(model: ModelSpec, sample: Sample) -> FittedModel:
                        emp_contrast=contrast, counts=counts)
 
 
-def empirical_contrast(fit: FittedModel) -> float:
-    """Empirical least-squares contrast of the fitted estimator."""
-    return fit.emp_contrast
-
-
 def p_term(fit: FittedModel, quantities: ExactModelQuantities) -> float:
     """Squared distance between the fit and the population projection."""
     if fit.model.id != quantities.model_id:
@@ -76,9 +72,3 @@ def p_term(fit: FittedModel, quantities: ExactModelQuantities) -> float:
             f"fit is for {fit.model.id!r} but quantities are for "
             f"{quantities.model_id!r}")
     return float(np.sum((fit.coeffs - quantities.pop_coeffs) ** 2))
-
-
-def exact_loss(fit: FittedModel, quantities: ExactModelQuantities,
-               density: Density) -> float:
-    """True squared loss of the fitted estimator: bias + estimation error."""
-    return quantities.bias_sq + p_term(fit, quantities)

@@ -50,7 +50,6 @@ __all__ = [
     "TwoBlockLab",
     "make_lab",
     "summarize",
-    "oracle_ratio",
     "run_example",
     "penalty_sweep",
 ]
@@ -77,12 +76,12 @@ class Method:
         return self.kind
 
 
-def penalty_constant(text: str) -> float:
+def penalty_constant(text: str | float) -> float:
     """The constant K of a K * complexity / n penalty: finite and >= 0."""
     k_const = float(text)
     if not 0.0 <= k_const < float("inf"):
         raise ValueError(f"penalty constant must be >= 0 and finite, "
-                         f"got {text.strip()!r}")
+                         f"got {str(text).strip()!r}")
     return k_const
 
 
@@ -185,7 +184,8 @@ class CollectionLab:
     largest model, every model's bias and D fall out of one cumulative sum,
     and each sample is fitted once.  Other collections keep one
     ``ExactModelQuantities`` per model and are evaluated by the generic
-    per-model loop.
+    per-model loop: regular histograms at run time, and any enumerated
+    collection in the tests, where it is the oracle of ``TwoBlockLab``.
     """
 
     def __init__(self, collection: ModelCollection, density: Density):
@@ -466,18 +466,8 @@ def make_lab(kind: str, n: int, density: Density):
 
 
 # ---------------------------------------------------------------------------
-# Oracle ratios and reports
+# Reports
 # ---------------------------------------------------------------------------
-
-def oracle_ratio(sample: Sample, collection: ModelCollection, method: Method,
-                 density: Density) -> float:
-    """Exact loss of the method's pick divided by the collection minimum."""
-    lab = CollectionLab(collection, density)
-    outcome = lab.evaluate(sample).apply(method)
-    if outcome.flag == "degenerate-oracle":
-        raise ArithmeticError("oracle loss is numerically zero")
-    return outcome.ratio
-
 
 def summarize(ratios) -> tuple[float, float, float]:
     """Mean, median and 0.95-quantile (nearest-rank order statistics)."""

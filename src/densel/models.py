@@ -3,12 +3,15 @@
 A model is a finite-dimensional linear subspace of L2[0,1] described by an
 orthonormal basis.  Histogram models are spanned by normalized indicators
 of partition cells; Fourier models by {1, sqrt(2)cos(2*pi*k*x),
-sqrt(2)sin(2*pi*k*x), k <= j}.  Three enumerable collections are shipped:
+sqrt(2)sin(2*pi*k*x), k <= j}.  Two collections are built as model lists:
 
 * regular histograms with 1..n equal cells,
-* the two-block family: J1 equal cells on [0, k/n) then J2 equal cells on
-  [k/n, 1), for all 1 <= k <= n, J1 <= k, J2 <= n-k,
 * Fourier spaces with cutoff j = 1..n.
+
+The third, the two-block family (J1 equal cells on [0, k/n) then J2 equal
+cells on [k/n, 1), for all 1 <= k < n, J1 <= k, J2 <= n-k), has about
+n^3/6 models; ``harness.TwoBlockLab`` evaluates it block by block and never
+enumerates it.
 
 Given a known density, every population quantity of a model is available in
 closed form (histograms) or from one Gauss-Legendre rule over the quantile
@@ -32,12 +35,9 @@ __all__ = [
     "ModelCollection",
     "ExactModelQuantities",
     "build_regular_histograms",
-    "build_two_block_collection",
     "build_fourier_collection",
     "histogram_model",
     "fourier_model",
-    "two_block_breaks",
-    "basis_eval",
     "exact_quantities",
     "scale_constants",
 ]
@@ -103,15 +103,6 @@ def fourier_model(j: int) -> ModelSpec:
                      params=(j,))
 
 
-def two_block_breaks(n: int, k: int, j1: int, j2: int) -> np.ndarray:
-    """Partition with j1 equal cells on [0, k/n) then j2 on [k/n, 1)."""
-    c = k / n
-    left = c * np.arange(j1 + 1) / j1
-    right = c + (1.0 - c) * np.arange(1, j2 + 1) / j2
-    right[-1] = 1.0                       # pin the float tail of c + (1-c)
-    return np.concatenate((left, right))
-
-
 @dataclass(frozen=True)
 class ModelCollection:
     """A finite list of models sharing one basis type."""
@@ -131,12 +122,6 @@ class ModelCollection:
     def __iter__(self):
         return iter(self.models)
 
-    def by_id(self, mid: str) -> ModelSpec:
-        for m in self.models:
-            if m.id == mid:
-                return m
-        raise KeyError(mid)
-
 
 def build_regular_histograms(n: int) -> ModelCollection:
     """Histograms with d = 1..n equal cells on [0,1]."""
@@ -149,21 +134,6 @@ def build_regular_histograms(n: int) -> ModelCollection:
     return ModelCollection(kind="regular-hist", n=n, models=tuple(models))
 
 
-def build_two_block_collection(n: int) -> ModelCollection:
-    """All (k, j1, j2) with 1 <= k <= n, j1 <= k, j2 <= n-k."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    models = []
-    for k in range(1, n):
-        for j1 in range(1, k + 1):
-            for j2 in range(1, n - k + 1):
-                brk = two_block_breaks(n, k, j1, j2)
-                models.append(histogram_model(
-                    brk, id=f"two-block:k={k},j1={j1},j2={j2}",
-                    params=(k, j1, j2)))
-    return ModelCollection(kind="two-block", n=n, models=tuple(models))
-
-
 def build_fourier_collection(n: int) -> ModelCollection:
     """Fourier spaces with cutoff j = 1..n (dim 2j+1)."""
     if n < 1:
@@ -173,11 +143,11 @@ def build_fourier_collection(n: int) -> ModelCollection:
 
 
 def build_collection(kind: str, n: int) -> ModelCollection:
+    """Model list of ``regular-hist`` or ``fourier`` (see the module note
+    on the two-block family)."""
     kind = kind.strip().lower()
     if kind == "regular-hist":
         return build_regular_histograms(n)
-    if kind == "two-block":
-        return build_two_block_collection(n)
     if kind == "fourier":
         return build_fourier_collection(n)
     raise ValueError(f"unknown collection kind {kind!r}")
@@ -201,24 +171,6 @@ def histogram_cell_index(breaks: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Cell of each point; cells are [a,b) except the last which is [a,1]."""
     idx = np.searchsorted(breaks, x, side="right") - 1
     return np.minimum(idx, breaks.size - 2)
-
-
-def basis_eval(model: ModelSpec, lam: int, x) -> np.ndarray:
-    """Value of basis function ``lam`` of ``model`` at ``x``."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ValueError("point outside [0, 1]")
-    if lam < 0 or lam >= model.dim:
-        raise IndexError(f"basis index {lam} out of range for dim {model.dim}")
-    if model.basis == "histogram":
-        inside = (histogram_cell_index(model.breaks, x) == lam)
-        return inside / np.sqrt(model.widths[lam])
-    k, is_sin = (lam + 1) // 2, (lam % 2 == 0 and lam > 0)
-    if lam == 0:
-        return np.ones_like(x)
-    if is_sin:
-        return np.sqrt(2.0) * np.sin(2.0 * np.pi * k * x)
-    return np.sqrt(2.0) * np.cos(2.0 * np.pi * k * x)
 
 
 # ---------------------------------------------------------------------------

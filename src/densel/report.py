@@ -11,8 +11,8 @@ import math
 from typing import Iterable, Sequence
 
 from .conclab import RegularizationReport, TailReport
-from .harness import SimulationReport, SweepReport
-from .slope import SelectionResult, SlopePath
+from .harness import ModelRow, SimulationReport, SweepReport
+from .slope import SlopePath
 
 
 def fmt(value) -> str:
@@ -95,12 +95,12 @@ def sweep_rows(report: SweepReport) -> list[list]:
 SWEEP_HEADER = ["K", "mean_d_ratio", "mean_oracle_ratio", "N", "n", "seed"]
 
 
-def selection_rows(result: SelectionResult) -> list[list]:
-    return [[result.model_id, result.criterion, result.penalty,
-             result.dim if result.dim is not None else "",
-             result.d_exact if result.d_exact is not None else "",
-             result.dmw if result.dmw is not None else "",
-             result.flag or ""]]
+def selection_rows(row: ModelRow, complexity: str) -> list[list]:
+    """The pick of a K * complexity / n penalty; ``d_exact`` and ``dmw``
+    are filled only when they are the penalty's complexity."""
+    return [[row.model_id, row.criterion, row.penalty, row.dim,
+             row.d_exact if complexity == "d_exact" else "",
+             row.dmw if complexity == "dmw" else "", ""]]
 
 
 SELECTION_HEADER = ["model_id", "criterion", "penalty", "dim", "d_exact",

@@ -58,11 +58,3 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
         return np.random.Generator(np.random.Philox(key=self._key()))
-
-    def child(self, rep: int | None = None, tag: str | None = None) -> "RngStream":
-        """Derive a sibling stream with the same seed."""
-        return RngStream(
-            seed=self.seed,
-            rep=self.rep if rep is None else rep,
-            tag=self.tag if tag is None else tag,
-        )

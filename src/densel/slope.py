@@ -1,30 +1,26 @@
-"""Penalized selection, the exact penalty-constant path, and jump rules.
+"""The exact penalty-constant path, jump rules and the slope pick.
 
-``select`` is the plain argmin of contrast + penalty.  ``envelope_path``
-computes, exactly, the map from the penalty constant K to the selected
-model when the penalty is K times a per-model complexity: each model is a
-line K -> contrast + K * delta, and the selected model is the lower
-envelope of those lines, found by a convex-hull pass instead of a K grid.
-The jump detectors then read the calibration constant off the path: either
-the breakpoint with the largest complexity drop, or the first K beyond
-which the selected complexity falls under max_complexity / ln(n).
+``envelope_path`` computes, exactly, the map from the penalty constant K
+to the selected model when the penalty is K times a per-model complexity:
+each model is a line K -> contrast + K * delta, and the selected model is
+the lower envelope of those lines, found by a convex-hull pass instead of a
+K grid.  The jump detectors then read the calibration constant off the
+path: either the breakpoint with the largest complexity drop, or the first
+K beyond which the selected complexity falls under max_complexity / ln(n).
 ``slope_pick`` is the slope algorithm itself: the maximal jump, then the
-model selected at twice that constant.  ``select`` and ``slope_path`` take
-per-model lists; the experiment labs feed arrays to ``envelope_path``.
+model selected at twice that constant.  The experiment labs feed their
+arrays to ``envelope_path``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .penalties import PenaltyValue
-
 __all__ = [
-    "SelectionResult",
     "PathSegment",
     "SlopePath",
     "NoJumpError",
@@ -32,8 +28,6 @@ __all__ = [
     "LOG_THRESHOLD",
     "lower_envelope",
     "envelope_path",
-    "select",
-    "slope_path",
     "detect_kmin",
     "slope_pick",
 ]
@@ -44,19 +38,6 @@ LOG_THRESHOLD = "log"
 
 class NoJumpError(RuntimeError):
     """Raised when a path has no breakpoint to calibrate on."""
-
-
-@dataclass(frozen=True)
-class SelectionResult:
-    """Outcome of one penalized selection."""
-
-    model_id: str
-    criterion: float
-    penalty: float
-    dim: int | None = None
-    d_exact: float | None = None
-    dmw: float | None = None
-    flag: str | None = None
 
 
 @dataclass(frozen=True)
@@ -150,33 +131,6 @@ def lower_envelope(slopes: np.ndarray,
     return hull, starts
 
 
-def select(fits: Sequence[tuple[str, float]],
-           pens: Sequence[PenaltyValue],
-           dims: Mapping[str, int] | None = None) -> SelectionResult:
-    """Argmin of contrast + penalty over a model list.
-
-    Ties go to the smaller dimension (when ``dims`` is given), then to the
-    lexicographically smaller model id.
-    """
-    if not fits:
-        raise ValueError("nothing to select from")
-    pen_by_id = {p.model_id: p.value for p in pens}
-    if set(pen_by_id) != {mid for mid, _ in fits}:
-        raise ValueError("fits and penalties must cover the same model ids")
-    if len(pen_by_id) != len(fits):
-        raise ValueError("duplicate model ids")
-    best = None
-    for mid, contrast in fits:
-        crit = contrast + pen_by_id[mid]
-        dim = dims.get(mid, 0) if dims is not None else 0
-        key = (crit, dim, mid)
-        if best is None or key < best[0]:
-            best = (key, mid, crit, pen_by_id[mid], dim)
-    _, mid, crit, pen, dim = best
-    return SelectionResult(model_id=mid, criterion=crit, penalty=pen,
-                           dim=dim if dims is not None else None)
-
-
 def envelope_path(contrasts: np.ndarray, deltas: np.ndarray,
                   model_id: Callable[[int], str],
                   delta_max: float) -> tuple[SlopePath, list[int]]:
@@ -198,24 +152,6 @@ def envelope_path(contrasts: np.ndarray, deltas: np.ndarray,
                     contrast=contrasts[i])
         for pos, i in enumerate(hull))
     return SlopePath(segments=segs, delta_max=float(delta_max)), hull
-
-
-def slope_path(points: Sequence[tuple[str, float, float]]) -> SlopePath:
-    """Exact selected-model path for penalties K * delta.
-
-    ``points`` holds (model_id, contrast, delta) with delta >= 0.  Among
-    duplicate (contrast, delta) pairs the lexicographically smallest id
-    survives.  At a breakpoint the smaller-delta model is selected, so the
-    selected complexity is right-continuous in K.
-    """
-    if not points:
-        raise ValueError("a path needs at least one model")
-    pts = sorted(points, key=lambda p: p[0])
-    deltas = np.array([p[2] for p in pts])
-    contrasts = np.array([p[1] for p in pts])
-    path, _ = envelope_path(contrasts, deltas, lambda i: pts[i][0],
-                            delta_max=deltas.max())
-    return path
 
 
 def detect_kmin(path: SlopePath, rule: str, n: int,

@@ -1,0 +1,311 @@
+"""Slow, obviously-correct forms the tests check the package against.
+
+Nothing here runs in the ``densel`` command.  The labs of
+``densel.harness`` compute every selection from arrays; each definition
+below is the explicit, per-model version of one of their steps:
+
+* the resampling penalty by Monte-Carlo over drawn weight vectors (Efron
+  multinomial, 0/2 coin flips, leave-one-out), and the O(n^2 d) double
+  sums behind the closed-form dmw and the U-statistic identity
+  p - dmw/n = u;
+* per-model penalties (K * dim / n, K * D / n, 2 dmw / n), the plain
+  argmin ``select`` and the list form of ``slope_path``;
+* the enumerated two-block collection (about n^3/6 ``ModelSpec`` objects)
+  and pointwise basis evaluation;
+* the exact loss of one fit, and the oracle ratio of one method on one
+  sample through the generic lab.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
+
+from densel import models
+from densel.densities import Density, Sample
+from densel.fitting import FittedModel, p_term
+from densel.harness import CollectionLab, Method
+from densel.models import (ExactModelQuantities, ModelCollection, ModelSpec,
+                           fourier_basis_matrix, histogram_cell_index,
+                           histogram_model)
+from densel.penalties import resampling_dmw
+from densel.rng import RngStream
+from densel.slope import SlopePath, envelope_path
+
+
+# ---------------------------------------------------------------------------
+# Collections and bases
+# ---------------------------------------------------------------------------
+
+def two_block_params(n: int) -> Iterator[tuple[int, int, int]]:
+    """Every (k, j1, j2) with 1 <= k < n, j1 <= k, j2 <= n - k, in the
+    enumeration order of the two-block family."""
+    for k in range(1, n):
+        for j1 in range(1, k + 1):
+            for j2 in range(1, n - k + 1):
+                yield k, j1, j2
+
+
+def two_block_breaks(n: int, k: int, j1: int, j2: int) -> np.ndarray:
+    """Partition with j1 equal cells on [0, k/n) then j2 on [k/n, 1)."""
+    c = k / n
+    left = c * np.arange(j1 + 1) / j1
+    right = c + (1.0 - c) * np.arange(1, j2 + 1) / j2
+    right[-1] = 1.0                       # pin the float tail of c + (1-c)
+    return np.concatenate((left, right))
+
+
+def build_two_block_collection(n: int) -> ModelCollection:
+    """The two-block family as one ``ModelSpec`` per (k, j1, j2)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return ModelCollection(kind="two-block", n=n, models=tuple(
+        histogram_model(two_block_breaks(n, k, j1, j2),
+                        id=f"two-block:k={k},j1={j1},j2={j2}",
+                        params=(k, j1, j2))
+        for k, j1, j2 in two_block_params(n)))
+
+
+def build_collection(kind: str, n: int) -> ModelCollection:
+    """``models.build_collection``, plus the enumerated two-block family."""
+    if kind == "two-block":
+        return build_two_block_collection(n)
+    return models.build_collection(kind, n)
+
+
+def basis_eval(model: ModelSpec, lam: int, x) -> np.ndarray:
+    """Value of basis function ``lam`` of ``model`` at ``x``."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0) or np.any(x > 1.0):
+        raise ValueError("point outside [0, 1]")
+    if lam < 0 or lam >= model.dim:
+        raise IndexError(f"basis index {lam} out of range for dim {model.dim}")
+    if model.basis == "histogram":
+        inside = (histogram_cell_index(model.breaks, x) == lam)
+        return inside / np.sqrt(model.widths[lam])
+    k, is_sin = (lam + 1) // 2, (lam % 2 == 0 and lam > 0)
+    if lam == 0:
+        return np.ones_like(x)
+    if is_sin:
+        return np.sqrt(2.0) * np.sin(2.0 * np.pi * k * x)
+    return np.sqrt(2.0) * np.cos(2.0 * np.pi * k * x)
+
+
+def _basis_matrix(fit: FittedModel, sample: Sample) -> np.ndarray:
+    """psi_lambda(X_i) as an (n, d) matrix."""
+    model = fit.model
+    if model.basis == "fourier":
+        return fourier_basis_matrix(model.j, sample.points)
+    cell = histogram_cell_index(model.breaks, sample.points)
+    mat = np.zeros((sample.n, model.dim))
+    mat[np.arange(sample.n), cell] = 1.0 / np.sqrt(model.widths[cell])
+    return mat
+
+
+# ---------------------------------------------------------------------------
+# Losses and oracle ratios
+# ---------------------------------------------------------------------------
+
+def exact_loss(fit: FittedModel, quantities: ExactModelQuantities) -> float:
+    """True squared loss of the fitted estimator: bias + estimation error."""
+    return quantities.bias_sq + p_term(fit, quantities)
+
+
+def oracle_ratio(sample: Sample, collection: ModelCollection, method: Method,
+                 density: Density) -> float:
+    """Exact loss of the method's pick divided by the collection minimum."""
+    lab = CollectionLab(collection, density)
+    outcome = lab.evaluate(sample).apply(method)
+    if outcome.flag == "degenerate-oracle":
+        raise ArithmeticError("oracle loss is numerically zero")
+    return outcome.ratio
+
+
+# ---------------------------------------------------------------------------
+# Per-model penalties
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PenaltyValue:
+    """A penalty assignment for one model."""
+
+    model_id: str
+    value: float
+
+
+def resampling_penalty(fit: FittedModel, sample: Sample) -> PenaltyValue:
+    """Penalty 2*dmw/n from the closed-form dmw."""
+    return PenaltyValue(model_id=fit.model.id,
+                        value=2.0 * resampling_dmw(fit, sample) / fit.n)
+
+
+def dimension_penalty(model: ModelSpec, k_const: float, n: int) -> PenaltyValue:
+    """Penalty K * dim / n."""
+    if k_const < 0.0:
+        raise ValueError("penalty constant must be >= 0")
+    return PenaltyValue(model_id=model.id, value=k_const * model.dim / n)
+
+
+def ideal_deterministic_penalty(quantities: ExactModelQuantities, n: int,
+                                k_const: float) -> PenaltyValue:
+    """Penalty K * D / n from exact quantities (K = 2 is the optimum)."""
+    if k_const < 0.0:
+        raise ValueError("penalty constant must be >= 0")
+    return PenaltyValue(model_id=quantities.model_id,
+                        value=k_const * quantities.d_exact / n)
+
+
+# ---------------------------------------------------------------------------
+# Resampling by drawn weights, and the double sums
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ResamplingScheme:
+    """An exchangeable weight distribution with known variance v_w2(n).
+
+    ``v_w2`` is Var(W_1 - mean(W)); the Monte-Carlo estimator divides by it,
+    which is what makes the penalty scheme-independent.
+    """
+
+    name: str
+
+    def draw(self, n: int, size: int, rng: np.random.Generator) -> np.ndarray:
+        """(size, n) array of weight vectors."""
+        if self.name == "efron":
+            return rng.multinomial(n, np.full(n, 1.0 / n), size=size).astype(float)
+        if self.name == "rademacher-pair":
+            return 2.0 * rng.integers(0, 2, size=(size, n)).astype(float)
+        if self.name == "leave-one-out":
+            w = np.full((size, n), n / (n - 1.0))
+            drop = rng.integers(0, n, size=size)
+            w[np.arange(size), drop] = 0.0
+            return w
+        raise ValueError(f"unknown scheme {self.name!r}")
+
+    def v_w2(self, n: int) -> float:
+        if self.name in ("efron", "rademacher-pair"):
+            return (n - 1.0) / n
+        if self.name == "leave-one-out":
+            return 1.0 / (n - 1.0)
+        raise ValueError(f"unknown scheme {self.name!r}")
+
+
+EFRON = ResamplingScheme("efron")
+RADEMACHER_PAIR = ResamplingScheme("rademacher-pair")
+LEAVE_ONE_OUT = ResamplingScheme("leave-one-out")
+SCHEMES = {s.name: s for s in (EFRON, RADEMACHER_PAIR, LEAVE_ONE_OUT)}
+
+
+def resampling_dmw_double_sum(fit: FittedModel, sample: Sample) -> float:
+    """The O(n^2 d) double-sum form of dmw.
+
+    dmw/n = (1/n) sum_lambda [ Pn(psi^2)
+            - (1/(n(n-1))) sum_{i != j} psi(X_i) psi(X_j) ].
+    """
+    n = fit.n
+    if n < 2:
+        raise ValueError("resampling estimate needs n >= 2")
+    mat = _basis_matrix(fit, sample)
+    gram = mat @ mat.T
+    cross = (gram.sum() - np.trace(gram)) / (n * (n - 1.0))
+    return float(np.trace(gram) / n - cross)
+
+
+def resampling_mc_draws(fit: FittedModel, sample: Sample,
+                        scheme: ResamplingScheme, b: int,
+                        rng: RngStream) -> np.ndarray:
+    """Per-draw resampled statistics sum_lambda (nu_w psi_lambda)^2."""
+    n = fit.n
+    if n < 2:
+        raise ValueError("resampling estimate needs n >= 2")
+    if b < 1:
+        raise ValueError("need at least one weight draw")
+    if scheme.v_w2(n) <= 0.0:
+        raise ValueError(f"scheme {scheme.name!r} has zero weight variance")
+    mat = _basis_matrix(fit, sample)
+    w = scheme.draw(n, b, rng.generator())
+    centered = (w - w.mean(axis=1, keepdims=True)) / n
+    nu = centered @ mat                      # (b, d) resampled fluctuations
+    return np.sum(nu ** 2, axis=1)
+
+
+def resampling_penalty_mc(fit: FittedModel, sample: Sample,
+                          scheme: ResamplingScheme, b: int,
+                          rng: RngStream) -> PenaltyValue:
+    """Monte-Carlo resampling penalty from B drawn weight vectors."""
+    stat = resampling_mc_draws(fit, sample, scheme, b, rng)
+    dmw_mc = fit.n * float(stat.mean()) / scheme.v_w2(fit.n)
+    return PenaltyValue(model_id=fit.model.id, value=2.0 * dmw_mc / fit.n)
+
+
+def u_statistic_double_sum(fit: FittedModel, sample: Sample,
+                           quantities: ExactModelQuantities) -> float:
+    """U = (1/(n(n-1))) sum_{i != j} sum_lambda c_i,lambda c_j,lambda.
+
+    c_i,lambda = psi_lambda(X_i) - E psi_lambda(X); computed through the
+    explicit Gram matrix of centered basis evaluations.  Algebraically this
+    equals p_term - dmw/n.
+    """
+    n = fit.n
+    if n < 2:
+        raise ValueError("U-statistic needs n >= 2")
+    centered = _basis_matrix(fit, sample) - quantities.pop_coeffs
+    gram = centered @ centered.T
+    return float((gram.sum() - np.trace(gram)) / (n * (n - 1.0)))
+
+
+# ---------------------------------------------------------------------------
+# Selection from per-model lists
+# ---------------------------------------------------------------------------
+
+class Selection(NamedTuple):
+    """The pick of ``select``."""
+
+    model_id: str
+    criterion: float
+    penalty: float
+
+
+def select(fits: Sequence[tuple[str, float]],
+           pens: Sequence[PenaltyValue],
+           dims: Mapping[str, int] | None = None) -> Selection:
+    """Argmin of contrast + penalty over a model list.
+
+    Ties go to the smaller dimension (when ``dims`` is given), then to the
+    lexicographically smaller model id.
+    """
+    if not fits:
+        raise ValueError("nothing to select from")
+    pen_by_id = {p.model_id: p.value for p in pens}
+    if set(pen_by_id) != {mid for mid, _ in fits}:
+        raise ValueError("fits and penalties must cover the same model ids")
+    if len(pen_by_id) != len(fits):
+        raise ValueError("duplicate model ids")
+    best = None
+    for mid, contrast in fits:
+        crit = contrast + pen_by_id[mid]
+        dim = dims.get(mid, 0) if dims is not None else 0
+        key = (crit, dim, mid)
+        if best is None or key < best[0]:
+            best = (key, Selection(mid, crit, pen_by_id[mid]))
+    return best[1]
+
+
+def slope_path(points: Sequence[tuple[str, float, float]]) -> SlopePath:
+    """Exact selected-model path for penalties K * delta.
+
+    ``points`` holds (model_id, contrast, delta) with delta >= 0.  Among
+    duplicate (contrast, delta) pairs the lexicographically smallest id
+    survives.  At a breakpoint the smaller-delta model is selected, so the
+    selected complexity is right-continuous in K.
+    """
+    if not points:
+        raise ValueError("a path needs at least one model")
+    pts = sorted(points, key=lambda p: p[0])
+    deltas = np.array([p[2] for p in pts])
+    contrasts = np.array([p[1] for p in pts])
+    path, _ = envelope_path(contrasts, deltas, lambda i: pts[i][0],
+                            delta_max=deltas.max())
+    return path

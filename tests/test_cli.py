@@ -10,11 +10,12 @@ import pytest
 from densel.cli import build_parser, main
 from densel.densities import PowerLaw
 from densel.fitting import fit_model
-from densel.models import build_collection, exact_quantities
-from densel.penalties import (dimension_penalty, ideal_deterministic_penalty,
-                              resampling_dmw, resampling_penalty)
+from densel.models import exact_quantities
+from densel.penalties import resampling_dmw
 from densel.rng import RngStream
-from densel.slope import select, slope_path
+from oracles import (build_collection, dimension_penalty,
+                     ideal_deterministic_penalty, resampling_penalty, select,
+                     slope_path)
 
 
 def _read(path):
@@ -179,11 +180,24 @@ def test_select_bad_penalty_exits_2():
     ["conc-check", "--x", ","],
     ["sweep", "--k-grid", "0:1e9:1e-9"],
     ["sweep", "--k-grid=-1e308:1e308:1"],
+    # every grid point is a penalty constant, 0 <= K < inf
+    ["sweep", "--k-grid=-1,2"],
+    ["sweep", "--k-grid=-1:1:0.5"],
+    ["sweep", "--k-grid", "0.5,nan,1"],
+    ["sweep", "--k-grid", "1,inf"],
+    # --dim names the checked model: 2j+1 for Fourier, >= 1 cells for hist
+    ["conc-check", "--basis", "fourier", "--dim", "10"],
+    ["conc-check", "--basis", "fourier", "--dim", "2"],
+    ["conc-check", "--basis", "fourier", "--dim", "1"],
+    ["conc-check", "--dim", "0"],
 ])
 def test_bad_counts_and_grids_exit_2_before_work(argv, capsys):
     assert main(argv if "--n" in argv else argv + ["--n", "10"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    for flag in ("--k-grid", "--dim"):
+        if any(tok.startswith(flag) for tok in argv):
+            assert flag in err[0]
 
 
 def test_import_skips_quadrature_module():

@@ -7,12 +7,11 @@ import pytest
 
 from densel.densities import PowerLaw, Uniform
 from densel.harness import (CollectionLab, Method, TwoBlockLab, _Evaluation,
-                            _TwoBlockEvaluation, make_lab, oracle_ratio,
-                            parse_method, penalty_sweep, run_example,
-                            summarize)
-from densel.models import (build_regular_histograms,
-                           build_two_block_collection)
+                            _TwoBlockEvaluation, make_lab, parse_method,
+                            penalty_sweep, run_example, summarize)
+from densel.models import build_regular_histograms
 from densel.rng import RngStream
+from oracles import build_two_block_collection, oracle_ratio
 
 ALL_METHODS = (Method("slope-dim"), Method("resampling"),
                Method("resampling-slope"), Method("ideal", 2.0))

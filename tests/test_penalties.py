@@ -5,15 +5,15 @@ import pytest
 
 from densel.densities import PowerLaw, Sample
 from densel.fitting import fit_model
-from densel.models import (exact_quantities, fourier_model, histogram_model,
-                           two_block_breaks)
-from densel.penalties import (EFRON, LEAVE_ONE_OUT, RADEMACHER_PAIR, SCHEMES,
-                              ResamplingScheme, dimension_penalty,
-                              ideal_deterministic_penalty, resampling_dmw,
-                              resampling_dmw_double_sum, resampling_mc_draws,
-                              resampling_penalty, resampling_penalty_mc,
-                              u_statistic_double_sum)
+from densel.models import exact_quantities, fourier_model, histogram_model
+from densel.penalties import resampling_dmw
 from densel.rng import RngStream
+from oracles import (EFRON, LEAVE_ONE_OUT, RADEMACHER_PAIR, SCHEMES,
+                     ResamplingScheme, dimension_penalty,
+                     ideal_deterministic_penalty, resampling_dmw_double_sum,
+                     resampling_mc_draws, resampling_penalty,
+                     resampling_penalty_mc, two_block_breaks,
+                     u_statistic_double_sum)
 
 D2 = histogram_model([0.0, 0.5, 1.0])
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from densel.penalties import PenaltyValue
 from densel.slope import (LOG_THRESHOLD, MAX_JUMP, NoJumpError, detect_kmin,
-                          select, slope_path, slope_pick)
+                          slope_pick)
+from oracles import PenaltyValue, select, slope_path
 
 ABC = [("A", -1.0, 10.0), ("B", -0.5, 4.0), ("C", 0.0, 1.0)]
 
