@@ -17,13 +17,13 @@ import argparse
 import math
 import sys
 
-from . import report
+from . import harness, report
 from .conclab import (check_p_concentration, check_resampling_concentration,
                       check_ustat_concentration, regularization_comparison)
 from .densities import density_from_config
-from .harness import (DEFAULT_METHODS, make_lab, parse_method,
-                      penalty_constant, penalty_sweep, run_example)
-from .models import build_regular_histograms, fourier_model
+from .harness import (DEFAULT_METHODS, parse_method, penalty_constant,
+                      penalty_sweep, run_example)
+from .models import fourier_model, regular_histogram
 from .rng import RngStream
 from .slope import LOG_THRESHOLD, detect_kmin, slope_pick
 
@@ -204,7 +204,7 @@ def _penalty_spec(text: str) -> tuple[float, str]:
 def _evaluate(args):
     """The lab evaluation of the command's sample."""
     density = _density_from_args(args)
-    lab = make_lab(args.collection, args.n, density)
+    lab = harness.make_lab(args.collection, args.n, density)
     return lab.evaluate(density.sample(args.n, RngStream(args.seed, 0, "data")))
 
 
@@ -260,6 +260,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_conc_check(args) -> int:
+    if args.reps < 2:
+        raise UsageError(f"--reps {args.reps}: the spread over replications "
+                         "needs at least 2")
     xs = _parse_floats(args.x)
     if not (xs and all(0.0 < x < math.inf for x in xs)):
         raise UsageError(f"--x {args.x!r}: need deviation levels that are "
@@ -271,7 +274,7 @@ def _cmd_conc_check(args) -> int:
                          "2j+1 with j >= 1")
     density = _density_from_args(args)
     if args.basis == "hist":
-        model = build_regular_histograms(args.dim).models[-1]
+        model = regular_histogram(args.dim)
     else:
         model = fourier_model((args.dim - 1) // 2)
     rng = RngStream(args.seed, 0, f"conc-{args.bound}")

@@ -81,22 +81,31 @@ class RegularizationReport:
 # Vectorized simulation of (p, dmw, u) for one model
 # ---------------------------------------------------------------------------
 
+CHUNK_BYTES = 8 << 20
+
+
 def simulate_model_statistics(model: ModelSpec, density: Density, n: int,
                               reps: int, rng: RngStream,
-                              compute_u: bool = False,
-                              chunk: int = 512) -> dict[str, np.ndarray]:
-    """Per-replication p, dmw (and optionally the double-sum u)."""
+                              compute_u: bool = False) -> dict[str, np.ndarray]:
+    """Per-replication p, dmw (and optionally the double-sum u).
+
+    Replications run in chunks whose largest arrays, the (chunk, n, d)
+    basis values and with ``compute_u`` the (chunk, n, n) Gram array, fit
+    in ``CHUNK_BYTES`` each; the chunk size changes no bit of the results.
+    """
     if n < 2:
         raise ValueError("dmw divides by n - 1: need n >= 2")
     quantities = exact_quantities(model, density, n)
     pop = quantities.pop_coeffs
     gen = rng.generator()
     d = model.dim
+    row_bytes = 8 * n * (max(n, d) if compute_u else d)
+    step = max(1, CHUNK_BYTES // row_bytes)      # replications per chunk
     p_out = np.empty(reps)
     dmw_out = np.empty(reps)
     u_out = np.empty(reps) if compute_u else None
-    for lo in range(0, reps, chunk):
-        hi = min(lo + chunk, reps)
+    for lo in range(0, reps, step):
+        hi = min(lo + step, reps)
         m = hi - lo
         x = density.quantile(gen.random((m, n)))
         if model.basis == "histogram":

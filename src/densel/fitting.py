@@ -4,9 +4,12 @@ Fitting a model to a sample means taking the empirical mean of each basis
 function.  For histograms this reduces to bin counts, obtained by binary
 search on the (sorted) sample, so a fit costs O(d + log n).  The empirical
 contrast of the fitted estimator is minus the sum of squared coefficients;
-it is the data term of every selection criterion in this package.  The
-generic lab of ``densel.harness`` fits one model at a time with
-``fit_model`` and scores it with ``p_term``, the squared distance to the
+it is the data term of every selection criterion in this package.
+
+These are the per-model reference forms: the labs of ``densel.harness``
+compute the same statistics for whole collections at once and never call
+them, and the tests' per-model lab (``tests/oracles.py``) checks the labs
+against ``fit_model`` and ``p_term``, the squared distance to the
 population projection.
 """
 

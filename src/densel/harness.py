@@ -13,28 +13,33 @@ the CLI included, picks from an evaluation through two operations:
 path, on which ``slope.slope_pick`` makes the slope heuristic's pick.  Both
 break ties on the criterion, then the dimension, then enumeration order.
 
-``CollectionLab`` holds the statistics of any collection as arrays.
-``TwoBlockLab`` exploits the product structure of the two-block family:
-every per-model statistic splits into a left part depending on (k, j1) and
-a right part depending on (k, j2), so the argmin over roughly n^3/6 models
-costs O(n^2) per replication, and the path is assembled from per-block
-lower envelopes.
+Both histogram families run on one block engine: ``_block_tables`` holds
+the cell probabilities of j = 1..jmax equal cells on a block [lo, hi), and
+``_block_stats`` turns one sample's points in that block into every j's
+statistics at once.  ``CollectionLab`` runs it on the single block [0, 1]
+for the regular histograms, whose slope paths are integer lines decided
+exactly, and keeps the nested Fourier models as arrays.  ``TwoBlockLab``
+runs it on the two blocks of every cut: each per-model statistic splits
+into a left part depending on (k, j1) and a right part depending on
+(k, j2), so the argmin over roughly n^3/6 models costs O(n^2) per
+replication, and the path is assembled from per-block lower envelopes.
+The per-model loop both are checked against is in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
 
 from .densities import Density, PowerLaw, Sample
-from .fitting import fit_model, p_term
 from .models import (ModelCollection, build_collection, exact_quantities,
                      fourier_basis_matrix)
-from .penalties import resampling_dmw
 from .rng import RngStream
 from .slope import SlopePath, envelope_path, lower_envelope, slope_pick
 
@@ -174,18 +179,64 @@ class _LabEvaluation:
 
 
 # ---------------------------------------------------------------------------
-# Generic per-collection engine
+# The block engine: j = 1..jmax equal cells on one block [lo, hi)
+# ---------------------------------------------------------------------------
+
+def _block_tables(density: Density, lo: float, hi: float, jmax: int,
+                  mass: float):
+    """Flat cell-probability tables for j = 1..jmax cells on [lo, hi):
+    (starts, pop, js, d_vec), with one ``cdf`` call over every edge."""
+    js = np.arange(1, jmax + 1)
+    starts = np.concatenate(([0], np.cumsum(js)[:-1]))
+    first = starts + np.arange(jmax)         # edge 0 of each j; j has j + 1
+    i = np.arange(first[-1] + jmax + 1) - np.repeat(first, js + 1)
+    edges = np.clip(lo + (hi - lo) * i / np.repeat(js, js + 1), 0.0, 1.0)
+    edges[first], edges[first + js] = lo, hi  # pin float tails of the ends
+    cdf = np.asarray(density.cdf(edges))
+    pop = np.delete(np.diff(cdf), (first + js)[:-1])  # drop j -> j+1 steps
+    sumsq = np.add.reduceat(pop * pop, starts)
+    width_inv = js / (hi - lo)           # 1/cell width per j
+    d_vec = width_inv * (mass - sumsq)
+    return starts, pop, js, d_vec
+
+
+def _block_stats(tables, x: np.ndarray, lo: float, hi: float, n: int):
+    """A (sum sq coeffs), V (variance part of dmw), L (loss part), D and
+    T = sum c^2 over the cells (integers), per j, of the points x in the
+    block, for a sample of size n.
+
+    V = sum c (n - c) / (n^2 w) over the cells, never negative."""
+    starts, pop, js, d_vec = tables
+    total = starts[-1] + js[-1]
+    if x.size:
+        y = (x - lo) / (hi - lo)
+        idx = (y[:, None] * js[None, :]).astype(np.int64)
+        np.minimum(idx, js[None, :] - 1, out=idx)
+        flat = (idx + starts[None, :]).ravel()
+        counts = np.bincount(flat, minlength=total).astype(float)
+    else:
+        counts = np.zeros(total)
+    t_sq = np.add.reduceat(counts * counts, starts)
+    w_pop = np.add.reduceat(counts * pop, starts)
+    width_inv = js / (hi - lo)
+    a = width_inv * t_sq / (n * n)
+    v = width_inv * (x.size - t_sq / n) / n
+    loss_part = a - 2.0 * width_inv * w_pop / n
+    return a, v, loss_part, d_vec, t_sq
+
+
+# ---------------------------------------------------------------------------
+# Regular histograms and Fourier models
 # ---------------------------------------------------------------------------
 
 class CollectionLab:
-    """Exact population arrays of a collection plus a per-sample evaluator.
+    """Exact population arrays of the regular-histogram or the Fourier
+    collection plus a per-sample evaluator.
 
-    Nested Fourier models share coefficients: ``pop`` holds those of the
-    largest model, every model's bias and D fall out of one cumulative sum,
-    and each sample is fitted once.  Other collections keep one
-    ``ExactModelQuantities`` per model and are evaluated by the generic
-    per-model loop: regular histograms at run time, and any enumerated
-    collection in the tests, where it is the oracle of ``TwoBlockLab``.
+    Regular histograms are the one-block case of the block engine: j = 1..n
+    equal cells on [0, 1].  Nested Fourier models share coefficients:
+    ``pop`` holds those of the largest model, every model's bias and D fall
+    out of one cumulative sum, and each sample is fitted once.
     """
 
     def __init__(self, collection: ModelCollection, density: Density):
@@ -195,41 +246,40 @@ class CollectionLab:
         self.kind = collection.kind
         self.ids = [m.id for m in collection]
         self.dims = np.array([m.dim for m in collection], dtype=float)
-        if self.kind == "fourier":
+        self.s_norm = density.l2_norm_sq()
+        if self.kind == "regular-hist":
+            self.block = _block_tables(density, 0.0, 1.0, self.n, 1.0)
+            d_exact = self.block[3]
+        elif self.kind == "fourier":
             big = max(collection, key=lambda m: m.dim)
             self.pop = exact_quantities(big, density, self.n).pop_coeffs
             self._last = self.dims.astype(int) - 1    # last coefficient
             sm = np.cumsum(self.pop ** 2)[self._last]
-            bias_sq, d_exact = density.l2_norm_sq() - sm, self.dims - sm
+            # guard the float tail: bias and D are nonnegative by construction
+            self.bias_sq = np.maximum(self.s_norm - sm, 0.0)
+            d_exact = self.dims - sm
         else:
-            self.table = [exact_quantities(m, density, self.n)
-                          for m in collection]
-            bias_sq = [q.bias_sq for q in self.table]
-            d_exact = [q.d_exact for q in self.table]
-        # guard the float tail: bias and D are nonnegative by construction
-        self.bias_sq = np.maximum(bias_sq, 0.0)
+            raise ValueError(f"no lab for a {self.kind!r} collection")
         self.d_exact = np.maximum(d_exact, 0.0)
         self.d_max = float(self.d_exact.max())
 
     def evaluate(self, sample: Sample):
         n = sample.n
-        if self.kind == "fourier":
-            mat = fourier_basis_matrix(self.pop.size // 2, sample.points)
-            coeffs = mat.mean(axis=0)
-            var = (mat ** 2).mean(axis=0) - coeffs ** 2
-            contrasts = -np.cumsum(coeffs ** 2)[self._last]
-            dmws = (n / (n - 1.0) * np.cumsum(var)[self._last] if n >= 2
-                    else np.full(len(self.ids), np.nan))
-            losses = (self.bias_sq
-                      + np.cumsum((coeffs - self.pop) ** 2)[self._last])
-        else:
-            contrasts, dmws, losses = (np.empty(len(self.ids))
-                                       for _ in range(3))
-            for i, (model, q) in enumerate(zip(self.collection, self.table)):
-                fit = fit_model(model, sample)
-                contrasts[i] = fit.emp_contrast
-                dmws[i] = resampling_dmw(fit, sample) if n >= 2 else np.nan
-                losses[i] = q.bias_sq + p_term(fit, q)
+        if self.kind == "regular-hist":
+            a, v, loss_part, _, t_sq = _block_stats(self.block, sample.points,
+                                                    0.0, 1.0, n)
+            dmws = v * n / (n - 1.0) if n >= 2 else np.full(a.size, np.nan)
+            return _HistogramEvaluation(
+                ids=self.ids, dims=self.dims, contrasts=-a, dmws=dmws,
+                losses=self.s_norm + loss_part, d_exact=self.d_exact,
+                n=self.n, t_sq=t_sq.astype(np.int64))
+        mat = fourier_basis_matrix(self.pop.size // 2, sample.points)
+        coeffs = mat.mean(axis=0)
+        var = (mat ** 2).mean(axis=0) - coeffs ** 2
+        contrasts = -np.cumsum(coeffs ** 2)[self._last]
+        dmws = (n / (n - 1.0) * np.cumsum(var)[self._last] if n >= 2
+                else np.full(len(self.ids), np.nan))
+        losses = self.bias_sq + np.cumsum((coeffs - self.pop) ** 2)[self._last]
         return _Evaluation(ids=self.ids, dims=self.dims, contrasts=contrasts,
                            dmws=dmws, losses=losses, d_exact=self.d_exact,
                            n=self.n)
@@ -258,10 +308,15 @@ class _Evaluation(_LabEvaluation):
         idx = int(np.lexsort((self.dims, self.contrasts + pens))[0])
         return idx, pens[idx]
 
+    def _lines(self, complexity: str):
+        """(contrasts, complexities, units) of the path's lines."""
+        return self.contrasts, self._complexity(complexity), (1, 1)
+
     def _path(self, complexity: str) -> tuple[SlopePath, list[int]]:
-        deltas = self._complexity(complexity)
-        return envelope_path(self.contrasts, deltas, self.ids.__getitem__,
-                             deltas.max())
+        delta_max = self._complexity(complexity).max()
+        contrasts, deltas, units = self._lines(complexity)
+        return envelope_path(contrasts, deltas, self.ids.__getitem__,
+                             delta_max, units)
 
     def _row(self, idx: int, penalty: float) -> ModelRow:
         return ModelRow(model_id=self.ids[idx],
@@ -275,6 +330,24 @@ class _Evaluation(_LabEvaluation):
         return float(self.losses.min())
 
 
+@dataclass
+class _HistogramEvaluation(_Evaluation):
+    """A regular-histogram evaluation, whose slope paths run on integer
+    lines: with T = sum c^2 over the j cells, the contrast is -j T / n^2,
+    and the complexity j for ``dim`` or j (n^2 - T) / (n (n - 1)) for
+    ``dmw``, so the lines are -j T + K' j or -j T + K' j (n^2 - T) with K'
+    in units of 1/n^2 or (n - 1)/n."""
+
+    t_sq: np.ndarray
+
+    def _lines(self, complexity: str):
+        n, j, t = self.n, self.dims.astype(np.int64), self.t_sq
+        if complexity == "dim":
+            return -j * t, j, (Fraction(1, n * n), 1)
+        return (-j * t, j * (n * n - t),
+                (Fraction(1, n * n), Fraction(1, n * (n - 1))))
+
+
 # ---------------------------------------------------------------------------
 # Fast two-block engine
 # ---------------------------------------------------------------------------
@@ -284,7 +357,7 @@ class TwoBlockLab:
 
     For a model (k, j1, j2) every statistic is a sum of a left term indexed
     by (k, j1) and a right term indexed by (k, j2); all left (right) terms
-    for one k are computed at once from flattened per-cell tables.
+    for one k come at once from the block engine.
     """
 
     def __init__(self, n: int, density: Density):
@@ -301,63 +374,23 @@ class TwoBlockLab:
         self.d_max = 0.0
         for kk, k in enumerate(range(1, n)):
             c = self.cuts[kk]
-            self.left.append(self._block_tables(0.0, c, k, fcut[kk]))
-            self.right.append(self._block_tables(c, 1.0, n - k, 1.0 - fcut[kk]))
+            self.left.append(_block_tables(density, 0.0, c, k, fcut[kk]))
+            self.right.append(_block_tables(density, c, 1.0, n - k,
+                                            1.0 - fcut[kk]))
             self.d_max = max(self.d_max,
                              self.left[-1][3].max() + self.right[-1][3].max())
-
-    def _block_tables(self, lo: float, hi: float, jmax: int, mass: float):
-        """Flat cell-probability tables for j = 1..jmax cells on [lo, hi)."""
-        js = np.arange(1, jmax + 1)
-        starts = np.concatenate(([0], np.cumsum(js)[:-1]))
-        pops = []
-        for j in js:
-            edges = np.clip(lo + (hi - lo) * np.arange(j + 1) / j, 0.0, 1.0)
-            edges[0], edges[-1] = lo, hi  # pin float tails of the endpoints
-            pops.append(np.diff(np.asarray(self.density.cdf(edges))))
-        pop = np.concatenate(pops)
-        sumsq = np.add.reduceat(pop * pop, starts)
-        width_inv = js / (hi - lo)           # 1/cell width per j
-        d_vec = width_inv * (mass - sumsq)
-        return starts, pop, js, d_vec
 
     def evaluate(self, sample: Sample):
         n = self.n
         pts = sample.points if sample.sorted_flag else np.sort(sample.points)
         n_left = np.searchsorted(pts, self.cuts, side="left")
         per_k = []
-        for kk, k in enumerate(range(1, n)):
+        for kk in range(n - 1):
             c = self.cuts[kk]
-            left = self._block_stats(self.left[kk], pts[:n_left[kk]],
-                                     0.0, c, k)
-            right = self._block_stats(self.right[kk], pts[n_left[kk]:],
-                                      c, 1.0, n - k)
+            left = _block_stats(self.left[kk], pts[:n_left[kk]], 0.0, c, n)
+            right = _block_stats(self.right[kk], pts[n_left[kk]:], c, 1.0, n)
             per_k.append((left, right))
         return _TwoBlockEvaluation(lab=self, per_k=per_k)
-
-    def _block_stats(self, tables, x: np.ndarray, lo: float, hi: float,
-                     jmax: int):
-        """A (sum sq coeffs), V (variance part of dmw), L (loss part), D.
-
-        V = sum c (n - c) / (n^2 w) over the cells, never negative."""
-        starts, pop, js, d_vec = tables
-        n = self.n
-        total = starts[-1] + jmax
-        if x.size:
-            y = (x - lo) / (hi - lo)
-            idx = (y[:, None] * js[None, :]).astype(np.int64)
-            np.minimum(idx, js[None, :] - 1, out=idx)
-            flat = (idx + starts[None, :]).ravel()
-            counts = np.bincount(flat, minlength=total).astype(float)
-        else:
-            counts = np.zeros(total)
-        t_sq = np.add.reduceat(counts * counts, starts)
-        w_pop = np.add.reduceat(counts * pop, starts)
-        width_inv = js / (hi - lo)
-        a = width_inv * t_sq / (n * n)
-        v = width_inv * (x.size - t_sq / n) / n
-        loss_part = a - 2.0 * width_inv * w_pop / n
-        return a, v, loss_part, d_vec
 
 
 def _two_block_id(kk: int, i1: int, i2: int) -> str:
@@ -370,7 +403,7 @@ class _TwoBlockEvaluation(_LabEvaluation):
     (cut index, left cell index, right cell index)."""
 
     lab: TwoBlockLab
-    per_k: list          # per cut: (left, right) block statistics (A, V, L, D)
+    per_k: list          # per cut: (left, right) block statistics (A, V, L, D, T)
 
     @staticmethod
     def _part(blk, complexity: str) -> np.ndarray:
@@ -436,7 +469,7 @@ class _TwoBlockEvaluation(_LabEvaluation):
                     b += 1
         path, hull = envelope_path(np.asarray(lines_c), np.asarray(lines_s),
                                    lambda i: _two_block_id(*tags[i]),
-                                   delta_max)
+                                   delta_max, (1, 1))
         return path, [tags[i] for i in hull]
 
     def _row(self, key: tuple[int, int, int], penalty: float) -> ModelRow:
@@ -532,16 +565,20 @@ def _one_rep(rep: int):
 
 
 def _run_reps(lab, task, seed: int, reps: int, threads: int):
-    """``task(evaluation)`` for every replication, in replication order."""
-    if threads <= 1:
+    """``task(evaluation)`` for every replication, in replication order.
+
+    The fork pool starts all its workers at once, so it gets no more than
+    there are replications or CPUs."""
+    workers = min(threads, reps, os.cpu_count() or 1)
+    if workers <= 1:
         _init_worker(lab, task, seed)
         return [_one_rep(r) for r in range(reps)]
     ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=threads, mp_context=ctx,
+    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
                              initializer=_init_worker,
                              initargs=(lab, task, seed)) as ex:
         return list(ex.map(_one_rep, range(reps),
-                           chunksize=max(1, reps // (threads * 8))))
+                           chunksize=max(1, reps // (workers * 8))))
 
 
 def _apply_all(methods, ev) -> list[MethodOutcome]:
@@ -589,6 +626,8 @@ def penalty_sweep(kind: str, n: int, k_grid, reps: int, seed: int = 0,
     Reports, per K, the mean ratio of the selected model's variance number
     to the collection maximum, and the mean oracle ratio.
     """
+    if n < 2:
+        raise ValueError("a sweep needs n >= 2")
     density = density if density is not None else PowerLaw()
     k_grid = np.asarray(sorted(k_grid), dtype=float)
     if k_grid.size == 0 or np.any(np.diff(k_grid) <= 0):

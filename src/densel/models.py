@@ -11,7 +11,10 @@ sqrt(2)sin(2*pi*k*x), k <= j}.  Two collections are built as model lists:
 The third, the two-block family (J1 equal cells on [0, k/n) then J2 equal
 cells on [k/n, 1), for all 1 <= k < n, J1 <= k, J2 <= n-k), has about
 n^3/6 models; ``harness.TwoBlockLab`` evaluates it block by block and never
-enumerates it.
+enumerates it.  The labs read ids and dimensions off the model lists and
+compute histogram populations block by block themselves; the per-model
+``exact_quantities`` serves the Fourier lab, the concentration lab and the
+tests.
 
 Given a known density, every population quantity of a model is available in
 closed form (histograms) or from one Gauss-Legendre rule over the quantile
@@ -37,6 +40,7 @@ __all__ = [
     "build_regular_histograms",
     "build_fourier_collection",
     "histogram_model",
+    "regular_histogram",
     "fourier_model",
     "exact_quantities",
     "scale_constants",
@@ -98,6 +102,12 @@ def histogram_model(breaks: Iterable[float], id: str | None = None,
     return ModelSpec(id=mid, basis="histogram", dim=d, breaks=brk, params=params)
 
 
+def regular_histogram(d: int) -> ModelSpec:
+    """The histogram with d equal cells on [0, 1]."""
+    return histogram_model(np.arange(d + 1, dtype=float) / d,
+                           id=f"reg-hist:d={d}", params=(d,))
+
+
 def fourier_model(j: int) -> ModelSpec:
     return ModelSpec(id=f"fourier:j={j}", basis="fourier", dim=2 * j + 1, j=j,
                      params=(j,))
@@ -127,11 +137,8 @@ def build_regular_histograms(n: int) -> ModelCollection:
     """Histograms with d = 1..n equal cells on [0,1]."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    models = []
-    for d in range(1, n + 1):
-        brk = np.arange(d + 1, dtype=float) / d
-        models.append(histogram_model(brk, id=f"reg-hist:d={d}", params=(d,)))
-    return ModelCollection(kind="regular-hist", n=n, models=tuple(models))
+    return ModelCollection(kind="regular-hist", n=n, models=tuple(
+        regular_histogram(d) for d in range(1, n + 1)))
 
 
 def build_fourier_collection(n: int) -> ModelCollection:

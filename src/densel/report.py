@@ -62,7 +62,9 @@ RAW_HEADER = ["rep", "method", "ratio", "selected_model", "flag"]
 
 
 def path_rows(path: SlopePath) -> list[list]:
-    return [[seg.k_lo, seg.k_hi, seg.model_id, seg.delta]
+    """One row per segment; an exact path's Fractions are written as
+    floats."""
+    return [[float(seg.k_lo), float(seg.k_hi), seg.model_id, float(seg.delta)]
             for seg in path.segments]
 
 

@@ -10,12 +10,19 @@ K beyond which the selected complexity falls under max_complexity / ln(n).
 ``slope_pick`` is the slope algorithm itself: the maximal jump, then the
 model selected at twice that constant.  The experiment labs feed their
 arrays to ``envelope_path``.
+
+Integer lines are decided exactly: breakpoints are ``Fraction``s, and the
+hull's pop test, the jump argmax and the pick at 2 * K_min compare exact
+numbers.  Histogram contrasts and complexities are rationals built from
+integer counts, so the regular-histogram lab hands in integer lines with
+exact units; float lines keep a relative tie tolerance.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -54,7 +61,8 @@ class SlopePath:
     """The exact piecewise-constant map K -> selected model on [0, inf).
 
     ``delta_max`` is the largest complexity in the whole collection, not
-    only on the path; the log-threshold rule is scaled by it.
+    only on the path; the log-threshold rule is scaled by it.  On an exact
+    path the segments' K, delta and contrast are ``Fraction``s or ints.
     """
 
     segments: tuple[PathSegment, ...]
@@ -92,20 +100,25 @@ def lower_envelope(slopes: np.ndarray,
     a breakpoint belongs to the flatter of its two lines, so the selected
     slope is right-continuous in K.
 
-    Intercepts within one part in 1e12 are treated as tied and resolved to
-    the flatter line: float noise on an exact tie would otherwise open a
-    sliver segment of width ~1e-16 that the jump detectors would see as a
-    genuine complexity jump.
+    Integer slopes and intercepts are compared exactly and the breakpoints
+    are ``Fraction``s.  Float intercepts within one part in 1e12 are
+    treated as tied and resolved to the flatter line: float noise on an
+    exact tie would otherwise open a sliver segment of width ~1e-16 that
+    the jump detectors would see as a genuine complexity jump.
     """
-    slopes = np.asarray(slopes, dtype=float)
-    intercepts = np.asarray(intercepts, dtype=float)
+    slopes, intercepts = np.asarray(slopes), np.asarray(intercepts)
     if slopes.size == 0:
         raise ValueError("a path needs at least one line")
+    exact = slopes.dtype.kind in "iu" and intercepts.dtype.kind in "iu"
+    if not exact:
+        slopes, intercepts = slopes.astype(float), intercepts.astype(float)
     order = np.lexsort((np.arange(slopes.size), intercepts, -slopes))
+    slopes, intercepts = slopes.tolist(), intercepts.tolist()
+    tol = 0 if exact else _TIE_RTOL
     hull: list[int] = []
     starts: list[float] = []
     prev_slope = None
-    for i in order:
+    for i in order.tolist():
         s, c = slopes[i], intercepts[i]
         if prev_slope is not None and s == prev_slope:
             continue                      # dominated duplicate slope
@@ -114,42 +127,48 @@ def lower_envelope(slopes: np.ndarray,
         while hull:
             top = hull[-1]
             top_c = intercepts[top]
-            if c <= top_c + _TIE_RTOL * max(1.0, abs(top_c)):
+            if c <= top_c + tol * max(1, abs(top_c)):
                 # flatter and at least as cheap at K=0 (up to float noise):
                 # dominates from 0 on
                 hull.pop()
                 starts.pop()
                 continue
-            k_cross = (c - top_c) / (slopes[top] - s)
+            k_cross = (Fraction(c - top_c, slopes[top] - s) if exact
+                       else (c - top_c) / (slopes[top] - s))
             if k_cross <= starts[-1]:
                 hull.pop()
                 starts.pop()
                 continue
             break
-        hull.append(int(i))
+        hull.append(i)
         starts.append(k_cross if len(hull) > 1 else 0.0)
     return hull, starts
 
 
 def envelope_path(contrasts: np.ndarray, deltas: np.ndarray,
-                  model_id: Callable[[int], str],
-                  delta_max: float) -> tuple[SlopePath, list[int]]:
+                  model_id: Callable[[int], str], delta_max: float,
+                  units: tuple) -> tuple[SlopePath, list[int]]:
     """Exact path of the lines contrasts[i] + K * deltas[i].
 
-    Returns the path and, per segment, the index of its line; only the
-    lines on the envelope get an id, through ``model_id(index)``.  Ties
-    follow ``lower_envelope``.
+    ``units`` = (contrast unit, complexity unit) carries the lines to the
+    path's scale: a segment's contrast is contrasts[i] * units[0], its
+    delta deltas[i] * units[1], and its K the hull's K times
+    units[0] / units[1].  Integer lines with ``Fraction`` units give an
+    exact path; float lines already on the path's scale come with units
+    (1, 1).  Returns the path and, per segment, the index of its line;
+    only the lines on the envelope get an id, through ``model_id(index)``.
+    Ties follow ``lower_envelope``.
     """
-    deltas = np.asarray(deltas, dtype=float)
-    contrasts = np.asarray(contrasts, dtype=float)
-    if np.any(deltas < 0.0):
+    deltas, contrasts = np.asarray(deltas), np.asarray(contrasts)
+    if np.any(deltas < 0):
         raise ValueError("complexities must be >= 0")
     hull, starts = lower_envelope(deltas, contrasts)
+    c_unit, d_unit = units
+    ks = [k * c_unit / d_unit for k in starts] + [np.inf]
+    deltas, contrasts = deltas.tolist(), contrasts.tolist()
     segs = tuple(
-        PathSegment(k_lo=starts[pos],
-                    k_hi=starts[pos + 1] if pos + 1 < len(hull) else np.inf,
-                    model_id=model_id(i), delta=deltas[i],
-                    contrast=contrasts[i])
+        PathSegment(k_lo=ks[pos], k_hi=ks[pos + 1], model_id=model_id(i),
+                    delta=deltas[i] * d_unit, contrast=contrasts[i] * c_unit)
         for pos, i in enumerate(hull))
     return SlopePath(segments=segs, delta_max=float(delta_max)), hull
 
@@ -177,8 +196,8 @@ def detect_kmin(path: SlopePath, rule: str, n: int,
         thresh = delta_max / np.log(n)
         for seg in segs:
             if seg.delta <= thresh:
-                return seg.k_lo
-        return segs[-1].k_lo
+                return float(seg.k_lo)
+        return float(segs[-1].k_lo)
     raise ValueError(f"unknown jump rule {rule!r}")
 
 
@@ -186,8 +205,9 @@ def slope_pick(path: SlopePath) -> tuple[int, float, str | None]:
     """The slope algorithm: (position of the picked segment, K_min, flag).
 
     K_min is the breakpoint with the largest complexity drop and the pick
-    is the segment active at 2 * K_min.  A one-segment path has no jump:
-    its only model is picked at K_min = 0 and flagged ``no-jump-fallback``.
+    is the segment active at 2 * K_min, compared exactly on an exact path;
+    K_min is returned as a float.  A one-segment path has no jump: its
+    only model is picked at K_min = 0 and flagged ``no-jump-fallback``.
     """
     segs = path.segments
     if len(segs) == 1:
@@ -195,4 +215,4 @@ def slope_pick(path: SlopePath) -> tuple[int, float, str | None]:
     drops = [segs[i].delta - segs[i + 1].delta for i in range(len(segs) - 1)]
     k_min = segs[int(np.argmax(drops)) + 1].k_lo
     starts = [seg.k_lo for seg in segs]
-    return bisect_right(starts, 2.0 * k_min) - 1, k_min, None
+    return bisect_right(starts, 2 * k_min) - 1, float(k_min), None

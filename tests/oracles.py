@@ -12,24 +12,28 @@ below is the explicit, per-model version of one of their steps:
   argmin ``select`` and the list form of ``slope_path``;
 * the enumerated two-block collection (about n^3/6 ``ModelSpec`` objects)
   and pointwise basis evaluation;
-* the exact loss of one fit, and the oracle ratio of one method on one
-  sample through the generic lab.
+* the exact loss of one fit, the per-model lab that fits every model of
+  a collection one at a time (the oracle of both block labs), and the
+  oracle ratio of one method on one sample through it;
+* the slope pick on regular histograms in ``Fraction`` arithmetic, walked
+  along the envelope without a hull.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from densel import models
 from densel.densities import Density, Sample
-from densel.fitting import FittedModel, p_term
-from densel.harness import CollectionLab, Method
+from densel.fitting import FittedModel, fit_model, histogram_counts, p_term
+from densel.harness import Method, _Evaluation
 from densel.models import (ExactModelQuantities, ModelCollection, ModelSpec,
-                           fourier_basis_matrix, histogram_cell_index,
-                           histogram_model)
+                           exact_quantities, fourier_basis_matrix,
+                           histogram_cell_index, histogram_model)
 from densel.penalties import resampling_dmw
 from densel.rng import RngStream
 from densel.slope import SlopePath, envelope_path
@@ -113,10 +117,35 @@ def exact_loss(fit: FittedModel, quantities: ExactModelQuantities) -> float:
     return quantities.bias_sq + p_term(fit, quantities)
 
 
+class PerModelLab:
+    """The lab interface over any collection, one model at a time: each
+    model is fitted with ``fit_model`` and scored with ``resampling_dmw``
+    and bias + ``p_term``."""
+
+    def __init__(self, collection: ModelCollection, density: Density):
+        self.collection = collection
+        self.n = collection.n
+        self.ids = [m.id for m in collection]
+        self.dims = np.array([m.dim for m in collection], dtype=float)
+        self.table = [exact_quantities(m, density, self.n) for m in collection]
+        self.d_exact = np.array([q.d_exact for q in self.table])
+
+    def evaluate(self, sample: Sample) -> _Evaluation:
+        contrasts, dmws, losses = (np.empty(len(self.ids)) for _ in range(3))
+        for i, (model, q) in enumerate(zip(self.collection, self.table)):
+            fit = fit_model(model, sample)
+            contrasts[i] = fit.emp_contrast
+            dmws[i] = resampling_dmw(fit, sample) if sample.n >= 2 else np.nan
+            losses[i] = exact_loss(fit, q)
+        return _Evaluation(ids=self.ids, dims=self.dims, contrasts=contrasts,
+                           dmws=dmws, losses=losses, d_exact=self.d_exact,
+                           n=self.n)
+
+
 def oracle_ratio(sample: Sample, collection: ModelCollection, method: Method,
                  density: Density) -> float:
     """Exact loss of the method's pick divided by the collection minimum."""
-    lab = CollectionLab(collection, density)
+    lab = PerModelLab(collection, density)
     outcome = lab.evaluate(sample).apply(method)
     if outcome.flag == "degenerate-oracle":
         raise ArithmeticError("oracle loss is numerically zero")
@@ -307,5 +336,45 @@ def slope_path(points: Sequence[tuple[str, float, float]]) -> SlopePath:
     deltas = np.array([p[2] for p in pts])
     contrasts = np.array([p[1] for p in pts])
     path, _ = envelope_path(contrasts, deltas, lambda i: pts[i][0],
-                            delta_max=deltas.max())
+                            delta_max=deltas.max(), units=(1, 1))
     return path
+
+
+def exact_histogram_slope_pick(sample: Sample, complexity: str) -> str:
+    """The slope pick on the regular histograms with 1..n cells, in exact
+    arithmetic: lines -j T / n^2 + K delta_j, T = sum c^2 over the j cells,
+    with delta_j = j (``dim``) or j (n^2 - T) / (n (n - 1)) (``dmw``).
+
+    The envelope is walked from K = 0 without a hull: from each segment
+    the next breakpoint is the first crossing by a line of smaller delta.
+    The selected model at K minimizes (criterion, delta, j), so a
+    breakpoint belongs to its smaller-delta side.  K_min is the start of
+    the segment after the largest delta drop (the earliest on ties), and
+    the pick is the model selected at 2 K_min.
+    """
+    n = sample.n
+    contrast, delta = [], []
+    for j in range(1, n + 1):
+        t = int(np.sum(histogram_counts(np.arange(j + 1) / j, sample) ** 2))
+        contrast.append(Fraction(-j * t, n * n))
+        delta.append(j if complexity == "dim"
+                     else Fraction(j * (n * n - t), n * (n - 1)))
+
+    def pick(k):
+        return min(range(n), key=lambda i: (contrast[i] + k * delta[i],
+                                            delta[i], i))
+
+    segs, starts = [pick(0)], [Fraction(0)]
+    while True:
+        cur = segs[-1]
+        cross = [(contrast[i] - contrast[cur]) / (delta[cur] - delta[i])
+                 for i in range(n) if delta[i] < delta[cur]]
+        if not cross:
+            break
+        starts.append(min(cross))
+        segs.append(pick(starts[-1]))
+    if len(segs) == 1:
+        return f"reg-hist:d={segs[0] + 1}"
+    drops = [delta[a] - delta[b] for a, b in zip(segs, segs[1:])]
+    k_min = starts[drops.index(max(drops)) + 1]
+    return f"reg-hist:d={pick(2 * k_min) + 1}"

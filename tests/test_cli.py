@@ -190,6 +190,10 @@ def test_select_bad_penalty_exits_2():
     ["conc-check", "--basis", "fourier", "--dim", "2"],
     ["conc-check", "--basis", "fourier", "--dim", "1"],
     ["conc-check", "--dim", "0"],
+    # the spread over replications needs two; a sweep needs n >= 2
+    ["conc-check", "--reps", "1", "--bound", "resampling"],
+    ["conc-check", "--reps", "1", "--bound", "regularization"],
+    ["sweep", "--n", "1"],
 ])
 def test_bad_counts_and_grids_exit_2_before_work(argv, capsys):
     assert main(argv if "--n" in argv else argv + ["--n", "10"]) == 2

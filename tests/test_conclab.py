@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from densel import conclab
 from densel.conclab import (check_p_concentration,
                             check_resampling_concentration,
                             check_ustat_concentration,
@@ -25,12 +26,17 @@ def test_simulation_deterministic():
     assert np.array_equal(a["dmw"], b["dmw"])
 
 
-def test_simulation_chunking_invariant():
-    a = simulate_model_statistics(MODEL10, PowerLaw(), 30, 300,
-                                  RngStream(4, 0, "c"), chunk=300)
-    b = simulate_model_statistics(MODEL10, PowerLaw(), 30, 300,
-                                  RngStream(4, 0, "c"), chunk=64)
-    assert np.allclose(a["p"], b["p"], atol=0.0)
+def test_simulation_chunking_invariant(monkeypatch):
+    """The byte budget sets the chunk size (one replication at a time
+    under the smaller one) and changes no bit of p, dmw or u."""
+    def run(model, budget):
+        monkeypatch.setattr(conclab, "CHUNK_BYTES", budget)
+        return simulate_model_statistics(model, PowerLaw(), 30, 300,
+                                         RngStream(4, 0, "c"), compute_u=True)
+    for model in (MODEL10, fourier_model(3)):
+        a, b = run(model, conclab.CHUNK_BYTES), run(model, 1)
+        for key in ("p", "dmw", "u"):
+            assert np.array_equal(a[key], b[key])
 
 
 def test_p_concentration_passes():

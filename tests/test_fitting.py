@@ -127,7 +127,7 @@ def test_p_term_mean_matches_variance_number():
     n, reps = 100, 100_000
     m = histogram_model(np.linspace(0.0, 1.0, 6))
     sims = simulate_model_statistics(m, density, n, reps,
-                                     RngStream(23, 0, "pmean"), chunk=4096)
+                                     RngStream(23, 0, "pmean"))
     q = exact_quantities(m, density, n)
     se = np.std(sims["p"], ddof=1) / np.sqrt(reps)
     assert abs(sims["p"].mean() - q.d_exact / n) <= 3.0 * se

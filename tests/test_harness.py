@@ -5,13 +5,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from densel.densities import PowerLaw, Uniform
+from densel import harness
+from densel.densities import PowerLaw, Uniform, density_from_config
 from densel.harness import (CollectionLab, Method, TwoBlockLab, _Evaluation,
                             _TwoBlockEvaluation, make_lab, parse_method,
                             penalty_sweep, run_example, summarize)
 from densel.models import build_regular_histograms
 from densel.rng import RngStream
-from oracles import build_two_block_collection, oracle_ratio
+from oracles import (PerModelLab, build_two_block_collection,
+                     exact_histogram_slope_pick, oracle_ratio)
 
 ALL_METHODS = (Method("slope-dim"), Method("resampling"),
                Method("resampling-slope"), Method("ideal", 2.0))
@@ -70,7 +72,7 @@ def test_two_block_fast_engine_matches_generic(n):
     them at different tied models)."""
     density = PowerLaw()
     collection = build_two_block_collection(n)
-    gen_lab = CollectionLab(collection, density)
+    gen_lab = PerModelLab(collection, density)
     fast_lab = TwoBlockLab(n, density)
     by_id = {mid: i for i, mid in enumerate(gen_lab.ids)}
     for rep in range(5):
@@ -101,6 +103,109 @@ def test_two_block_fast_engine_matches_generic(n):
                 for idx in (ia, ib):
                     line = ev_g.contrasts[idx] + ks * deltas[idx]
                     assert np.min(line - env) <= 1e-9
+
+
+STEP = density_from_config("piecewise", breaks=[0.0, 0.3, 1.0],
+                           heights=[2.0, 4.0 / 7.0])
+
+
+@pytest.mark.parametrize("density", [PowerLaw(), STEP], ids=["power", "step"])
+def test_block_labs_match_per_model_oracle(density):
+    """Both histogram labs give every model's contrast, dmw, D and loss of
+    the per-model fits to 1e-12."""
+    def stats(ev, key):
+        row = ev._row(key, 0.0)
+        return row.criterion, row.dmw, row.d_exact, row.loss
+
+    for kind, n in (("regular-hist", 30), ("regular-hist", 7),
+                    ("two-block", 4), ("two-block", 9)):
+        lab = make_lab(kind, n, density)
+        oracle = PerModelLab(build_two_block_collection(n)
+                             if kind == "two-block"
+                             else build_regular_histograms(n), density)
+        keys = (list(range(n)) if kind == "regular-hist" else
+                [(k - 1, j1 - 1, j2 - 1) for k in range(1, n)
+                 for j1 in range(1, k + 1) for j2 in range(1, n - k + 1)])
+        for rep in range(3):
+            s = density.sample(n, RngStream(25, rep, "data"))
+            ev, ev_o = lab.evaluate(s), oracle.evaluate(s)
+            for i, key in enumerate(keys):
+                assert ev._row(key, 0.0).model_id == oracle.ids[i]
+                assert stats(ev, key) == pytest.approx(stats(ev_o, i),
+                                                       rel=0, abs=1e-12)
+
+
+def test_both_histogram_labs_run_the_block_engine(monkeypatch):
+    calls = []
+    for name in ("_block_tables", "_block_stats"):
+        fn = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda *a, _fn=fn, _name=name:
+                            calls.append(_name) or _fn(*a))
+    for kind in ("regular-hist", "two-block"):
+        calls.clear()
+        make_lab(kind, 6, PowerLaw()).evaluate(
+            PowerLaw().sample(6, RngStream(26, 0, "data")))
+        assert {"_block_tables", "_block_stats"} <= set(calls), kind
+
+
+@pytest.mark.parametrize("seed,rep,picked", [(1, 35, "reg-hist:d=2"),
+                                             (5, 22, "reg-hist:d=1"),
+                                             (6, 11, "reg-hist:d=4")])
+def test_slope_pick_on_exact_breakpoint(seed, rep, picked):
+    """``simulate --example 1 --n 100`` replications where 2 K_min falls
+    exactly on a breakpoint; the breakpoint belongs to its smaller-dim
+    side.  Float lines picked d=6, d=3 and d=6 here."""
+    sample = PowerLaw().sample(100, RngStream(seed, rep, "data"))
+    ev = make_lab("regular-hist", 100, PowerLaw()).evaluate(sample)
+    assert ev.apply(Method("slope-dim")).selected == picked
+    assert exact_histogram_slope_pick(sample, "dim") == picked
+
+
+def test_histogram_slope_picks_match_fraction_oracle():
+    """Random samples with n from 2 to 40: both slope methods pick what
+    Fraction arithmetic picks, exact ties included."""
+    gen = np.random.default_rng(27)
+    for rep in range(120):
+        n = int(gen.integers(2, 41))
+        density = (PowerLaw(), Uniform(), STEP)[rep % 3]
+        sample = density.sample(n, RngStream(27, rep, "data"))
+        ev = make_lab("regular-hist", n, density).evaluate(sample)
+        for kind, complexity in (("slope-dim", "dim"),
+                                 ("resampling-slope", "dmw")):
+            assert (ev.apply(Method(kind)).selected
+                    == exact_histogram_slope_pick(sample, complexity)), (n, rep)
+
+
+def test_thread_pool_capped_at_reps_and_cpus(monkeypatch):
+    """The fork pool starts every worker at once: it gets
+    min(threads, reps, CPUs) of them (a recording executor stands in)."""
+    made = []
+
+    class Recorder:
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            made.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    serial = run_example(1, 12, 2, seed=28)
+    for threads, reps, workers in ((64, 2, 2), (64, 10, 3), (2, 10, 2),
+                                   (64, 1, None)):
+        made.clear()
+        rep = run_example(1, 12, reps, seed=28, threads=threads)
+        assert made == ([workers] if workers else [])
+        if reps == 2:
+            for m in rep.methods:
+                assert np.array_equal(rep.ratios[m], serial.ratios[m])
 
 
 def _two_block_eval(left_a, right_a):
@@ -203,6 +308,8 @@ def test_penalty_sweep_phenomenology():
 def test_penalty_sweep_validation():
     with pytest.raises(ValueError):
         penalty_sweep("regular-hist", 20, [], 5)
+    with pytest.raises(ValueError):
+        penalty_sweep("regular-hist", 1, [1.0], 5)
     with pytest.raises(ValueError):
         penalty_sweep("regular-hist", 20, [0.5, 0.5], 5)
 

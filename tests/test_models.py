@@ -270,7 +270,7 @@ def test_projection_identity(model):
 def test_d_exact_matches_monte_carlo(model, density, n):
     reps = 100_000
     sims = simulate_model_statistics(model, density, n, reps,
-                                     RngStream(17, 0, "dcheck"), chunk=4096)
+                                     RngStream(17, 0, "dcheck"))
     q = exact_quantities(model, density, n)
     mc = n * sims["p"]
     se = np.std(mc, ddof=1) / np.sqrt(reps)

@@ -20,8 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("cli_args,spans", [
     ("select --collection regular-hist --n 20",
-     {"harness.evaluate", "models.build_collection", "fitting.fit_model",
-      "penalties.resampling_dmw"}),
+     {"harness.make_lab", "harness.evaluate", "models.build_collection"}),
     ("select --collection fourier --n 10",
      {"harness.evaluate", "models.build_collection"}),
     ("select --collection two-block --n 10", {"harness.evaluate"}),
