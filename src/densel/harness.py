@@ -21,9 +21,12 @@ for the regular histograms, whose slope paths are integer lines decided
 exactly, and keeps the nested Fourier models as arrays.  ``TwoBlockLab``
 runs it on the two blocks of every cut: each per-model statistic splits
 into a left part depending on (k, j1) and a right part depending on
-(k, j2), so the argmin over roughly n^3/6 models costs O(n^2) per
-replication, and the path is assembled from per-block lower envelopes.
-The per-model loop both are checked against is in ``tests/oracles.py``.
+(k, j2), held as (side, cut, cells) arrays, so the argmin over roughly
+n^3/6 models costs O(n^2) array work per replication.  The path takes the
+lower envelopes of all blocks in one batched hull, merges each cut's two
+envelopes by their breakpoints, and runs the hull once more on the merged
+lines.  The per-model loop both are checked against, and the per-cut
+forms of the two-block selections, are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -357,7 +360,15 @@ class TwoBlockLab:
 
     For a model (k, j1, j2) every statistic is a sum of a left term indexed
     by (k, j1) and a right term indexed by (k, j2); all left (right) terms
-    for one k come at once from the block engine.
+    for one k come at once from the block engine.  An evaluation keeps them
+    as (2, n-1, n-1) arrays indexed by (side, cut k - 1, cells j - 1), side
+    0 the left block [0, k/n) with j <= k cells and side 1 the right block
+    with j <= n - k; ``valid`` marks the existing entries, ``d_exact``
+    holds D (0 elsewhere).  Selections are array operations over all cuts:
+    the argmin reduces per (side, cut), and the slope path takes the lower
+    envelopes of all 2(n-1) blocks in one batched hull, merges each cut's
+    two envelopes by their breakpoints and runs the hull once more on the
+    merged lines.
     """
 
     def __init__(self, n: int, density: Density):
@@ -369,126 +380,171 @@ class TwoBlockLab:
         self.s_norm = density.l2_norm_sq()
         self.cuts = np.arange(1, n) / n
         fcut = np.asarray(density.cdf(self.cuts))
+        m = n - 1
+        cells = np.stack((np.arange(1, n), np.arange(m, 0, -1)))
+        self.valid = np.arange(m) < cells[:, :, None]
         self.left = []            # per k: (starts, pop_flat, counts_of_js, d_vec)
         self.right = []
+        self.d_exact = np.zeros((2, m, m))
         self.d_max = 0.0
         for kk, k in enumerate(range(1, n)):
             c = self.cuts[kk]
             self.left.append(_block_tables(density, 0.0, c, k, fcut[kk]))
             self.right.append(_block_tables(density, c, 1.0, n - k,
                                             1.0 - fcut[kk]))
+            self.d_exact[0, kk, :k] = self.left[-1][3]
+            self.d_exact[1, kk, :n - k] = self.right[-1][3]
             self.d_max = max(self.d_max,
                              self.left[-1][3].max() + self.right[-1][3].max())
 
     def evaluate(self, sample: Sample):
-        n = self.n
+        n, m = self.n, self.n - 1
         pts = sample.points if sample.sorted_flag else np.sort(sample.points)
         n_left = np.searchsorted(pts, self.cuts, side="left")
-        per_k = []
-        for kk in range(n - 1):
+        contrast = np.full((2, m, m), np.inf)
+        var = np.zeros((2, m, m))
+        loss = np.full((2, m, m), np.inf)
+        for kk in range(m):
             c = self.cuts[kk]
-            left = _block_stats(self.left[kk], pts[:n_left[kk]], 0.0, c, n)
-            right = _block_stats(self.right[kk], pts[n_left[kk]:], c, 1.0, n)
-            per_k.append((left, right))
-        return _TwoBlockEvaluation(lab=self, per_k=per_k)
+            for side, stats in enumerate((
+                    _block_stats(self.left[kk], pts[:n_left[kk]], 0.0, c, n),
+                    _block_stats(self.right[kk], pts[n_left[kk]:], c, 1.0,
+                                 n))):
+                j = stats[0].size
+                np.negative(stats[0], out=contrast[side, kk, :j])
+                var[side, kk, :j] = stats[1]
+                loss[side, kk, :j] = stats[2]
+        return _TwoBlockEvaluation(lab=self, contrast=contrast, var=var,
+                                   loss=loss)
 
 
 def _two_block_id(kk: int, i1: int, i2: int) -> str:
     return f"two-block:k={kk + 1},j1={i1 + 1},j2={i2 + 1}"
 
 
+def _heads(keys: np.ndarray) -> np.ndarray:
+    """True where a run of equal keys begins."""
+    head = np.ones(keys.size, dtype=bool)
+    head[1:] = keys[1:] != keys[:-1]
+    return head
+
+
 @dataclass
 class _TwoBlockEvaluation(_LabEvaluation):
-    """Per-cut block statistics of one replication; a model's key is
-    (cut index, left cell index, right cell index)."""
+    """Block statistics of one replication as (side, cut, cells) arrays: the
+    block's share -A of the contrast (+inf where no model is), V of the
+    variance part of dmw (0 there) and L of the loss (+inf there).  A
+    model's key is (cut index, left cell index, right cell index)."""
 
     lab: TwoBlockLab
-    per_k: list          # per cut: (left, right) block statistics (A, V, L, D, T)
+    contrast: np.ndarray
+    var: np.ndarray
+    loss: np.ndarray
 
-    @staticmethod
-    def _part(blk, complexity: str) -> np.ndarray:
-        """One block's share of a complexity: its cell count, V or D."""
+    def _part(self, complexity: str) -> np.ndarray:
+        """Each block's share of a complexity: its cell count, V or D."""
         if complexity == "dim":
-            return np.arange(1, blk[0].size + 1, dtype=float)
-        return {"dmw": blk[1], "d_exact": blk[3]}[complexity]
+            return np.arange(1.0, self.lab.n)
+        return {"dmw": self.var, "d_exact": self.lab.d_exact}[complexity]
 
     def _argmin(self, k_const: float, complexity: str):
         n = self.lab.n
         # k dmw / n with dmw = n/(n-1) (V_left + V_right)
         scale = k_const / (n - 1.0) if complexity == "dmw" else k_const / n
-        best_key, best = None, None
-        for kk, (left, right) in enumerate(self.per_k):
-            p1 = scale * self._part(left, complexity)
-            p2 = scale * self._part(right, complexity)
-            g1, g2 = p1 - left[0], p2 - right[0]
-            m1, m2 = g1.min(), g2.min()
-            crit = m1 + m2
-            if best_key is not None and crit > best_key[0]:
-                continue
+        pens = np.broadcast_to(scale * self._part(complexity),
+                               self.contrast.shape)
+        g = pens + self.contrast
+        mins = g.min(axis=2)
+        crits = mins[0] + mins[1]
+        crit = crits.min()
+        best = None
+        for kk in np.flatnonzero(crits == crit):
+            g1, g2 = g[:, kk]
+            m1, m2 = mins[:, kk]
             # exact ties: rounding is monotone, so a pair sums to crit only
             # if each of its parts does so with the other block's minimum
             tied = min((i1 + i2, i1, i2)
                        for i1 in np.flatnonzero(g1 + m2 == crit)
                        for i2 in np.flatnonzero(m1 + g2 == crit)
                        if g1[i1] + g2[i2] == crit)
-            key = (crit, tied[0])
-            if best_key is None or key < best_key:
-                best_key = key
-                best = ((kk, int(tied[1]), int(tied[2])),
-                        p1[tied[1]] + p2[tied[2]])
-        return best
+            if best is None or tied[0] < best[0][0]:
+                best = (tied, int(kk))
+        (_, i1, i2), kk = best
+        return (kk, int(i1), int(i2)), pens[0, kk, i1] + pens[1, kk, i2]
 
     def _path(self, complexity: str):
-        n = self.lab.n
-        lines_s: list[float] = []
-        lines_c: list[float] = []
-        tags: list[tuple[int, int, int]] = []
-        delta_max = 0.0
-        for kk, (left, right) in enumerate(self.per_k):
-            s1 = self._part(left, complexity)
-            s2 = self._part(right, complexity)
-            if complexity == "dmw":
-                s1, s2 = s1 * n / (n - 1.0), s2 * n / (n - 1.0)
-            delta_max = max(delta_max, float(s1.max() + s2.max()))
-            h1, st1 = lower_envelope(s1, -left[0])
-            h2, st2 = lower_envelope(s2, -right[0])
-            a = b = 0
-            while True:
-                i1, i2 = h1[a], h2[b]
-                lines_s.append(float(s1[i1] + s2[i2]))
-                lines_c.append(float(-left[0][i1] - right[0][i2]))
-                tags.append((kk, i1, i2))
-                nxt_a = st1[a + 1] if a + 1 < len(st1) else np.inf
-                nxt_b = st2[b + 1] if b + 1 < len(st2) else np.inf
-                nxt = min(nxt_a, nxt_b)
-                if not np.isfinite(nxt):
-                    break
-                if nxt_a == nxt:
-                    a += 1
-                if nxt_b == nxt:
-                    b += 1
-        path, hull = envelope_path(np.asarray(lines_c), np.asarray(lines_s),
+        lab = self.lab
+        n, m = lab.n, lab.n - 1
+        if complexity == "dim":
+            slopes = np.where(lab.valid, np.arange(1.0, n), np.nan)
+        else:
+            slopes = self.var * n
+            slopes /= n - 1.0
+            slopes[~lab.valid] = np.nan
+        tops = np.fmax.reduce(slopes, axis=2)
+        delta_max = max(0.0, float((tops[0] + tops[1]).max()))
+        # the envelopes of all blocks: pieces row by row (left blocks, then
+        # right blocks), each row's first piece starting at K = 0
+        idx, starts = lower_envelope(slopes.reshape(2 * m, m),
+                                     self.contrast.reshape(2 * m, m))
+        row, col = np.divmod(idx, m)
+        head = _heads(row)
+        first = np.flatnonzero(head).reshape(2, m)
+        # per cut, the sorted union of both blocks' breakpoints, equal K on
+        # both sides counting once; past each, the cut's envelope (the
+        # Minkowski sum of its two block envelopes) takes from each block
+        # the piece after the last of its breakpoints passed so far
+        brk = np.flatnonzero(~head)
+        side, cut = np.divmod(row[brk], m)
+        ks = starts[brk]
+        order = np.lexsort((ks, cut))
+        side, cut, ks = side[order], cut[order], ks[order]
+        passed = np.cumsum(np.stack((1 - side, side)), axis=1)
+        last = np.ones(cut.size, dtype=bool)
+        last[:-1] = (cut[1:] != cut[:-1]) | (ks[1:] != ks[:-1])
+        cut = cut[last]
+        nbrk = np.diff(first.ravel(), append=idx.size).reshape(2, m) - 1
+        passed = passed[:, last] - (np.cumsum(nbrk, axis=1) - nbrk)[:, cut]
+        # every cut's lines in K order: the two first pieces, then one line
+        # past each breakpoint
+        lcut = np.concatenate((np.arange(m), cut))
+        order = np.argsort(lcut, kind="stable")
+        lcut = lcut[order]
+        steps = np.concatenate((np.zeros((2, m), dtype=passed.dtype), passed),
+                               axis=1)[:, order]
+        i1, i2 = col[first[:, lcut] + steps]
+        deltas = slopes[0, lcut, i1] + slopes[1, lcut, i2]
+        contrasts = self.contrast[0, lcut, i1] + self.contrast[1, lcut, i2]
+        if complexity == "dim":
+            # one line per total dimension: the lowest, the earliest on ties
+            keep = np.lexsort((contrasts, deltas))
+            keep = keep[_heads(deltas[keep])]
+            lcut, i1, i2 = lcut[keep], i1[keep], i2[keep]
+            deltas, contrasts = deltas[keep], contrasts[keep]
+        tags = list(zip(lcut.tolist(), i1.tolist(), i2.tolist()))
+        path, hull = envelope_path(contrasts, deltas,
                                    lambda i: _two_block_id(*tags[i]),
                                    delta_max, (1, 1))
         return path, [tags[i] for i in hull]
 
     def _row(self, key: tuple[int, int, int], penalty: float) -> ModelRow:
         kk, i1, i2 = key
-        left, right = self.per_k[kk]
         n = self.lab.n
         return ModelRow(
             model_id=_two_block_id(kk, i1, i2),
-            criterion=float(penalty - left[0][i1] - right[0][i2]),
+            criterion=float(penalty + self.contrast[0, kk, i1]
+                            + self.contrast[1, kk, i2]),
             penalty=float(penalty), dim=i1 + i2 + 2,
-            dmw=float((left[1][i1] + right[1][i2]) * n / (n - 1.0)),
-            d_exact=float(left[3][i1] + right[3][i2]),
-            loss=float(self.lab.s_norm + left[2][i1] + right[2][i2]))
+            dmw=float((self.var[0, kk, i1] + self.var[1, kk, i2])
+                      * n / (n - 1.0)),
+            d_exact=float(self.lab.d_exact[0, kk, i1]
+                          + self.lab.d_exact[1, kk, i2]),
+            loss=float(self.lab.s_norm + self.loss[0, kk, i1]
+                       + self.loss[1, kk, i2]))
 
     def oracle_loss(self) -> float:
-        best = np.inf
-        for left, right in self.per_k:
-            best = min(best, left[2].min() + right[2].min())
-        return self.lab.s_norm + best
+        best = self.loss.min(axis=2)
+        return self.lab.s_norm + (best[0] + best[1]).min()
 
 
 def make_lab(kind: str, n: int, density: Density):

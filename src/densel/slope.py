@@ -11,11 +11,13 @@ K beyond which the selected complexity falls under max_complexity / ln(n).
 model selected at twice that constant.  The experiment labs feed their
 arrays to ``envelope_path``.
 
-Integer lines are decided exactly: breakpoints are ``Fraction``s, and the
-hull's pop test, the jump argmax and the pick at 2 * K_min compare exact
-numbers.  Histogram contrasts and complexities are rationals built from
-integer counts, so the regular-histogram lab hands in integer lines with
-exact units; float lines keep a relative tie tolerance.
+Integer lines are decided exactly: the hull pops by integer
+cross-multiplication, breakpoints are ``Fraction``s, and the jump argmax
+and the pick at 2 * K_min compare exact numbers.  Histogram contrasts and
+complexities are rationals built from integer counts, so the
+regular-histogram lab hands in integer lines with exact units; float lines
+keep a relative tie tolerance, and the float hull takes a batch of rows at
+once (the two-block lab's per-block envelopes).
 """
 
 from __future__ import annotations
@@ -89,59 +91,140 @@ class SlopePath:
 
 _TIE_RTOL = 1e-12
 
+# Entries per block of rows the float hull sorts and filters at once; bounds
+# its temporaries for any number of rows.
+_HULL_CHUNK = 4096
 
-def lower_envelope(slopes: np.ndarray,
-                   intercepts: np.ndarray) -> tuple[list[int], list[float]]:
-    """Lower envelope of the lines K -> intercept + K * slope on [0, inf).
 
-    Returns (indices, start_ks) of the active pieces in slope-decreasing
-    order; the first piece starts at K = 0.  Among lines with equal slope
-    only the smallest intercept survives (smallest index on full ties), and
-    a breakpoint belongs to the flatter of its two lines, so the selected
+def lower_envelope(slopes: np.ndarray, intercepts: np.ndarray):
+    """Lower envelopes of the lines K -> intercept + K * slope on [0, inf).
+
+    Returns (indices, start_ks) as arrays: the active pieces in
+    slope-decreasing order, each one's index and the K at which it starts;
+    the first piece starts at K = 0.  Among lines with equal slope only the
+    smallest intercept survives (smallest index on full ties), and a
+    breakpoint belongs to the flatter of its two lines, so the selected
     slope is right-continuous in K.
 
-    Integer slopes and intercepts are compared exactly and the breakpoints
-    are ``Fraction``s.  Float intercepts within one part in 1e12 are
-    treated as tied and resolved to the flatter line: float noise on an
-    exact tie would otherwise open a sliver segment of width ~1e-16 that
-    the jump detectors would see as a genuine complexity jump.
+    Integer slopes and intercepts (one set of lines) are compared exactly,
+    by integer cross-multiplication, and the breakpoints are ``Fraction``s.
+
+    Float lines come as one row or as a 2-D batch of rows, each row its own
+    set of lines, with NaN slopes for absent entries (padding); indices
+    are then positions in the flattened input, row after row.  A line is
+    dropped when a flatter line is at least as cheap at K = 0, intercepts
+    within one part in 1e12 counting as tied (float noise on an exact tie
+    would otherwise open a sliver segment of width ~1e-16 that the jump
+    detectors would see as a genuine complexity jump); the monotone chain
+    then runs once over the lines left in all rows.
     """
     slopes, intercepts = np.asarray(slopes), np.asarray(intercepts)
     if slopes.size == 0:
         raise ValueError("a path needs at least one line")
-    exact = slopes.dtype.kind in "iu" and intercepts.dtype.kind in "iu"
-    if not exact:
-        slopes, intercepts = slopes.astype(float), intercepts.astype(float)
-    order = np.lexsort((np.arange(slopes.size), intercepts, -slopes))
+    if slopes.dtype.kind in "iu" and intercepts.dtype.kind in "iu":
+        return _exact_envelope(slopes, intercepts)
+    slopes = np.atleast_2d(slopes.astype(float, copy=False))
+    intercepts = np.atleast_2d(intercepts.astype(float, copy=False))
+    rows, width = slopes.shape
+    step = max(1, _HULL_CHUNK // width)
+    pieces = [_float_envelope(slopes[r:r + step], intercepts[r:r + step], r)
+              for r in range(0, rows, step)]
+    return tuple(np.concatenate(part) for part in zip(*pieces))
+
+
+def _exact_envelope(slopes: np.ndarray, intercepts: np.ndarray):
+    """The monotone chain on integer lines; a start is kept as the pair
+    (numerator, denominator > 0) until the end."""
+    order = np.lexsort((intercepts, -slopes)).tolist()
     slopes, intercepts = slopes.tolist(), intercepts.tolist()
-    tol = 0 if exact else _TIE_RTOL
     hull: list[int] = []
-    starts: list[float] = []
+    nums: list[int] = []
+    dens: list[int] = []
     prev_slope = None
-    for i in order.tolist():
+    for i in order:
         s, c = slopes[i], intercepts[i]
-        if prev_slope is not None and s == prev_slope:
+        if s == prev_slope:
             continue                      # dominated duplicate slope
         prev_slope = s
-        k_cross = 0.0
+        num, den = 0, 1
         while hull:
             top = hull[-1]
-            top_c = intercepts[top]
-            if c <= top_c + tol * max(1, abs(top_c)):
-                # flatter and at least as cheap at K=0 (up to float noise):
-                # dominates from 0 on
+            num, den = c - intercepts[top], slopes[top] - s
+            # flatter and at least as cheap at K = 0, or crossing the top
+            # no later than the top starts: the top is dominated
+            if num <= 0 or num * dens[-1] <= nums[-1] * den:
                 hull.pop()
-                starts.pop()
-                continue
-            k_cross = (Fraction(c - top_c, slopes[top] - s) if exact
-                       else (c - top_c) / (slopes[top] - s))
-            if k_cross <= starts[-1]:
-                hull.pop()
-                starts.pop()
+                nums.pop()
+                dens.pop()
                 continue
             break
+        if not hull:
+            num, den = 0, 1
         hull.append(i)
-        starts.append(k_cross if len(hull) > 1 else 0.0)
+        nums.append(num)
+        dens.append(den)
+    starts = [0.0] + [Fraction(a, b) for a, b in zip(nums[1:], dens[1:])]
+    return np.array(hull, dtype=np.int64), np.array(starts, dtype=object)
+
+
+def _float_envelope(slopes: np.ndarray, intercepts: np.ndarray, row0: int):
+    """Envelopes of a block of rows whose first row is row ``row0``."""
+    rows, width = slopes.shape
+    # sort each row by (-slope, intercept, index), absent entries last; rows
+    # already in increasing slope order (dimensions) are simply reversed
+    if np.all((slopes[:, 1:] > slopes[:, :-1]) | np.isnan(slopes[:, 1:])):
+        order = np.broadcast_to(np.arange(width - 1, -1, -1), slopes.shape)
+    else:
+        order = np.lexsort((intercepts, -slopes), axis=-1)
+    s = np.take_along_axis(slopes, order, axis=1)
+    c = np.take_along_axis(intercepts, order, axis=1)
+    live = ~np.isnan(s)
+    live[:, 1:] &= s[:, 1:] != s[:, :-1]  # drop the later of equal slopes
+    # drop a line when a later (flatter) live line is at least as cheap at
+    # K = 0 up to the tie tolerance; what is left rises strictly
+    later = np.where(live, c, np.inf)[:, :0:-1]
+    np.minimum.accumulate(later, axis=1, out=later)
+    tie = np.abs(c[:, :-1])
+    np.maximum(tie, 1.0, out=tie)
+    tie *= _TIE_RTOL
+    tie += c[:, :-1]
+    live[:, :-1] &= ~(later[:, ::-1] <= tie)
+    del later, tie
+    row, pos = np.nonzero(live)
+    hull, starts = _chain(np.flatnonzero(np.diff(row, prepend=-1)).tolist(),
+                          s[row, pos].tolist(), c[row, pos].tolist())
+    return ((row0 + row[hull]) * width + order[row[hull], pos[hull]],
+            np.array(starts))
+
+
+def _chain(heads: list[int], s: list[float], c: list[float]):
+    """Monotone chain over lines sorted row by row in slope-decreasing
+    order, none at least as cheap at K = 0 as a later line of its row;
+    ``heads`` are the positions where rows begin.  A top line is popped
+    when the new line crosses it no later than it starts."""
+    hull: list[int] = []
+    starts: list[float] = []
+    base, heads = 0, iter(heads + [len(s)])
+    nxt = next(heads)
+    for q in range(len(s)):
+        if q == nxt:                      # a new row: its first line
+            base, nxt = len(hull), next(heads)
+            hull.append(q)
+            starts.append(0.0)
+            continue
+        sq, cq = s[q], c[q]
+        while True:
+            top = hull[-1]
+            k_cross = (cq - c[top]) / (s[top] - sq)
+            if k_cross > starts[-1]:
+                break
+            hull.pop()
+            starts.pop()
+            if len(hull) == base:
+                k_cross = 0.0
+                break
+        hull.append(q)
+        starts.append(k_cross)
     return hull, starts
 
 
@@ -163,6 +246,7 @@ def envelope_path(contrasts: np.ndarray, deltas: np.ndarray,
     if np.any(deltas < 0):
         raise ValueError("complexities must be >= 0")
     hull, starts = lower_envelope(deltas, contrasts)
+    hull, starts = hull.tolist(), starts.tolist()
     c_unit, d_unit = units
     ks = [k * c_unit / d_unit for k in starts] + [np.inf]
     deltas, contrasts = deltas.tolist(), contrasts.tolist()

@@ -16,7 +16,10 @@ below is the explicit, per-model version of one of their steps:
   a collection one at a time (the oracle of both block labs), and the
   oracle ratio of one method on one sample through it;
 * the slope pick on regular histograms in ``Fraction`` arithmetic, walked
-  along the envelope without a hull.
+  along the envelope without a hull;
+* the lower envelope as one monotone chain per set of lines, and the
+  two-block selections cut by cut: per-cut argmin, oracle loss, and the
+  slope path merged from each cut's two block chains.
 """
 
 from __future__ import annotations
@@ -30,13 +33,14 @@ import numpy as np
 from densel import models
 from densel.densities import Density, Sample
 from densel.fitting import FittedModel, fit_model, histogram_counts, p_term
-from densel.harness import Method, _Evaluation
+from densel.harness import (Method, TwoBlockLab, _block_stats,
+                            _Evaluation, _two_block_id)
 from densel.models import (ExactModelQuantities, ModelCollection, ModelSpec,
                            exact_quantities, fourier_basis_matrix,
                            histogram_cell_index, histogram_model)
 from densel.penalties import resampling_dmw
 from densel.rng import RngStream
-from densel.slope import SlopePath, envelope_path
+from densel.slope import _TIE_RTOL, PathSegment, SlopePath, envelope_path
 
 
 # ---------------------------------------------------------------------------
@@ -378,3 +382,148 @@ def exact_histogram_slope_pick(sample: Sample, complexity: str) -> str:
     drops = [delta[a] - delta[b] for a, b in zip(segs, segs[1:])]
     k_min = starts[drops.index(max(drops)) + 1]
     return f"reg-hist:d={pick(2 * k_min) + 1}"
+
+
+# ---------------------------------------------------------------------------
+# The lower envelope as one chain, and the two-block lab cut by cut
+# ---------------------------------------------------------------------------
+
+def lower_envelope_chain(slopes, intercepts) -> tuple[list[int], list]:
+    """``slope.lower_envelope`` of one set of lines as a single monotone
+    chain: lines in (-slope, intercept, index) order, each popping the top
+    while it is at least as cheap at K = 0 (float intercepts within one
+    part in 1e12 count as tied) or crosses the top no later than the top
+    starts.  Integer lines give ``Fraction`` breakpoints."""
+    slopes, intercepts = np.asarray(slopes), np.asarray(intercepts)
+    exact = slopes.dtype.kind in "iu" and intercepts.dtype.kind in "iu"
+    if not exact:
+        slopes, intercepts = slopes.astype(float), intercepts.astype(float)
+    order = np.lexsort((np.arange(slopes.size), intercepts, -slopes))
+    slopes, intercepts = slopes.tolist(), intercepts.tolist()
+    tol = 0 if exact else _TIE_RTOL
+    hull: list[int] = []
+    starts: list = []
+    prev_slope = None
+    for i in order.tolist():
+        s, c = slopes[i], intercepts[i]
+        if prev_slope is not None and s == prev_slope:
+            continue
+        prev_slope = s
+        k_cross = 0.0
+        while hull:
+            top = hull[-1]
+            top_c = intercepts[top]
+            if c <= top_c + tol * max(1, abs(top_c)):
+                hull.pop()
+                starts.pop()
+                continue
+            k_cross = (Fraction(c - top_c, slopes[top] - s) if exact
+                       else (c - top_c) / (slopes[top] - s))
+            if k_cross <= starts[-1]:
+                hull.pop()
+                starts.pop()
+                continue
+            break
+        hull.append(i)
+        starts.append(k_cross if len(hull) > 1 else 0.0)
+    return hull, starts
+
+
+class PerCutTwoBlock:
+    """A two-block sample evaluated cut by cut: per cut, the left and right
+    block statistics (A, V, L, D) from ``_block_stats``."""
+
+    def __init__(self, lab: TwoBlockLab, sample: Sample):
+        self.lab = lab
+        n = lab.n
+        pts = np.sort(sample.points)
+        self.per_k = []
+        for kk, c in enumerate(lab.cuts):
+            nl = int(np.searchsorted(pts, c, side="left"))
+            self.per_k.append(
+                (_block_stats(lab.left[kk], pts[:nl], 0.0, c, n)[:4],
+                 _block_stats(lab.right[kk], pts[nl:], c, 1.0, n)[:4]))
+
+    @staticmethod
+    def _part(blk, complexity: str) -> np.ndarray:
+        if complexity == "dim":
+            return np.arange(1, blk[0].size + 1, dtype=float)
+        return {"dmw": blk[1], "d_exact": blk[3]}[complexity]
+
+    def argmin(self, k_const: float, complexity: str):
+        """(key, penalty) of contrast + k_const * complexity / n, ties to
+        the smaller dimension, then the earlier cut, j1 and j2."""
+        n = self.lab.n
+        scale = k_const / (n - 1.0) if complexity == "dmw" else k_const / n
+        best_key, best = None, None
+        for kk, (left, right) in enumerate(self.per_k):
+            p1 = scale * self._part(left, complexity)
+            p2 = scale * self._part(right, complexity)
+            g1, g2 = p1 - left[0], p2 - right[0]
+            m1, m2 = g1.min(), g2.min()
+            crit = m1 + m2
+            if best_key is not None and crit > best_key[0]:
+                continue
+            tied = min((i1 + i2, i1, i2)
+                       for i1 in np.flatnonzero(g1 + m2 == crit)
+                       for i2 in np.flatnonzero(m1 + g2 == crit)
+                       if g1[i1] + g2[i2] == crit)
+            key = (crit, tied[0])
+            if best_key is None or key < best_key:
+                best_key = key
+                best = ((kk, int(tied[1]), int(tied[2])),
+                        p1[tied[1]] + p2[tied[2]])
+        return best
+
+    def oracle_loss(self) -> float:
+        best = np.inf
+        for left, right in self.per_k:
+            best = min(best, left[2].min() + right[2].min())
+        return self.lab.s_norm + best
+
+    def path(self, complexity: str) -> tuple[SlopePath, list]:
+        """The slope path and the key of each segment: one chain over the
+        lines of every cut."""
+        lines_s, lines_c, tags, delta_max = self.lines(complexity)
+        hull, starts = lower_envelope_chain(lines_s, lines_c)
+        ks = starts + [np.inf]
+        segs = tuple(PathSegment(k_lo=ks[pos], k_hi=ks[pos + 1],
+                                 model_id=_two_block_id(*tags[i]),
+                                 delta=lines_s[i], contrast=lines_c[i])
+                     for pos, i in enumerate(hull))
+        return (SlopePath(segments=segs, delta_max=float(delta_max)),
+                [tags[i] for i in hull])
+
+    def lines(self, complexity: str):
+        """(slopes, intercepts, keys, largest complexity) of the candidate
+        lines: per cut, the chains of both blocks walked in K order (their
+        Minkowski sum)."""
+        n = self.lab.n
+        lines_s: list[float] = []
+        lines_c: list[float] = []
+        tags: list[tuple[int, int, int]] = []
+        delta_max = 0.0
+        for kk, (left, right) in enumerate(self.per_k):
+            s1 = self._part(left, complexity)
+            s2 = self._part(right, complexity)
+            if complexity == "dmw":
+                s1, s2 = s1 * n / (n - 1.0), s2 * n / (n - 1.0)
+            delta_max = max(delta_max, float(s1.max() + s2.max()))
+            h1, st1 = lower_envelope_chain(s1, -left[0])
+            h2, st2 = lower_envelope_chain(s2, -right[0])
+            a = b = 0
+            while True:
+                i1, i2 = h1[a], h2[b]
+                lines_s.append(float(s1[i1] + s2[i2]))
+                lines_c.append(float(-left[0][i1] - right[0][i2]))
+                tags.append((kk, i1, i2))
+                nxt_a = st1[a + 1] if a + 1 < len(st1) else np.inf
+                nxt_b = st2[b + 1] if b + 1 < len(st2) else np.inf
+                nxt = min(nxt_a, nxt_b)
+                if not np.isfinite(nxt):
+                    break
+                if nxt_a == nxt:
+                    a += 1
+                if nxt_b == nxt:
+                    b += 1
+        return lines_s, lines_c, tags, delta_max

@@ -1,18 +1,20 @@
 """Experiment harness: ratios, reports, the fast two-block engine."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from densel import harness
-from densel.densities import PowerLaw, Uniform, density_from_config
+from densel.densities import PowerLaw, Sample, Uniform, density_from_config
 from densel.harness import (CollectionLab, Method, TwoBlockLab, _Evaluation,
                             _TwoBlockEvaluation, make_lab, parse_method,
                             penalty_sweep, run_example, summarize)
 from densel.models import build_regular_histograms
+from densel.slope import envelope_path
 from densel.rng import RngStream
-from oracles import (PerModelLab, build_two_block_collection,
+from oracles import (PerCutTwoBlock, PerModelLab, build_two_block_collection,
                      exact_histogram_slope_pick, oracle_ratio)
 
 ALL_METHODS = (Method("slope-dim"), Method("resampling"),
@@ -208,14 +210,84 @@ def test_thread_pool_capped_at_reps_and_cpus(monkeypatch):
                 assert np.array_equal(rep.ratios[m], serial.ratios[m])
 
 
+def _two_block_samples():
+    """(n, density, sample): 17 draws for each n and density, plus samples
+    whose points all lie above 0.9 or below 0.1 (empty left or right
+    blocks at most cuts)."""
+    for n in (2, 3, 5, 7, 13, 40):
+        for d, density in enumerate((PowerLaw(), Uniform(), STEP)):
+            for rep in range(17):
+                yield n, density, density.sample(
+                    n, RngStream(29, 100 * n + 20 * d + rep, "data"))
+        for lo in (0.9, 0.0):
+            gen = np.random.default_rng(n)
+            pts = np.sort(lo + 0.1 * gen.random(n))
+            yield n, PowerLaw(), Sample(pts)
+
+
+def test_two_block_selections_match_per_cut_forms(monkeypatch):
+    """The array selections of the two-block lab give exactly what the
+    per-cut forms give: the merged lines of every cut (for ``dmw``; ``dim``
+    keeps one line per dimension), the slope path (segments, K, delta,
+    contrast and keys compared with ==), the argmin and the oracle loss,
+    bit for bit."""
+    seen = []
+    monkeypatch.setattr(harness, "envelope_path", lambda c, d, ids, *rest: (
+        seen.append((d.tolist(), c.tolist(), [ids(i) for i in range(d.size)]))
+        or envelope_path(c, d, ids, *rest)))
+    labs, count = {}, 0
+    for n, density, sample in _two_block_samples():
+        if (n, density.kind) not in labs:
+            labs[n, density.kind] = TwoBlockLab(n, density)
+        lab = labs[n, density.kind]
+        ev, per_cut = lab.evaluate(sample), PerCutTwoBlock(lab, sample)
+        for complexity in ("dim", "dmw"):
+            seen.clear()
+            path, keys = ev._path(complexity)
+            assert (path, keys) == per_cut.path(complexity), (n, complexity)
+            assert ev.path(complexity) == path
+            if complexity == "dmw":
+                lines_s, lines_c, tags, _ = per_cut.lines(complexity)
+                assert seen[0] == (lines_s, lines_c, [
+                    harness._two_block_id(*tag) for tag in tags])
+        for complexity in ("dim", "dmw", "d_exact"):
+            for k_const in (0.0, 0.5, 2.0, 3.7):
+                assert (ev._argmin(k_const, complexity)
+                        == per_cut.argmin(k_const, complexity))
+        assert ev.oracle_loss() == per_cut.oracle_loss()
+        count += 1
+    assert count >= 300
+
+
+def test_two_block_path_memory_within_evaluate():
+    """At n = 100 neither slope path holds more memory at its peak than
+    the evaluation of the sample does."""
+    lab = TwoBlockLab(100, PowerLaw())
+    sample = PowerLaw().sample(100, RngStream(30, 0, "data"))
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = fn()
+            return tracemalloc.get_traced_memory()[1] - base, out
+        finally:
+            tracemalloc.stop()
+
+    limit, ev = peak(lambda: lab.evaluate(sample))
+    for complexity in ("dim", "dmw"):
+        assert peak(lambda: ev.path(complexity))[0] <= limit, complexity
+
+
 def _two_block_eval(left_a, right_a):
     """A two-block evaluation of n = 4 from per-cut A arrays alone."""
-    def block(a):
-        a = np.asarray(a, dtype=float)
-        return a, np.zeros_like(a), np.zeros_like(a), np.zeros_like(a)
-    lab = SimpleNamespace(n=4, s_norm=0.0)
-    return _TwoBlockEvaluation(lab=lab, per_k=[
-        (block(la), block(ra)) for la, ra in zip(left_a, right_a)])
+    contrast = np.full((2, 3, 3), np.inf)
+    for side, blocks in enumerate((left_a, right_a)):
+        for kk, a in enumerate(blocks):
+            contrast[side, kk, :len(a)] = -np.asarray(a, dtype=float)
+    lab = SimpleNamespace(n=4, s_norm=0.0, d_exact=np.zeros((2, 3, 3)))
+    return _TwoBlockEvaluation(lab=lab, contrast=contrast,
+                               var=np.zeros((2, 3, 3)), loss=np.zeros((2, 3, 3)))
 
 
 def test_ties_go_to_criterion_then_dim_then_order():

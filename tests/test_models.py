@@ -9,8 +9,8 @@ from scipy import integrate
 from densel.conclab import simulate_model_statistics
 from densel.densities import Density, PiecewiseConstant, PowerLaw, Uniform
 from densel.models import (build_fourier_collection, build_regular_histograms,
-                           exact_quantities, fourier_model, histogram_model,
-                           scale_constants)
+                           exact_quantities, fourier_basis_matrix,
+                           fourier_model, histogram_model, scale_constants)
 from densel.rng import RngStream
 from oracles import (basis_eval, build_two_block_collection, two_block_breaks,
                      two_block_params)
@@ -229,6 +229,22 @@ def test_fourier_coeffs_memory_independent_of_cutoff():
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+def test_fourier_basis_matrix_memory():
+    """The basis matrix is allocated once: the traced peak stays within
+    1.25 times the bytes of the result."""
+    x = np.random.default_rng(7).random((300, 100))
+    for j in (1, 10):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = fourier_basis_matrix(j, x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (300, 100, 2 * j + 1)
+        assert peak <= 1.25 * out.nbytes, j
 
 
 @pytest.mark.parametrize("model", [

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from densel.slope import (LOG_THRESHOLD, MAX_JUMP, NoJumpError, detect_kmin,
-                          slope_pick)
-from oracles import PenaltyValue, select, slope_path
+                          lower_envelope, slope_pick)
+from oracles import PenaltyValue, lower_envelope_chain, select, slope_path
 
 ABC = [("A", -1.0, 10.0), ("B", -0.5, 4.0), ("C", 0.0, 1.0)]
 
@@ -163,6 +163,68 @@ def test_negative_complexity_rejected():
         slope_path([("a", 0.0, -1.0)])
     with pytest.raises(ValueError):
         slope_path([])
+
+
+# ---------------------------------------------------------------------------
+# lower_envelope against one chain per set of lines
+# ---------------------------------------------------------------------------
+
+def _lines(gen, m):
+    """m lines with repeated slopes, exact and within-tolerance intercept
+    ties, and collinear runs."""
+    kind = gen.integers(4)
+    if kind == 0:                                  # integer slopes, ties
+        slopes = gen.integers(0, 6, size=m).astype(float)
+        intercepts = gen.integers(-4, 4, size=m) / 4.0
+    elif kind == 1:                                # collinear through 0
+        slopes = gen.permutation(m).astype(float) + 1.0
+        intercepts = -slopes * 0.1 / 97.0
+    elif kind == 2:                                # near-ties at K = 0
+        slopes = gen.random(m) * 5.0
+        intercepts = -1.0 + gen.integers(0, 3, size=m) * 4e-13
+    else:
+        slopes = gen.random(m) * 20.0
+        intercepts = gen.normal(size=m)
+    return slopes, intercepts
+
+
+def test_float_hull_matches_chain_row_by_row():
+    """One row or a batch with NaN padding, ascending or unsorted rows:
+    every row's pieces and starts are those of the chain, exactly."""
+    gen = np.random.default_rng(5)
+    for _ in range(300):
+        rows, width = int(gen.integers(1, 7)), int(gen.integers(1, 30))
+        slopes = np.full((rows, width), np.nan)
+        intercepts = np.zeros((rows, width))
+        for r in range(rows):
+            s, c = _lines(gen, int(gen.integers(1, width + 1)))
+            if gen.random() < 0.3:                 # increasing slopes
+                s = np.unique(s)
+                c = c[:s.size]
+            at = (np.arange(s.size) if gen.random() < 0.5 else
+                  np.sort(gen.choice(width, s.size, replace=False)))
+            slopes[r, at], intercepts[r, at] = s, c
+        idx, starts = lower_envelope(slopes, intercepts)
+        row, col = np.divmod(idx, width)
+        for r in range(rows):
+            at = np.flatnonzero(~np.isnan(slopes[r]))
+            hull, ks = lower_envelope_chain(slopes[r, at], intercepts[r, at])
+            assert col[row == r].tolist() == at[hull].tolist()
+            assert starts[row == r].tolist() == ks
+        if rows == 1:
+            one = lower_envelope(slopes[0], intercepts[0])
+            assert np.array_equal(one[0], idx) and np.array_equal(one[1], starts)
+
+
+def test_integer_hull_matches_fraction_chain():
+    gen = np.random.default_rng(6)
+    for _ in range(200):
+        m = int(gen.integers(1, 60))
+        slopes = gen.integers(0, 12, size=m)
+        intercepts = gen.integers(-40, 40, size=m) * gen.integers(1, 4, size=m)
+        hull, starts = lower_envelope(slopes, intercepts)
+        assert (hull.tolist(), starts.tolist()) == lower_envelope_chain(
+            slopes, intercepts)
 
 
 # ---------------------------------------------------------------------------
