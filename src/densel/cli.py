@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 
 from . import harness, report
 from .conclab import (check_p_concentration, check_resampling_concentration,
@@ -315,6 +316,10 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _warning_line(message, *_):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -326,7 +331,9 @@ def main(argv: list[str] | None = None) -> int:
                    "simulate": _cmd_simulate,
                    "conc-check": _cmd_conc_check,
                    "sweep": _cmd_sweep}[args.command]
-        return handler(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line    # one stderr line each
+            return handler(args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

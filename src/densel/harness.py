@@ -13,27 +13,28 @@ the CLI included, picks from an evaluation through two operations:
 path, on which ``slope.slope_pick`` makes the slope heuristic's pick.  Both
 break ties on the criterion, then the dimension, then enumeration order.
 
-Both histogram families run on one block engine: ``_block_tables`` holds
-the cell probabilities of j = 1..jmax equal cells on a block [lo, hi), and
-``_block_stats`` turns one sample's points in that block into every j's
-statistics at once.  ``CollectionLab`` runs it on the single block [0, 1]
-for the regular histograms, whose slope paths are integer lines decided
-exactly, and keeps the nested Fourier models as arrays.  ``TwoBlockLab``
-runs it on the two blocks of every cut: each per-model statistic splits
-into a left part depending on (k, j1) and a right part depending on
-(k, j2), held as (side, cut, cells) arrays, so the argmin over roughly
-n^3/6 models costs O(n^2) array work per replication.  The path takes the
-lower envelopes of all blocks in one batched hull, merges each cut's two
-envelopes by their breakpoints, and runs the hull once more on the merged
-lines.  The per-model loop both are checked against, and the per-cut
-forms of the two-block selections, are in ``tests/oracles.py``.
+Both histogram families run on one block engine over a row of blocks
+[lo, hi): ``_block_row`` holds the cell probabilities of j = 1..J equal
+cells of every block, ``_bin_counts`` bins one sample's points in every
+block for every j, one pass per chunk of blocks whose (points x cells)
+index array fits ``CHUNK_BYTES``, and ``_row_stats`` turns the sums into
+each j's statistics.  ``CollectionLab`` runs it on the single block
+[0, 1] for the regular histograms, whose slope paths are integer lines
+decided exactly, and keeps the nested Fourier models as arrays.
+``TwoBlockLab`` runs it on the row of all cuts' left blocks, then right
+blocks: each per-model statistic splits into a left part depending on
+(k, j1) and a right part depending on (k, j2), held as (side, cut, cells)
+arrays, so the argmin over roughly n^3/6 models costs O(n^2) array work
+per replication.  The path takes the lower envelopes of all blocks in one
+batched hull, merges each cut's two envelopes by their breakpoints, and
+runs the hull once more on the merged lines.  The per-model loop both
+are checked against, and the block-by-block forms of the two-block
+evaluation and selections, are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -182,13 +183,14 @@ class _LabEvaluation:
 
 
 # ---------------------------------------------------------------------------
-# The block engine: j = 1..jmax equal cells on one block [lo, hi)
+# The block engine: j = 1..J equal cells on each block of a row
 # ---------------------------------------------------------------------------
 
 def _block_tables(density: Density, lo: float, hi: float, jmax: int,
-                  mass: float):
+                  mass: float, out: np.ndarray | None = None):
     """Flat cell-probability tables for j = 1..jmax cells on [lo, hi):
-    (starts, pop, js, d_vec), with one ``cdf`` call over every edge."""
+    (starts, pop, js, d_vec), with one ``cdf`` call over every edge; pop
+    is written into ``out`` when given."""
     js = np.arange(1, jmax + 1)
     starts = np.concatenate(([0], np.cumsum(js)[:-1]))
     first = starts + np.arange(jmax)         # edge 0 of each j; j has j + 1
@@ -196,36 +198,139 @@ def _block_tables(density: Density, lo: float, hi: float, jmax: int,
     edges = np.clip(lo + (hi - lo) * i / np.repeat(js, js + 1), 0.0, 1.0)
     edges[first], edges[first + js] = lo, hi  # pin float tails of the ends
     cdf = np.asarray(density.cdf(edges))
-    pop = np.delete(np.diff(cdf), (first + js)[:-1])  # drop j -> j+1 steps
+    cell = np.ones(cdf.size - 1, dtype=bool)
+    cell[(first + js)[:-1]] = False          # drop the j -> j+1 steps
+    pop = np.compress(cell, np.diff(cdf), out=out)
     sumsq = np.add.reduceat(pop * pop, starts)
     width_inv = js / (hi - lo)           # 1/cell width per j
     d_vec = width_inv * (mass - sumsq)
     return starts, pop, js, d_vec
 
 
-def _block_stats(tables, x: np.ndarray, lo: float, hi: float, n: int):
-    """A (sum sq coeffs), V (variance part of dmw), L (loss part), D and
-    T = sum c^2 over the cells (integers), per j, of the points x in the
-    block, for a sample of size n.
+# A chunk of blocks keeps its (points x cells) index array of n points per
+# block within this many bytes; a block larger than that is a chunk alone.
+CHUNK_BYTES = 256 * 1024
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
+@dataclass(frozen=True)
+class _BlockRow:
+    """A row of blocks [lo_b, lo_b + width_b), each cut into j = 1..cells_b
+    equal cells for every j, with the cell probabilities of all of them.
+
+    The tables come in chunks of consecutive blocks.  A chunk pads each of
+    its blocks to its largest cell count J with probability 0, so a block
+    holds J (J + 1) / 2 cells there, segment j starting at j (j - 1) / 2;
+    ``chunks`` holds (first block, end block, J, offset into ``pop``).
+    ``d`` is D per (block, j - 1), 0 past a block's cells.
+    """
+
+    lo: np.ndarray
+    width: np.ndarray
+    pop: np.ndarray
+    chunks: tuple
+    d: np.ndarray
+
+
+def _block_row(density: Density, lo, hi, mass, cells, n: int) -> _BlockRow:
+    """The tables of blocks [lo_b, hi_b) of mass mass_b with j = 1..cells_b
+    cells, chunked so that n points per block stay within CHUNK_BYTES."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    cells = np.asarray(cells, dtype=np.int64)
+    bounds, b0, jmax = [], 0, 0
+    for b, j in enumerate(cells.tolist()):
+        if b > b0 and (b + 1 - b0) * n * max(jmax, j) * 8 > CHUNK_BYTES:
+            bounds.append((b0, b, jmax))
+            b0, jmax = b, 0
+        jmax = max(jmax, j)
+    bounds.append((b0, cells.size, jmax))
+    chunks, offset = [], 0
+    for b0, b1, jmax in bounds:
+        chunks.append((b0, b1, jmax, offset))
+        offset += (b1 - b0) * (jmax * (jmax + 1) // 2)
+    pop = np.zeros(offset)
+    d = np.zeros((cells.size, int(cells.max())))
+    for b0, b1, jmax, offset in chunks:
+        size = jmax * (jmax + 1) // 2
+        for b in range(b0, b1):
+            at = offset + (b - b0) * size
+            d[b, :cells[b]] = _block_tables(
+                density, lo[b], hi[b], cells[b], mass[b],
+                pop[at:at + cells[b] * (cells[b] + 1) // 2])[3]
+    return _BlockRow(lo=lo, width=hi - lo, pop=pop, chunks=tuple(chunks),
+                     d=d)
+
+
+def _bin_counts(row: _BlockRow, pts: np.ndarray, first: np.ndarray,
+                count: np.ndarray):
+    """T = sum c^2 and W = sum c pop over the cells, per (block, j - 1), of
+    the points pts[first_b:first_b + count_b] in each block b (T holds
+    integers).  Entries past a block's cells hold no sum.
+
+    One pass per chunk bins all its (block, point) pairs for every j at
+    once.  The sums run over the same (block, j) segments of cells as a
+    block-by-block loop would, so they are the same floats."""
+    end = np.cumsum(count)
+    pairs = int(end[-1])
+    # the pairs in block order, as points y in [0, 1): with y below one,
+    # fl(y j) < j, so y = 1 falls into cell j - 1 with no clamp on cells;
+    # the O(n^2) pair arrays go as soon as y is made, to keep the peak low
+    block = np.repeat(np.arange(count.size), count)
+    at = (first - end + count)[block]
+    at += np.arange(pairs)
+    y = pts[at]
+    del at
+    y -= row.lo[block]
+    y /= row.width[block]
+    del block
+    np.minimum(y, _BELOW_ONE, out=y)
+    t = np.zeros(row.d.shape)
+    w = np.zeros(row.d.shape)
+    js = np.arange(1, row.d.shape[1] + 1)
+    seg = js * (js - 1) // 2
+    js = js.astype(float)
+    buf = np.empty(max((end[b1 - 1] - end[b0] + count[b0]) * jmax
+                       for b0, b1, jmax, _ in row.chunks), dtype=np.int64)
+    for b0, b1, jmax, offset in row.chunks:
+        p0, p1 = end[b0] - count[b0], end[b1 - 1]
+        if p0 == p1:
+            continue
+        size = jmax * (jmax + 1) // 2
+        base = np.arange(0, (b1 - b0) * size, size)   # each block's table
+        idx = buf[:(p1 - p0) * jmax].reshape(p1 - p0, jmax)
+        np.multiply(y[p0:p1, None], js[:jmax], out=idx, casting="unsafe")
+        idx += seg[:jmax]
+        idx += np.repeat(base, count[b0:b1])[:, None]
+        c = np.bincount(idx.ravel(), minlength=base.size * size)
+        starts = (base[:, None] + seg[:jmax]).ravel()
+        t[b0:b1, :jmax] = np.add.reduceat(c * c, starts).reshape(-1, jmax)
+        w[b0:b1, :jmax] = np.add.reduceat(
+            c * row.pop[offset:offset + base.size * size],
+            starts).reshape(-1, jmax)
+    return t, w
+
+
+def _row_stats(row: _BlockRow, t: np.ndarray, w: np.ndarray,
+               count: np.ndarray, n: int):
+    """A (sum sq coeffs), V (variance part of dmw) and L (loss part) per
+    (block, j - 1) from the sums of ``_bin_counts``, for a sample of size
+    n; V and L are built in the arrays of T and W.
 
     V = sum c (n - c) / (n^2 w) over the cells, never negative."""
-    starts, pop, js, d_vec = tables
-    total = starts[-1] + js[-1]
-    if x.size:
-        y = (x - lo) / (hi - lo)
-        idx = (y[:, None] * js[None, :]).astype(np.int64)
-        np.minimum(idx, js[None, :] - 1, out=idx)
-        flat = (idx + starts[None, :]).ravel()
-        counts = np.bincount(flat, minlength=total).astype(float)
-    else:
-        counts = np.zeros(total)
-    t_sq = np.add.reduceat(counts * counts, starts)
-    w_pop = np.add.reduceat(counts * pop, starts)
-    width_inv = js / (hi - lo)
-    a = width_inv * t_sq / (n * n)
-    v = width_inv * (x.size - t_sq / n) / n
-    loss_part = a - 2.0 * width_inv * w_pop / n
-    return a, v, loss_part, d_vec, t_sq
+    width_inv = np.arange(1, row.d.shape[1] + 1) / row.width[:, None]
+    a = width_inv * t
+    a /= n * n
+    # L = A - 2 (1/w) W / n, doubling being exact
+    w *= 2.0
+    w *= width_inv
+    w /= n
+    np.subtract(a, w, out=w)
+    # V = (1/w) (count - T / n) / n
+    t /= n
+    np.subtract(count[:, None], t, out=t)
+    t *= width_inv
+    t /= n
+    return a, t, w
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +356,9 @@ class CollectionLab:
         self.dims = np.array([m.dim for m in collection], dtype=float)
         self.s_norm = density.l2_norm_sq()
         if self.kind == "regular-hist":
-            self.block = _block_tables(density, 0.0, 1.0, self.n, 1.0)
-            d_exact = self.block[3]
+            self.block = _block_row(density, [0.0], [1.0], [1.0], [self.n],
+                                    self.n)
+            d_exact = self.block.d[0]
         elif self.kind == "fourier":
             big = max(collection, key=lambda m: m.dim)
             self.pop = exact_quantities(big, density, self.n).pop_coeffs
@@ -269,13 +375,17 @@ class CollectionLab:
     def evaluate(self, sample: Sample):
         n = sample.n
         if self.kind == "regular-hist":
-            a, v, loss_part, _, t_sq = _block_stats(self.block, sample.points,
-                                                    0.0, 1.0, n)
+            count = np.array([n])
+            t, w = _bin_counts(self.block, sample.points,
+                               np.zeros(1, dtype=np.int64), count)
+            t_sq = t[0].astype(np.int64)
+            a, v, loss_part = (s[0] for s in _row_stats(self.block, t, w,
+                                                         count, n))
             dmws = v * n / (n - 1.0) if n >= 2 else np.full(a.size, np.nan)
             return _HistogramEvaluation(
                 ids=self.ids, dims=self.dims, contrasts=-a, dmws=dmws,
                 losses=self.s_norm + loss_part, d_exact=self.d_exact,
-                n=self.n, t_sq=t_sq.astype(np.int64))
+                n=self.n, t_sq=t_sq)
         mat = fourier_basis_matrix(self.pop.size // 2, sample.points)
         coeffs = mat.mean(axis=0)
         var = (mat ** 2).mean(axis=0) - coeffs ** 2
@@ -359,8 +469,11 @@ class TwoBlockLab:
     """Separable evaluation of the two-block family.
 
     For a model (k, j1, j2) every statistic is a sum of a left term indexed
-    by (k, j1) and a right term indexed by (k, j2); all left (right) terms
-    for one k come at once from the block engine.  An evaluation keeps them
+    by (k, j1) and a right term indexed by (k, j2).  The block engine gives
+    all of them at once from one row of blocks, the left blocks of every
+    cut and then the right ones: its binning pass runs over chunks of
+    consecutive blocks, and its tables are one padded array for the whole
+    row rather than one table per block.  An evaluation keeps them
     as (2, n-1, n-1) arrays indexed by (side, cut k - 1, cells j - 1), side
     0 the left block [0, k/n) with j <= k cells and side 1 the right block
     with j <= n - k; ``valid`` marks the existing entries, ``d_exact``
@@ -383,37 +496,31 @@ class TwoBlockLab:
         m = n - 1
         cells = np.stack((np.arange(1, n), np.arange(m, 0, -1)))
         self.valid = np.arange(m) < cells[:, :, None]
-        self.left = []            # per k: (starts, pop_flat, counts_of_js, d_vec)
-        self.right = []
-        self.d_exact = np.zeros((2, m, m))
-        self.d_max = 0.0
-        for kk, k in enumerate(range(1, n)):
-            c = self.cuts[kk]
-            self.left.append(_block_tables(density, 0.0, c, k, fcut[kk]))
-            self.right.append(_block_tables(density, c, 1.0, n - k,
-                                            1.0 - fcut[kk]))
-            self.d_exact[0, kk, :k] = self.left[-1][3]
-            self.d_exact[1, kk, :n - k] = self.right[-1][3]
-            self.d_max = max(self.d_max,
-                             self.left[-1][3].max() + self.right[-1][3].max())
+        # the left blocks [0, k/n) for k = 1..n-1, then the right blocks
+        self.blocks = _block_row(
+            density, np.concatenate((np.zeros(m), self.cuts)),
+            np.concatenate((self.cuts, np.ones(m))),
+            np.concatenate((fcut, 1.0 - fcut)), cells.ravel(), n)
+        self.d_exact = self.blocks.d.reshape(2, m, m)
+        self.d_max = float(np.where(self.valid, self.d_exact, -np.inf)
+                           .max(axis=2).sum(axis=0).max())
 
     def evaluate(self, sample: Sample):
         n, m = self.n, self.n - 1
         pts = sample.points if sample.sorted_flag else np.sort(sample.points)
         n_left = np.searchsorted(pts, self.cuts, side="left")
-        contrast = np.full((2, m, m), np.inf)
-        var = np.zeros((2, m, m))
-        loss = np.full((2, m, m), np.inf)
-        for kk in range(m):
-            c = self.cuts[kk]
-            for side, stats in enumerate((
-                    _block_stats(self.left[kk], pts[:n_left[kk]], 0.0, c, n),
-                    _block_stats(self.right[kk], pts[n_left[kk]:], c, 1.0,
-                                 n))):
-                j = stats[0].size
-                np.negative(stats[0], out=contrast[side, kk, :j])
-                var[side, kk, :j] = stats[1]
-                loss[side, kk, :j] = stats[2]
+        count = np.concatenate((n_left, n - n_left))
+        first = np.concatenate((np.zeros(m, dtype=np.int64), n_left))
+        a, v, loss_part = _row_stats(
+            self.blocks, *_bin_counts(self.blocks, pts, first, count),
+            count, n)
+        invalid = ~self.valid
+        contrast = np.negative(a, out=a).reshape(2, m, m)
+        contrast[invalid] = np.inf
+        var = v.reshape(2, m, m)
+        var[invalid] = 0.0
+        loss = loss_part.reshape(2, m, m)
+        loss[invalid] = np.inf
         return _TwoBlockEvaluation(lab=self, contrast=contrast, var=var,
                                    loss=loss)
 
@@ -629,6 +736,9 @@ def _run_reps(lab, task, seed: int, reps: int, threads: int):
     if workers <= 1:
         _init_worker(lab, task, seed)
         return [_one_rep(r) for r in range(reps)]
+    # imported here: a serial run never pays for the pool's modules
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     ctx = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
                              initializer=_init_worker,

@@ -18,12 +18,14 @@ below is the explicit, per-model version of one of their steps:
 * the slope pick on regular histograms in ``Fraction`` arithmetic, walked
   along the envelope without a hull;
 * the lower envelope as one monotone chain per set of lines, and the
-  two-block selections cut by cut: per-cut argmin, oracle loss, and the
-  slope path merged from each cut's two block chains.
+  two-block lab cut by cut: each block's statistics binned on their own,
+  and the per-cut argmin, oracle loss, and slope path merged from each
+  cut's two block chains.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -33,7 +35,7 @@ import numpy as np
 from densel import models
 from densel.densities import Density, Sample
 from densel.fitting import FittedModel, fit_model, histogram_counts, p_term
-from densel.harness import (Method, TwoBlockLab, _block_stats,
+from densel.harness import (Method, TwoBlockLab, _block_tables,
                             _Evaluation, _two_block_id)
 from densel.models import (ExactModelQuantities, ModelCollection, ModelSpec,
                            exact_quantities, fourier_basis_matrix,
@@ -429,20 +431,72 @@ def lower_envelope_chain(slopes, intercepts) -> tuple[list[int], list]:
     return hull, starts
 
 
+def block_stats(tables, x: np.ndarray, lo: float, hi: float, n: int):
+    """A (sum sq coeffs), V (variance part of dmw), L (loss part), D and
+    T = sum c^2 over the cells, per j, of the points x in one block
+    [lo, hi), binned on their own with the cell index clamped to j - 1;
+    ``tables`` is the block's ``_block_tables``."""
+    starts, pop, js, d_vec = tables
+    total = starts[-1] + js[-1]
+    if x.size:
+        y = (x - lo) / (hi - lo)
+        idx = (y[:, None] * js[None, :]).astype(np.int64)
+        np.minimum(idx, js[None, :] - 1, out=idx)
+        flat = (idx + starts[None, :]).ravel()
+        counts = np.bincount(flat, minlength=total).astype(float)
+    else:
+        counts = np.zeros(total)
+    t_sq = np.add.reduceat(counts * counts, starts)
+    w_pop = np.add.reduceat(counts * pop, starts)
+    width_inv = js / (hi - lo)
+    a = width_inv * t_sq / (n * n)
+    v = width_inv * (x.size - t_sq / n) / n
+    loss_part = a - 2.0 * width_inv * w_pop / n
+    return a, v, loss_part, d_vec, t_sq
+
+
+_PER_CUT_TABLES = weakref.WeakKeyDictionary()
+
+
+def per_cut_tables(lab: TwoBlockLab):
+    """The ``_block_tables`` of each cut's left and right block."""
+    if lab not in _PER_CUT_TABLES:
+        n, fcut = lab.n, np.asarray(lab.density.cdf(lab.cuts))
+        _PER_CUT_TABLES[lab] = [
+            (_block_tables(lab.density, 0.0, c, k, fcut[k - 1]),
+             _block_tables(lab.density, c, 1.0, n - k, 1.0 - fcut[k - 1]))
+            for k, c in enumerate(lab.cuts, start=1)]
+    return _PER_CUT_TABLES[lab]
+
+
+def per_cut_arrays(lab: TwoBlockLab, sample: Sample):
+    """The (side, cut, cells) contrast, var and loss arrays of a two-block
+    evaluation, block by block through ``block_stats``."""
+    m = lab.n - 1
+    contrast, loss = np.full((2, m, m), np.inf), np.full((2, m, m), np.inf)
+    var = np.zeros((2, m, m))
+    for kk, blocks in enumerate(PerCutTwoBlock(lab, sample).per_k):
+        for side, (a, v, loss_part, _) in enumerate(blocks):
+            contrast[side, kk, :a.size] = -a
+            var[side, kk, :a.size] = v
+            loss[side, kk, :a.size] = loss_part
+    return contrast, var, loss
+
+
 class PerCutTwoBlock:
     """A two-block sample evaluated cut by cut: per cut, the left and right
-    block statistics (A, V, L, D) from ``_block_stats``."""
+    block statistics (A, V, L, D) from ``block_stats``."""
 
     def __init__(self, lab: TwoBlockLab, sample: Sample):
         self.lab = lab
         n = lab.n
         pts = np.sort(sample.points)
         self.per_k = []
-        for kk, c in enumerate(lab.cuts):
+        for c, (left, right) in zip(lab.cuts, per_cut_tables(lab)):
             nl = int(np.searchsorted(pts, c, side="left"))
             self.per_k.append(
-                (_block_stats(lab.left[kk], pts[:nl], 0.0, c, n)[:4],
-                 _block_stats(lab.right[kk], pts[nl:], c, 1.0, n)[:4]))
+                (block_stats(left, pts[:nl], 0.0, c, n)[:4],
+                 block_stats(right, pts[nl:], c, 1.0, n)[:4]))
 
     @staticmethod
     def _part(blk, complexity: str) -> np.ndarray:

@@ -218,6 +218,28 @@ def test_import_skips_quadrature_module():
     assert out.strip().splitlines()[-1] == "[0, 0] []"
 
 
+def test_import_skips_process_pool():
+    """Only a run on more than one worker loads the process pool."""
+    code = textwrap.dedent("""
+        import sys, densel.cli
+        print([m for m in ("multiprocessing", "concurrent.futures")
+               if m in sys.modules])""")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip().splitlines()[-1] == "[]"
+
+
+def test_conc_check_warnings_one_line_each(capsys):
+    """Each insufficient-resolution warning is one ``warning:`` line on
+    stderr, without the source line that raised it."""
+    code = main(["conc-check", "--bound", "resampling", "--n", "20",
+                 "--reps", "2000", "--seed", "3"])
+    assert code in (0, 1)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err and all(line.startswith("warning: ") for line in err)
+    assert all("insufficient" in line for line in err)
+
+
 def test_two_block_dmw_path_nonnegative(tmp_path):
     # dmw once cancelled below zero on this sample and the command failed
     out = tmp_path / "path.csv"

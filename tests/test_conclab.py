@@ -1,5 +1,7 @@
 """Concentration lab: tail reports, identities, regularization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from densel.conclab import (check_p_concentration,
                             simulate_model_statistics)
 from densel.densities import PowerLaw, Uniform
 from densel.models import (build_regular_histograms, fourier_model,
-                           histogram_model)
+                           histogram_model, regular_histogram)
 from densel.rng import RngStream
 
 MODEL10 = build_regular_histograms(10).models[-1]
@@ -37,6 +39,22 @@ def test_simulation_chunking_invariant(monkeypatch):
         a, b = run(model, conclab.CHUNK_BYTES), run(model, 1)
         for key in ("p", "dmw", "u"):
             assert np.array_equal(a[key], b[key])
+
+
+@pytest.mark.parametrize("model", [regular_histogram(20), fourier_model(10)],
+                         ids=["reg-hist:d=20", "fourier:j=10"])
+def test_ustat_memory_within_chunk_budget(model):
+    """At n = 1000 the (n, n) Gram array of one replication alone is 8 MB:
+    the U-statistic run peaks within three chunk budgets."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        simulate_model_statistics(model, PowerLaw(), 1000, 3,
+                                  RngStream(12, 0, "mem"), compute_u=True)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * conclab.CHUNK_BYTES
 
 
 def test_p_concentration_passes():

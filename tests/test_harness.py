@@ -1,5 +1,6 @@
 """Experiment harness: ratios, reports, the fast two-block engine."""
 
+import concurrent.futures
 import tracemalloc
 from types import SimpleNamespace
 
@@ -14,8 +15,9 @@ from densel.harness import (CollectionLab, Method, TwoBlockLab, _Evaluation,
 from densel.models import build_regular_histograms
 from densel.slope import envelope_path
 from densel.rng import RngStream
-from oracles import (PerCutTwoBlock, PerModelLab, build_two_block_collection,
-                     exact_histogram_slope_pick, oracle_ratio)
+from oracles import (PerCutTwoBlock, PerModelLab, block_stats,
+                     build_two_block_collection, exact_histogram_slope_pick,
+                     oracle_ratio, per_cut_arrays)
 
 ALL_METHODS = (Method("slope-dim"), Method("resampling"),
                Method("resampling-slope"), Method("ideal", 2.0))
@@ -139,7 +141,7 @@ def test_block_labs_match_per_model_oracle(density):
 
 def test_both_histogram_labs_run_the_block_engine(monkeypatch):
     calls = []
-    for name in ("_block_tables", "_block_stats"):
+    for name in ("_block_tables", "_bin_counts", "_row_stats"):
         fn = getattr(harness, name)
         monkeypatch.setattr(harness, name, lambda *a, _fn=fn, _name=name:
                             calls.append(_name) or _fn(*a))
@@ -147,7 +149,88 @@ def test_both_histogram_labs_run_the_block_engine(monkeypatch):
         calls.clear()
         make_lab(kind, 6, PowerLaw()).evaluate(
             PowerLaw().sample(6, RngStream(26, 0, "data")))
-        assert {"_block_tables", "_block_stats"} <= set(calls), kind
+        assert {"_block_tables", "_bin_counts", "_row_stats"} <= set(calls), \
+            kind
+
+
+def _edge_samples(n: int):
+    """Hand-made samples of size n: points exactly at the cuts k/n, just
+    below and above them, at 0 and at 1; and samples that leave the left
+    or the right block of most cuts empty."""
+    cuts = np.arange(1, n) / n
+    edges = np.concatenate(([0.0, 1.0], cuts, np.nextafter(cuts, 0.0),
+                            np.nextafter(cuts, 1.0)))
+    gen = np.random.default_rng(n)
+    yield np.resize(edges, n)
+    yield gen.choice(edges, n)
+    yield np.full(n, 1.0)
+    yield np.full(n, 0.0)
+    yield np.full(n, np.nextafter(1.0, 0.0))
+    for lo in (0.9, 0.0):
+        yield lo + 0.1 * gen.random(n)
+
+
+def test_block_engine_matches_block_by_block_oracle():
+    """Both labs give the same floats as the block-by-block loop with the
+    clamp on the cell index: contrast, var and loss of every two-block
+    block, and every regular histogram's contrast, dmw, loss and T, over
+    random and hand-made samples."""
+    count = 0
+    for n in (2, 3, 7, 13, 40, 100):
+        for density in (PowerLaw(), Uniform(), STEP):
+            lab, hist = TwoBlockLab(n, density), make_lab("regular-hist", n,
+                                                          density)
+            tables = harness._block_tables(density, 0.0, 1.0, n, 1.0)
+            draws = [density.sample(n, RngStream(31, 10 * n + rep, "data"))
+                     for rep in range(3 if n == 100 else 8)]
+            for sample in draws + [Sample(np.sort(p), sorted_flag=True)
+                                   for p in _edge_samples(n)]:
+                ev = lab.evaluate(sample)
+                for got, want in zip((ev.contrast, ev.var, ev.loss),
+                                     per_cut_arrays(lab, sample)):
+                    assert np.array_equal(got, want), (n, density.kind)
+                a, v, loss_part, _, t_sq = block_stats(tables, sample.points,
+                                                       0.0, 1.0, n)
+                ev = hist.evaluate(sample)
+                assert np.array_equal(ev.contrasts, -a)
+                assert np.array_equal(ev.t_sq, t_sq.astype(np.int64))
+                assert np.array_equal(ev.losses, hist.s_norm + loss_part)
+                assert np.array_equal(ev.dmws, v * n / (n - 1.0))
+                count += 1
+    assert count == 255
+
+
+def test_cell_clamp_on_points():
+    """Clamping the points y to the largest double below one puts every
+    point into the cell that clamping its cell index to j - 1 does:
+    floor(fl(y j)) for y < 1, and j - 1 for y = 1."""
+    js = np.arange(1, 100_001, dtype=float)
+    below = np.nextafter(1.0, 0.0)
+    for y in (1.0, below, np.nextafter(below, 0.0), 1.0 - 1e-15, 0.999999,
+              1.0 - 1.0 / 3.0, 0.5, 0.0):
+        got = (min(y, below) * js).astype(np.int64)
+        want = np.minimum((y * js).astype(np.int64), js.astype(np.int64) - 1)
+        assert np.array_equal(got, want), y
+    assert np.all((below * js).astype(np.int64) == js - 1)
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_two_block_evaluate_memory_bounded(n):
+    """Above its three (2, n-1, n-1) outputs, an evaluation holds at its
+    peak no more than one chunk of the binning pass and a few arrays of
+    n^2 floats; the cell tables themselves grow like n^3."""
+    lab = TwoBlockLab(n, PowerLaw())
+    sample = PowerLaw().sample(n, RngStream(32, 0, "data"))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ev = lab.evaluate(sample)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    outputs = ev.contrast.nbytes + ev.var.nbytes + ev.loss.nbytes
+    assert peak - outputs <= harness.CHUNK_BYTES + 8 * 8 * n * n
+    assert lab.blocks.pop.nbytes > 8 * 8 * n * n
 
 
 @pytest.mark.parametrize("seed,rep,picked", [(1, 35, "reg-hist:d=2"),
@@ -197,7 +280,7 @@ def test_thread_pool_capped_at_reps_and_cpus(monkeypatch):
         def map(self, fn, items, chunksize):
             return map(fn, items)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
     serial = run_example(1, 12, 2, seed=28)
     for threads, reps, workers in ((64, 2, 2), (64, 10, 3), (2, 10, 2),
