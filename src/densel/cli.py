@@ -26,7 +26,7 @@ from .harness import (DEFAULT_METHODS, parse_method, penalty_constant,
                       penalty_sweep, run_example)
 from .models import fourier_model, regular_histogram
 from .rng import RngStream
-from .slope import LOG_THRESHOLD, detect_kmin, slope_pick
+from .slope import slope_pick
 
 
 class UsageError(Exception):
@@ -224,16 +224,12 @@ def _cmd_slope_path(args) -> int:
     path = _evaluate(args).path(args.complexity)
     if args.out:
         report.write_csv(args.out, report.PATH_HEADER, report.path_rows(path))
-    if args.jump_rule == "log":
-        k_min = detect_kmin(path, LOG_THRESHOLD, args.n)
-        final = path.model_at(2.0 * k_min)
-    else:
-        pos, k_min, flag = slope_pick(path)
-        if flag:
-            print(f"segments={len(path.segments)} K_min=undefined (no jump)")
-            return 0
-        final = path.segments[pos].model_id
-    print(f"segments={len(path.segments)} K_min={k_min:.6g} selected={final}")
+    pos, k_min, flag = slope_pick(path, args.jump_rule, args.n)
+    if flag:
+        print(f"segments={len(path.segments)} K_min=undefined (no jump)")
+        return 0
+    print(f"segments={len(path.segments)} K_min={k_min:.6g} "
+          f"selected={path.segments[pos].model_id}")
     return 0
 
 

@@ -46,7 +46,12 @@ class FittedModel:
 
 
 def histogram_counts(breaks: np.ndarray, sample: Sample) -> np.ndarray:
-    """Bin counts for a partition, cells [a,b) except the last, [a,1]."""
+    """Bin counts for a partition, cells [a,b) except the last, [a,1].
+
+    The points are placed by a search of the float breaks.  The labs'
+    block engine (``harness._bin_counts``) bins by floor(j x) instead, which
+    differs only for a point on a float edge: x = fl(15/22) is counted in
+    [15/22, 16/22) here and in [14/22, 15/22) by the engine."""
     pts = sample.points if sample.sorted_flag else np.sort(sample.points)
     edges = np.searchsorted(pts, breaks, side="left")
     edges[-1] = pts.size

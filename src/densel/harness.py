@@ -269,7 +269,14 @@ def _bin_counts(row: _BlockRow, pts: np.ndarray, first: np.ndarray,
 
     One pass per chunk bins all its (block, point) pairs for every j at
     once.  The sums run over the same (block, j) segments of cells as a
-    block-by-block loop would, so they are the same floats."""
+    block-by-block loop would, so they are the same floats.
+
+    A point x goes to cell floor(j (x - lo) / w) of its block, in floats.
+    The per-model forms (``fitting.histogram_counts``,
+    ``models.histogram_cell_index``) search the float breaks instead; the
+    two differ only for a point on a float cell edge: at j = 22 on [0, 1],
+    fl(15/22) * 22 rounds to 14.999999999999998, so the engine bins
+    x = fl(15/22) into [14/22, 15/22), the breaks into [15/22, 16/22)."""
     end = np.cumsum(count)
     pairs = int(end[-1])
     # the pairs in block order, as points y in [0, 1): with y below one,
@@ -529,13 +536,6 @@ def _two_block_id(kk: int, i1: int, i2: int) -> str:
     return f"two-block:k={kk + 1},j1={i1 + 1},j2={i2 + 1}"
 
 
-def _heads(keys: np.ndarray) -> np.ndarray:
-    """True where a run of equal keys begins."""
-    head = np.ones(keys.size, dtype=bool)
-    head[1:] = keys[1:] != keys[:-1]
-    return head
-
-
 @dataclass
 class _TwoBlockEvaluation(_LabEvaluation):
     """Block statistics of one replication as (side, cut, cells) arrays: the
@@ -595,7 +595,8 @@ class _TwoBlockEvaluation(_LabEvaluation):
         idx, starts = lower_envelope(slopes.reshape(2 * m, m),
                                      self.contrast.reshape(2 * m, m))
         row, col = np.divmod(idx, m)
-        head = _heads(row)
+        head = np.ones(idx.size, dtype=bool)   # each row's first piece
+        head[1:] = row[1:] != row[:-1]
         first = np.flatnonzero(head).reshape(2, m)
         # per cut, the sorted union of both blocks' breakpoints, equal K on
         # both sides counting once; past each, the cut's envelope (the
@@ -622,12 +623,6 @@ class _TwoBlockEvaluation(_LabEvaluation):
         i1, i2 = col[first[:, lcut] + steps]
         deltas = slopes[0, lcut, i1] + slopes[1, lcut, i2]
         contrasts = self.contrast[0, lcut, i1] + self.contrast[1, lcut, i2]
-        if complexity == "dim":
-            # one line per total dimension: the lowest, the earliest on ties
-            keep = np.lexsort((contrasts, deltas))
-            keep = keep[_heads(deltas[keep])]
-            lcut, i1, i2 = lcut[keep], i1[keep], i2[keep]
-            deltas, contrasts = deltas[keep], contrasts[keep]
         tags = list(zip(lcut.tolist(), i1.tolist(), i2.tolist()))
         path, hull = envelope_path(contrasts, deltas,
                                    lambda i: _two_block_id(*tags[i]),

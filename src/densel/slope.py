@@ -7,17 +7,21 @@ the lower envelope of those lines, found by a convex-hull pass instead of a
 K grid.  The jump detectors then read the calibration constant off the
 path: either the breakpoint with the largest complexity drop, or the first
 K beyond which the selected complexity falls under max_complexity / ln(n).
-``slope_pick`` is the slope algorithm itself: the maximal jump, then the
-model selected at twice that constant.  The experiment labs feed their
-arrays to ``envelope_path``.
+``slope_pick`` is the slope algorithm itself: K_min from either rule,
+then the model selected at twice that constant.  The experiment labs feed
+their arrays to ``envelope_path``.
 
-Integer lines are decided exactly: the hull pops by integer
-cross-multiplication, breakpoints are ``Fraction``s, and the jump argmax
-and the pick at 2 * K_min compare exact numbers.  Histogram contrasts and
-complexities are rationals built from integer counts, so the
-regular-histogram lab hands in integer lines with exact units; float lines
-keep a relative tie tolerance, and the float hull takes a batch of rows at
-once (the two-block lab's per-block envelopes).
+Every path runs on one hull, ``lower_envelope``: it sorts and filters
+rows of lines with arrays, then runs one monotone chain over the lines
+left.  Float lines (Fourier, and the two-block lab's per-block envelopes,
+a batch of rows at once) keep a relative tie tolerance.  Histogram
+contrasts and complexities are rationals built from integer counts, so the
+regular-histogram lab hands in integer lines with exact units; the chain
+decides them exactly (correctly rounded float crossings, and integer
+cross-multiplication where two crossings round alike), their breakpoints
+are ``Fraction``s, and the jump argmax compares exact numbers.  Under
+either jump rule K_min is the exact start of a segment, and the pick
+bisects the path at exact 2 * K_min.
 """
 
 from __future__ import annotations
@@ -80,10 +84,14 @@ class SlopePath:
 
     def segment_at(self, k: float) -> PathSegment:
         """Segment active at K; a breakpoint belongs to its right segment."""
+        return self.segments[self._position(k)]
+
+    def _position(self, k) -> int:
+        """Position of ``segment_at(k)``, K compared exactly with the
+        segments' starts."""
         if k < 0.0:
             raise ValueError("the penalty constant is nonnegative")
-        starts = [seg.k_lo for seg in self.segments]
-        return self.segments[bisect_right(starts, k) - 1]
+        return bisect_right([seg.k_lo for seg in self.segments], k) - 1
 
     def model_at(self, k: float) -> str:
         return self.segment_at(k).model_id
@@ -106,102 +114,84 @@ def lower_envelope(slopes: np.ndarray, intercepts: np.ndarray):
     breakpoint belongs to the flatter of its two lines, so the selected
     slope is right-continuous in K.
 
-    Integer slopes and intercepts (one set of lines) are compared exactly,
-    by integer cross-multiplication, and the breakpoints are ``Fraction``s.
-
-    Float lines come as one row or as a 2-D batch of rows, each row its own
-    set of lines, with NaN slopes for absent entries (padding); indices
-    are then positions in the flattened input, row after row.  A line is
-    dropped when a flatter line is at least as cheap at K = 0, intercepts
-    within one part in 1e12 counting as tied (float noise on an exact tie
-    would otherwise open a sliver segment of width ~1e-16 that the jump
-    detectors would see as a genuine complexity jump); the monotone chain
-    then runs once over the lines left in all rows.
+    The lines come as one row or as a 2-D batch of rows, each row its own
+    set of lines; float rows mark absent entries (padding) with NaN slopes.
+    Indices are positions in the flattened input, row after row.  Every
+    row is sorted and filtered with arrays: a line is dropped when a
+    flatter line is at least as cheap at K = 0.  Float intercepts within
+    one part in 1e12 count as tied (float noise on an exact tie would
+    otherwise open a sliver segment of width ~1e-16 that the jump
+    detectors would see as a genuine complexity jump); integer intercepts
+    tie only when equal.  The monotone chain then runs once over the lines
+    left in all rows.  Integer lines (integer slopes and intercepts) are
+    decided exactly, and their breakpoints are ``Fraction``s.
     """
     slopes, intercepts = np.asarray(slopes), np.asarray(intercepts)
     if slopes.size == 0:
         raise ValueError("a path needs at least one line")
-    if slopes.dtype.kind in "iu" and intercepts.dtype.kind in "iu":
-        return _exact_envelope(slopes, intercepts)
-    slopes = np.atleast_2d(slopes.astype(float, copy=False))
-    intercepts = np.atleast_2d(intercepts.astype(float, copy=False))
+    exact = slopes.dtype.kind in "iu" and intercepts.dtype.kind in "iu"
+    if not exact:
+        slopes = slopes.astype(float, copy=False)
+        intercepts = intercepts.astype(float, copy=False)
+    slopes, intercepts = np.atleast_2d(slopes), np.atleast_2d(intercepts)
     rows, width = slopes.shape
     step = max(1, _HULL_CHUNK // width)
-    pieces = [_float_envelope(slopes[r:r + step], intercepts[r:r + step], r)
+    pieces = [_envelope(slopes[r:r + step], intercepts[r:r + step], r, exact)
               for r in range(0, rows, step)]
     return tuple(np.concatenate(part) for part in zip(*pieces))
 
 
-def _exact_envelope(slopes: np.ndarray, intercepts: np.ndarray):
-    """The monotone chain on integer lines; a start is kept as the pair
-    (numerator, denominator > 0) until the end."""
-    order = np.lexsort((intercepts, -slopes)).tolist()
-    slopes, intercepts = slopes.tolist(), intercepts.tolist()
-    hull: list[int] = []
-    nums: list[int] = []
-    dens: list[int] = []
-    prev_slope = None
-    for i in order:
-        s, c = slopes[i], intercepts[i]
-        if s == prev_slope:
-            continue                      # dominated duplicate slope
-        prev_slope = s
-        num, den = 0, 1
-        while hull:
-            top = hull[-1]
-            num, den = c - intercepts[top], slopes[top] - s
-            # flatter and at least as cheap at K = 0, or crossing the top
-            # no later than the top starts: the top is dominated
-            if num <= 0 or num * dens[-1] <= nums[-1] * den:
-                hull.pop()
-                nums.pop()
-                dens.pop()
-                continue
-            break
-        if not hull:
-            num, den = 0, 1
-        hull.append(i)
-        nums.append(num)
-        dens.append(den)
-    starts = [0.0] + [Fraction(a, b) for a, b in zip(nums[1:], dens[1:])]
-    return np.array(hull, dtype=np.int64), np.array(starts, dtype=object)
-
-
-def _float_envelope(slopes: np.ndarray, intercepts: np.ndarray, row0: int):
+def _envelope(slopes: np.ndarray, intercepts: np.ndarray, row0: int,
+              exact: bool):
     """Envelopes of a block of rows whose first row is row ``row0``."""
     rows, width = slopes.shape
     # sort each row by (-slope, intercept, index), absent entries last; rows
     # already in increasing slope order (dimensions) are simply reversed
     if np.all((slopes[:, 1:] > slopes[:, :-1]) | np.isnan(slopes[:, 1:])):
-        order = np.broadcast_to(np.arange(width - 1, -1, -1), slopes.shape)
+        order = np.arange(width - 1, -1, -1)[None].repeat(rows, axis=0)
     else:
         order = np.lexsort((intercepts, -slopes), axis=-1)
-    s = np.take_along_axis(slopes, order, axis=1)
-    c = np.take_along_axis(intercepts, order, axis=1)
+    at = np.arange(rows)[:, None], order
+    s, c = slopes[at], intercepts[at]
     live = ~np.isnan(s)
     live[:, 1:] &= s[:, 1:] != s[:, :-1]  # drop the later of equal slopes
     # drop a line when a later (flatter) live line is at least as cheap at
     # K = 0 up to the tie tolerance; what is left rises strictly
-    later = np.where(live, c, np.inf)[:, :0:-1]
+    if exact:
+        tie, absent = c[:, :-1], np.iinfo(c.dtype).max
+    else:
+        tie, absent = np.abs(c[:, :-1]), np.inf
+        np.maximum(tie, 1.0, out=tie)
+        tie *= _TIE_RTOL
+        tie += c[:, :-1]
+    later = np.where(live, c, absent)[:, :0:-1]
     np.minimum.accumulate(later, axis=1, out=later)
-    tie = np.abs(c[:, :-1])
-    np.maximum(tie, 1.0, out=tie)
-    tie *= _TIE_RTOL
-    tie += c[:, :-1]
     live[:, :-1] &= ~(later[:, ::-1] <= tie)
     del later, tie
     row, pos = np.nonzero(live)
-    hull, starts = _chain(np.flatnonzero(np.diff(row, prepend=-1)).tolist(),
-                          s[row, pos].tolist(), c[row, pos].tolist())
+    s, c = s[row, pos].tolist(), c[row, pos].tolist()
+    heads = [0] + (np.flatnonzero(row[1:] != row[:-1]) + 1).tolist()
+    hull, starts = _chain(heads, s, c, exact)
+    if exact:
+        # a kept start k > 0 is the crossing with the previous kept line
+        starts = [Fraction(c[q] - c[p], s[p] - s[q]) if k else 0.0
+                  for p, q, k in zip([0] + hull, hull, starts)]
     return ((row0 + row[hull]) * width + order[row[hull], pos[hull]],
-            np.array(starts))
+            np.array(starts, dtype=object if exact else float))
 
 
-def _chain(heads: list[int], s: list[float], c: list[float]):
+def _chain(heads: list[int], s: list, c: list, exact: bool):
     """Monotone chain over lines sorted row by row in slope-decreasing
     order, none at least as cheap at K = 0 as a later line of its row;
     ``heads`` are the positions where rows begin.  A top line is popped
-    when the new line crosses it no later than it starts."""
+    when the new line crosses it no later than it starts.
+
+    Crossings are float divisions.  On integer lines (``exact``) they are
+    correctly rounded, hence monotone in the exact crossing, so only two
+    crossings that round to the same float need deciding exactly, by
+    cross-multiplying the lines.  Such a tie is never with a row's first
+    line, which starts at 0: integer intercepts rise strictly along a
+    row, so every crossing is > 0."""
     hull: list[int] = []
     starts: list[float] = []
     base, heads = 0, iter(heads + [len(s)])
@@ -216,7 +206,10 @@ def _chain(heads: list[int], s: list[float], c: list[float]):
         while True:
             top = hull[-1]
             k_cross = (cq - c[top]) / (s[top] - sq)
-            if k_cross > starts[-1]:
+            if k_cross > starts[-1] or (
+                    exact and k_cross == starts[-1]
+                    and (cq - c[top]) * (s[hull[-2]] - s[top])
+                    > (c[top] - c[hull[-2]]) * (s[top] - sq)):
                 break
             hull.pop()
             starts.pop()
@@ -257,6 +250,25 @@ def envelope_path(contrasts: np.ndarray, deltas: np.ndarray,
     return SlopePath(segments=segs, delta_max=float(delta_max)), hull
 
 
+def _kmin_position(path: SlopePath, rule: str, n: int,
+                   delta_max: float | None = None) -> int:
+    """Position of the segment whose start is K_min under a jump rule."""
+    segs = path.segments
+    if rule == MAX_JUMP:
+        drops = [segs[i].delta - segs[i + 1].delta
+                 for i in range(len(segs) - 1)]
+        return int(np.argmax(drops)) + 1
+    if rule == LOG_THRESHOLD:
+        if n < 3:
+            raise ValueError("the log-threshold rule needs n >= 3")
+        if delta_max is None:
+            delta_max = path.delta_max
+        thresh = delta_max / np.log(n)
+        return next((i for i, seg in enumerate(segs) if seg.delta <= thresh),
+                    len(segs) - 1)
+    raise ValueError(f"unknown jump rule {rule!r}")
+
+
 def detect_kmin(path: SlopePath, rule: str, n: int,
                 delta_max: float | None = None) -> float:
     """Calibration constant from a path.
@@ -267,36 +279,23 @@ def detect_kmin(path: SlopePath, rule: str, n: int,
     when no segment qualifies, the last breakpoint (or 0 for a one-segment
     path) is returned.
     """
-    segs = path.segments
-    if rule == MAX_JUMP:
-        if len(segs) < 2:
-            raise NoJumpError("path has a single segment, no jump to detect")
-        return slope_pick(path)[1]
-    if rule == LOG_THRESHOLD:
-        if n < 3:
-            raise ValueError("the log-threshold rule needs n >= 3")
-        if delta_max is None:
-            delta_max = path.delta_max
-        thresh = delta_max / np.log(n)
-        for seg in segs:
-            if seg.delta <= thresh:
-                return float(seg.k_lo)
-        return float(segs[-1].k_lo)
-    raise ValueError(f"unknown jump rule {rule!r}")
+    if rule == MAX_JUMP and len(path.segments) < 2:
+        raise NoJumpError("path has a single segment, no jump to detect")
+    return float(path.segments[_kmin_position(path, rule, n, delta_max)].k_lo)
 
 
-def slope_pick(path: SlopePath) -> tuple[int, float, str | None]:
+def slope_pick(path: SlopePath, rule: str = MAX_JUMP,
+               n: int = 0) -> tuple[int, float, str | None]:
     """The slope algorithm: (position of the picked segment, K_min, flag).
 
-    K_min is the breakpoint with the largest complexity drop and the pick
-    is the segment active at 2 * K_min, compared exactly on an exact path;
-    K_min is returned as a float.  A one-segment path has no jump: its
-    only model is picked at K_min = 0 and flagged ``no-jump-fallback``.
+    K_min is the start of a segment, read off the path by the jump rule of
+    ``detect_kmin`` (``log`` needs the sample size n), and the pick is the
+    segment active at 2 * K_min, compared exactly on an exact path; K_min
+    is returned as a float.  Under the ``max`` rule a one-segment path has
+    no jump: its only model is picked at K_min = 0 and flagged
+    ``no-jump-fallback``.
     """
-    segs = path.segments
-    if len(segs) == 1:
+    if rule == MAX_JUMP and len(path.segments) == 1:
         return 0, 0.0, "no-jump-fallback"
-    drops = [segs[i].delta - segs[i + 1].delta for i in range(len(segs) - 1)]
-    k_min = segs[int(np.argmax(drops)) + 1].k_lo
-    starts = [seg.k_lo for seg in segs]
-    return bisect_right(starts, 2 * k_min) - 1, float(k_min), None
+    k_min = path.segments[_kmin_position(path, rule, n)].k_lo
+    return path._position(2 * k_min), float(k_min), None

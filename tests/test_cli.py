@@ -101,6 +101,19 @@ def test_slope_path_dmw_complexity(tmp_path):
     assert len(_lines(out)) >= 2
 
 
+@pytest.mark.parametrize("extra, line", [
+    ([], "segments=6 K_min=0.045 selected=reg-hist:d=1"),
+    (["--density", "uniform", "--n", "100", "--seed", "57"],
+     "segments=5 K_min=0.011 selected=reg-hist:d=1"),
+], ids=["powerlaw-n20", "uniform-n100"])
+def test_log_rule_picks_right_of_exact_breakpoint(capsys, extra, line):
+    """2 K_min falls exactly on a breakpoint of these exact paths (9/100 at
+    n = 20), which belongs to its right segment."""
+    assert main(["slope-path", "--collection", "regular-hist", "--n", "20",
+                 "--seed", "35", "--jump-rule", "log", *extra]) == 0
+    assert capsys.readouterr().out.strip() == line
+
+
 def test_conc_check_csv(tmp_path):
     out = tmp_path / "tail.csv"
     code = main(["conc-check", "--bound", "ustat", "--n", "40", "--dim", "5",

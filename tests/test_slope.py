@@ -1,10 +1,12 @@
 """Selection, the exact penalty-constant path, jump detection."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from densel.slope import (LOG_THRESHOLD, MAX_JUMP, NoJumpError, detect_kmin,
-                          lower_envelope, slope_pick)
+                          envelope_path, lower_envelope, slope_pick)
 from oracles import PenaltyValue, lower_envelope_chain, select, slope_path
 
 ABC = [("A", -1.0, 10.0), ("B", -0.5, 4.0), ("C", 0.0, 1.0)]
@@ -216,15 +218,29 @@ def test_float_hull_matches_chain_row_by_row():
             assert np.array_equal(one[0], idx) and np.array_equal(one[1], starts)
 
 
+def _settle_lines():
+    """Three lines whose crossings a/b < c/d = a/b + 1/(b d) round to the
+    same double: the middle line is on the hull by a margin that only an
+    exact comparison sees."""
+    a, b = 2 ** 40 + 12345, 2 ** 30 + 3
+    d = -pow(a, -1, b) % b                       # 67,854,277
+    c = (a * d + 1) // b
+    return np.array([b + d + 5, d + 5, 5]), np.array([0, a, a + c])
+
+
 def test_integer_hull_matches_fraction_chain():
     gen = np.random.default_rng(6)
+    inputs = [_settle_lines()]
     for _ in range(200):
         m = int(gen.integers(1, 60))
-        slopes = gen.integers(0, 12, size=m)
-        intercepts = gen.integers(-40, 40, size=m) * gen.integers(1, 4, size=m)
+        inputs.append((gen.integers(0, 12, size=m),
+                       gen.integers(-40, 40, size=m)
+                       * gen.integers(1, 4, size=m)))
+    for slopes, intercepts in inputs:
         hull, starts = lower_envelope(slopes, intercepts)
         assert (hull.tolist(), starts.tolist()) == lower_envelope_chain(
             slopes, intercepts)
+    assert lower_envelope(*inputs[0])[0].tolist() == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -303,3 +319,40 @@ def test_slope_select_single_model_fallback():
     assert model_id == "only"
     assert flag == "no-jump-fallback"
     assert penalty == 0.0
+
+
+def _exact_path(deltas, contrasts, delta_max, k_unit):
+    """A path of integer lines with K in units of ``k_unit``."""
+    path, _ = envelope_path(np.array(contrasts), np.array(deltas),
+                            lambda i: f"m{i}", delta_max,
+                            (Fraction(k_unit), 1))
+    return path
+
+
+def test_log_pick_takes_right_segment_at_exact_breakpoint():
+    # deltas 100 -> 20 -> 5 with breakpoints 1/3 and 2/3; ln(100) puts the
+    # threshold at 21.7, so K_min = 1/3 and 2 K_min is the breakpoint 2/3,
+    # which a float 2 * 0.333... falls just short of
+    path = _exact_path([100, 20, 5], [-100, -20, 10], 100, Fraction(1, 3))
+    assert path.breakpoints == [Fraction(1, 3), Fraction(2, 3)]
+    assert 2.0 * float(Fraction(1, 3)) < Fraction(2, 3)
+    assert slope_pick(path, LOG_THRESHOLD, 100) == (2, 1.0 / 3.0, None)
+    assert detect_kmin(path, LOG_THRESHOLD, 100) == 1.0 / 3.0
+
+
+def test_log_pick_single_segment():
+    path = _exact_path([4], [-7], 4, 1)
+    assert slope_pick(path, LOG_THRESHOLD, 100) == (0, 0.0, None)
+    assert slope_pick(path) == (0, 0.0, "no-jump-fallback")
+
+
+def test_log_pick_without_qualifying_segment():
+    # every delta above delta_max / ln(100) = 21.7: K_min is the last
+    # breakpoint, 2, and the pick at 4 is the last segment
+    path = _exact_path([100, 50, 30], [-100, -50, -10], 100, 1)
+    assert path.breakpoints == [1, 2]
+    assert slope_pick(path, LOG_THRESHOLD, 100) == (2, 2.0, None)
+    with pytest.raises(ValueError):
+        slope_pick(path, LOG_THRESHOLD, 2)
+    with pytest.raises(ValueError):
+        slope_pick(path, "median", 100)
