@@ -25,11 +25,13 @@ decided exactly, and keeps the nested Fourier models as arrays.
 blocks: each per-model statistic splits into a left part depending on
 (k, j1) and a right part depending on (k, j2), held as (side, cut, cells)
 arrays, so the argmin over roughly n^3/6 models costs O(n^2) array work
-per replication.  The path takes the lower envelopes of all blocks in one
-batched hull, merges each cut's two envelopes by their breakpoints, and
-runs the hull once more on the merged lines.  The per-model loop both
-are checked against, and the block-by-block forms of the two-block
-evaluation and selections, are in ``tests/oracles.py``.
+per replication.  Its slope paths run on integer lines, as the regular
+histograms' do: the path prunes the lower envelopes of all blocks in one
+integer batch, merges each cut's two envelopes by their exact
+breakpoints, and runs the exact hull once more on the merged lines that
+no other line beats at K = 0.  The per-model loop both labs are checked
+against, and the block-by-block forms of the two-block evaluation and
+selections (the path in ``Fraction``s), are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
+from math import lcm
 
 import numpy as np
 
@@ -484,11 +487,13 @@ class TwoBlockLab:
     as (2, n-1, n-1) arrays indexed by (side, cut k - 1, cells j - 1), side
     0 the left block [0, k/n) with j <= k cells and side 1 the right block
     with j <= n - k; ``valid`` marks the existing entries, ``d_exact``
-    holds D (0 elsewhere).  Selections are array operations over all cuts:
-    the argmin reduces per (side, cut), and the slope path takes the lower
-    envelopes of all 2(n-1) blocks in one batched hull, merges each cut's
-    two envelopes by their breakpoints and runs the hull once more on the
-    merged lines.
+    holds D (0 elsewhere).  Each evaluation also keeps the integer
+    T = sum c^2 per (side, cut, cells) and the block counts, from which
+    the slope paths build integer lines.  Selections are array operations
+    over all cuts: the argmin reduces per (side, cut), and the slope path
+    prunes the lower envelopes of all 2(n-1) blocks in one integer batch,
+    merges each cut's two envelopes by their exact breakpoints and runs
+    the exact hull once more on the merged lines that may be on it.
     """
 
     def __init__(self, n: int, density: Density):
@@ -501,7 +506,8 @@ class TwoBlockLab:
         self.cuts = np.arange(1, n) / n
         fcut = np.asarray(density.cdf(self.cuts))
         m = n - 1
-        cells = np.stack((np.arange(1, n), np.arange(m, 0, -1)))
+        # s per (side, cut): the block is s / n wide, with up to s cells
+        self.cells = cells = np.stack((np.arange(1, n), np.arange(m, 0, -1)))
         self.valid = np.arange(m) < cells[:, :, None]
         # the left blocks [0, k/n) for k = 1..n-1, then the right blocks
         self.blocks = _block_row(
@@ -518,9 +524,9 @@ class TwoBlockLab:
         n_left = np.searchsorted(pts, self.cuts, side="left")
         count = np.concatenate((n_left, n - n_left))
         first = np.concatenate((np.zeros(m, dtype=np.int64), n_left))
-        a, v, loss_part = _row_stats(
-            self.blocks, *_bin_counts(self.blocks, pts, first, count),
-            count, n)
+        t, w = _bin_counts(self.blocks, pts, first, count)
+        t_sq = t.astype(np.int64).reshape(2, m, m)
+        a, v, loss_part = _row_stats(self.blocks, t, w, count, n)
         invalid = ~self.valid
         contrast = np.negative(a, out=a).reshape(2, m, m)
         contrast[invalid] = np.inf
@@ -529,24 +535,89 @@ class TwoBlockLab:
         loss = loss_part.reshape(2, m, m)
         loss[invalid] = np.inf
         return _TwoBlockEvaluation(lab=self, contrast=contrast, var=var,
-                                   loss=loss)
+                                   loss=loss, t_sq=t_sq,
+                                   count=count.reshape(2, m))
 
 
 def _two_block_id(kk: int, i1: int, i2: int) -> str:
     return f"two-block:k={kk + 1},j1={i1 + 1},j2={i2 + 1}"
 
 
+def _breakpoint_order(cut: np.ndarray, num: np.ndarray, den: np.ndarray):
+    """Order of the breakpoints num / den (den > 0) by cut, then exact K,
+    and along it whether each is the last one of its cut and K.
+
+    num and den are at most n^3, so their floats are exact and num / den
+    is correctly rounded; rounding is monotone, so unequal floats order
+    unequal K.  Equal floats are compared by cross-multiplying, within
+    2^63 for the integers of ``lower_envelope``.  Unequal K differ by a
+    relative 1 / n^6 or more, which keeps their floats apart up to
+    n = 406; past that a float tie may hide unequal K, and then the
+    breakpoints are sorted as ``Fraction``s."""
+    order = np.lexsort((np.asarray(num / den, dtype=float), cut))
+    c, p, q = cut[order], num[order], den[order]
+    if np.any((c[1:] == c[:-1]) & (p[:-1] * q[1:] > p[1:] * q[:-1])):
+        order = np.array(sorted(range(cut.size), key=lambda i: (
+            cut[i], Fraction(int(num[i]), int(den[i])))), dtype=np.int64)
+        c, p, q = cut[order], num[order], den[order]
+    last = np.ones(cut.size, dtype=bool)
+    last[:-1] = (c[1:] != c[:-1]) | (p[:-1] * q[1:] != p[1:] * q[:-1])
+    return order, last
+
+
+def _undominated(slopes: np.ndarray, intercepts: np.ndarray,
+                 dens: np.ndarray) -> np.ndarray:
+    """Indices, increasing, of the lines (intercepts + K slopes) / dens
+    that no other line beats by being at least as flat and strictly
+    cheaper at K = 0: a superset of the lines on the lower envelope, which
+    the exact hull narrows down.
+
+    Every term is below 2^53 (n^4 for any n whose lab fits in memory), so
+    the ratios' floats are correctly rounded; rounding is monotone, so
+    unequal floats order the ratios, and equal ones beat nothing.  Equal
+    float slopes are compared exactly by cross-multiplying, at most
+    n^7 / 4: in int64 up to n = 624 and in Python ints past that."""
+    fs, fc = slopes / dens, intercepts / dens
+    order = np.lexsort((fc, -fs))
+    fs, fc = fs[order], fc[order]
+    # the cheapest strictly flatter line, past the run of equal floats
+    cheapest = np.append(np.minimum.accumulate(fc[::-1])[::-1], np.inf)
+    keep = fc <= cheapest[np.searchsorted(-fs, -fs, side="right")]
+    # the cheapest line of a run of exactly equal slopes is its first
+    if int(np.abs(slopes).max()) * int(dens.max()) >= 2 ** 63:
+        slopes, dens = slopes.astype(object), dens.astype(object)
+    s, d = slopes[order], dens[order]
+    tied = np.zeros(fs.size, dtype=bool)
+    tied[1:] = (fs[1:] == fs[:-1]) & (s[1:] * d[:-1] == s[:-1] * d[1:])
+    run = np.maximum.accumulate(np.where(tied, 0, np.arange(fs.size)))
+    keep &= fc <= fc[run]
+    return np.sort(order[keep])
+
+
 @dataclass
 class _TwoBlockEvaluation(_LabEvaluation):
     """Block statistics of one replication as (side, cut, cells) arrays: the
     block's share -A of the contrast (+inf where no model is), V of the
-    variance part of dmw (0 there) and L of the loss (+inf there).  A
-    model's key is (cut index, left cell index, right cell index)."""
+    variance part of dmw (0 there), L of the loss (+inf there) and the
+    integer T = sum c^2 over the cells (0 there), with each block's count
+    c as a (side, cut) array.  A model's key is (cut index, left cell
+    index, right cell index).
+
+    The slope paths run on integer lines.  A block of s / n (s = k left
+    of cut k / n, n - k right of it) with j cells has contrast share
+    -j T / (s n) and dmw share j (n c - T) / (s (n - 1)), so its line
+    times s n is -j T + K j s n for ``dim`` and -j T + K' j (n c - T)
+    for ``dmw``, in the unit K' = K n / (n - 1); a cut's merged line is
+    the sum of its blocks' lines over the denominator D = k (n - k) n.
+    Both paths of an evaluation share the blocks' envelopes: a block's
+    ``dmw`` envelope is the start of its ``dim`` one."""
 
     lab: TwoBlockLab
     contrast: np.ndarray
     var: np.ndarray
     loss: np.ndarray
+    t_sq: np.ndarray
+    count: np.ndarray
 
     def _part(self, complexity: str) -> np.ndarray:
         """Each block's share of a complexity: its cell count, V or D."""
@@ -579,21 +650,44 @@ class _TwoBlockEvaluation(_LabEvaluation):
         (_, i1, i2), kk = best
         return (kk, int(i1), int(i2)), pens[0, kk, i1] + pens[1, kk, i2]
 
+    @cached_property
+    def _block_envelopes(self):
+        """The lower envelopes of every block's ``dim`` lines, pieces row by
+        row (left blocks, then right blocks): (index, num, den), each piece
+        starting at K = num / den, 0 / 1 at a row's first piece.  The lines
+        -j T + K j s n, at most n^3 in size, are the block's shares times
+        s n."""
+        n, m, cells = self.lab.n, self.lab.n - 1, self.lab.cells
+        js = np.arange(1, n)
+        idx, (num, den) = lower_envelope(
+            (js * (n * cells)[:, :, None]).reshape(2 * m, m),
+            (-js * self.t_sq).reshape(2 * m, m), cells.ravel())
+        return idx, num, den
+
     def _path(self, complexity: str):
         lab = self.lab
         n, m = lab.n, lab.n - 1
+        idx, num, den = self._block_envelopes
         if complexity == "dim":
-            slopes = np.where(lab.valid, np.arange(1.0, n), np.nan)
+            delta_max = float(n)
         else:
-            slopes = self.var * n
-            slopes /= n - 1.0
-            slopes[~lab.valid] = np.nan
-        tops = np.fmax.reduce(slopes, axis=2)
-        delta_max = max(0.0, float((tops[0] + tops[1]).max()))
-        # the envelopes of all blocks: pieces row by row (left blocks, then
-        # right blocks), each row's first piece starting at K = 0
-        idx, starts = lower_envelope(slopes.reshape(2 * m, m),
-                                     self.contrast.reshape(2 * m, m))
+            # V >= 0 and 0 where no model is; x -> x n / (n - 1) rounds
+            # monotonely, so scaling the largest V scales the largest share
+            tops = self.var.max(axis=2) * n / (n - 1.0)
+            delta_max = float((tops[0] + tops[1]).max())
+            # the dmw lines -j T + K' j (n c - T) are (1 + K') (-j T + w j)
+            # at w = n c K' / (1 + K'), which runs over [0, n c) as K' runs
+            # over [0, inf), and the dim lines are -j T + w j at w = K s n:
+            # a block's dmw envelope is its dim one up to w = n c.  A dim
+            # piece starts at w = num / d, d the drop in j, so at
+            # K' = num / (d n c - num).  As T <= c^2, w <= c^2 <= n c:
+            # only a piece starting at w = n c (all n points in one cell)
+            # never starts
+            at = np.divmod(idx // m, m)
+            reach = den // (n * lab.cells[at]) * (n * self.count[at])
+            keep = (num < reach) | (num == 0)
+            idx, num = idx[keep], num[keep]
+            den = np.where(num == 0, 1, reach[keep] - num)
         row, col = np.divmod(idx, m)
         head = np.ones(idx.size, dtype=bool)   # each row's first piece
         head[1:] = row[1:] != row[:-1]
@@ -604,12 +698,9 @@ class _TwoBlockEvaluation(_LabEvaluation):
         # the piece after the last of its breakpoints passed so far
         brk = np.flatnonzero(~head)
         side, cut = np.divmod(row[brk], m)
-        ks = starts[brk]
-        order = np.lexsort((ks, cut))
-        side, cut, ks = side[order], cut[order], ks[order]
+        order, last = _breakpoint_order(cut, num[brk], den[brk])
+        side, cut = side[order], cut[order]
         passed = np.cumsum(np.stack((1 - side, side)), axis=1)
-        last = np.ones(cut.size, dtype=bool)
-        last[:-1] = (cut[1:] != cut[:-1]) | (ks[1:] != ks[:-1])
         cut = cut[last]
         nbrk = np.diff(first.ravel(), append=idx.size).reshape(2, m) - 1
         passed = passed[:, last] - (np.cumsum(nbrk, axis=1) - nbrk)[:, cut]
@@ -621,12 +712,31 @@ class _TwoBlockEvaluation(_LabEvaluation):
         steps = np.concatenate((np.zeros((2, m), dtype=passed.dtype), passed),
                                axis=1)[:, order]
         i1, i2 = col[first[:, lcut] + steps]
-        deltas = slopes[0, lcut, i1] + slopes[1, lcut, i2]
-        contrasts = self.contrast[0, lcut, i1] + self.contrast[1, lcut, i2]
-        tags = list(zip(lcut.tolist(), i1.tolist(), i2.tolist()))
-        path, hull = envelope_path(contrasts, deltas,
+        # a cut's line is the sum of its blocks' lines times s n over
+        # D = k (n - k) n; at most n^4 in size, int64 holds it for any n
+        # whose lab fits in memory
+        k = lcut + 1
+        t1, t2 = self.t_sq[0, lcut, i1], self.t_sq[1, lcut, i2]
+        d_cut = k * (n - k) * n
+        c_cut = -(i1 + 1) * t1 * (n - k) - (i2 + 1) * t2 * k
+        if complexity == "dim":
+            s_cut = d_cut * (i1 + i2 + 2)
+        else:
+            s_cut = ((i1 + 1) * (n * self.count[0, lcut] - t1) * (n - k)
+                     + (i2 + 1) * (n * self.count[1, lcut] - t2) * k)
+        # the hull takes the lines that may be on it, as Python ints over
+        # one common denominator; a full tie keeps the earliest cut
+        kept = _undominated(s_cut, c_cut, d_cut)
+        common = lcm(*set(d_cut[kept].tolist()))
+        scale = common // d_cut[kept].astype(object)
+        units = (Fraction(1, common),
+                 Fraction(1, common) if complexity == "dim"
+                 else Fraction(n, (n - 1) * common))
+        tags = list(zip(lcut[kept].tolist(), i1[kept].tolist(),
+                        i2[kept].tolist()))
+        path, hull = envelope_path(c_cut[kept] * scale, s_cut[kept] * scale,
                                    lambda i: _two_block_id(*tags[i]),
-                                   delta_max, (1, 1))
+                                   delta_max, units)
         return path, [tags[i] for i in hull]
 
     def _row(self, key: tuple[int, int, int], penalty: float) -> ModelRow:

@@ -12,14 +12,15 @@ then the model selected at twice that constant.  The experiment labs feed
 their arrays to ``envelope_path``.
 
 Every path runs on one hull, ``lower_envelope``: it sorts and filters
-rows of lines with arrays, then runs one monotone chain over the lines
-left.  Float lines (Fourier, and the two-block lab's per-block envelopes,
-a batch of rows at once) keep a relative tie tolerance.  Histogram
-contrasts and complexities are rationals built from integer counts, so the
-regular-histogram lab hands in integer lines with exact units; the chain
-decides them exactly (correctly rounded float crossings, and integer
-cross-multiplication where two crossings round alike), their breakpoints
-are ``Fraction``s, and the jump argmax compares exact numbers.  Under
+a set of lines with arrays, then runs one monotone chain over the lines
+left.  Only float lines (the Fourier collection's) keep a relative tie
+tolerance.  Histogram contrasts and complexities are rationals built from
+integer counts, so both histogram labs hand in integer lines with exact
+units; the chain decides them exactly (correctly rounded float crossings,
+and integer cross-multiplication where two crossings round alike), their
+breakpoints are ``Fraction``s, and the jump argmax compares exact numbers.
+A batch of integer rows (the two-block lab's blocks) is filtered row by
+row and then pruned with arrays, its breakpoints integer pairs.  Under
 either jump rule K_min is the exact start of a segment, and the pick
 bisects the path at exact 2 * K_min.
 """
@@ -99,109 +100,89 @@ class SlopePath:
 
 _TIE_RTOL = 1e-12
 
-# Entries per block of rows the float hull sorts and filters at once; bounds
-# its temporaries for any number of rows.
+# Entries per block of rows the batched integer hull filters at once;
+# bounds its temporaries for any number of rows.
 _HULL_CHUNK = 4096
 
 
-def lower_envelope(slopes: np.ndarray, intercepts: np.ndarray):
+def lower_envelope(slopes: np.ndarray, intercepts: np.ndarray, sizes=None):
     """Lower envelopes of the lines K -> intercept + K * slope on [0, inf).
 
-    Returns (indices, start_ks) as arrays: the active pieces in
-    slope-decreasing order, each one's index and the K at which it starts;
-    the first piece starts at K = 0.  Among lines with equal slope only the
-    smallest intercept survives (smallest index on full ties), and a
-    breakpoint belongs to the flatter of its two lines, so the selected
-    slope is right-continuous in K.
+    Returns (indices, start_ks): the active pieces in slope-decreasing
+    order, each one's index and the K at which it starts; the first piece
+    starts at K = 0.  Among lines with equal slope only the smallest
+    intercept survives (smallest index on full ties), and a breakpoint
+    belongs to the flatter of its two lines, so the selected slope is
+    right-continuous in K.
 
-    The lines come as one row or as a 2-D batch of rows, each row its own
-    set of lines; float rows mark absent entries (padding) with NaN slopes.
-    Indices are positions in the flattened input, row after row.  Every
-    row is sorted and filtered with arrays: a line is dropped when a
-    flatter line is at least as cheap at K = 0.  Float intercepts within
-    one part in 1e12 count as tied (float noise on an exact tie would
-    otherwise open a sliver segment of width ~1e-16 that the jump
-    detectors would see as a genuine complexity jump); integer intercepts
-    tie only when equal.  The monotone chain then runs once over the lines
-    left in all rows.  Integer lines (integer slopes and intercepts) are
-    decided exactly, and their breakpoints are ``Fraction``s.
+    One row of lines is sorted and filtered with arrays (a line is dropped
+    when a flatter line is at least as cheap at K = 0), then one monotone
+    chain runs over the lines left.  Integer lines (integer dtypes, or
+    Python ints in an object array) are decided exactly and their
+    breakpoints are ``Fraction``s.  Float lines (the Fourier collection's)
+    count intercepts within one part in 1e12 as tied: float noise on an
+    exact tie would otherwise open a sliver segment of width ~1e-16 that
+    the jump detectors would see as a genuine complexity jump.
+
+    A 2-D batch of integer rows, row r holding its lines in its first
+    ``sizes[r]`` entries in increasing slope order (as cell counts rise),
+    is pruned with arrays instead of a chain (see ``_pruned_envelopes``).
+    Indices are then positions in the flattened batch, row after row, and
+    start_ks is a pair (numerators, denominators) of integer arrays, 0 / 1
+    at each row's first piece.
     """
     slopes, intercepts = np.asarray(slopes), np.asarray(intercepts)
     if slopes.size == 0:
         raise ValueError("a path needs at least one line")
-    exact = slopes.dtype.kind in "iu" and intercepts.dtype.kind in "iu"
+    if slopes.ndim == 2:
+        if slopes.dtype.kind not in "iu" or intercepts.dtype.kind not in "iu":
+            raise ValueError("a batch of rows needs integer lines")
+        return _pruned_envelopes(slopes, intercepts, np.asarray(sizes))
+    exact = slopes.dtype.kind in "iuO" and intercepts.dtype.kind in "iuO"
     if not exact:
         slopes = slopes.astype(float, copy=False)
         intercepts = intercepts.astype(float, copy=False)
-    slopes, intercepts = np.atleast_2d(slopes), np.atleast_2d(intercepts)
-    rows, width = slopes.shape
-    step = max(1, _HULL_CHUNK // width)
-    pieces = [_envelope(slopes[r:r + step], intercepts[r:r + step], r, exact)
-              for r in range(0, rows, step)]
-    return tuple(np.concatenate(part) for part in zip(*pieces))
-
-
-def _envelope(slopes: np.ndarray, intercepts: np.ndarray, row0: int,
-              exact: bool):
-    """Envelopes of a block of rows whose first row is row ``row0``."""
-    rows, width = slopes.shape
-    # sort each row by (-slope, intercept, index), absent entries last; rows
-    # already in increasing slope order (dimensions) are simply reversed
-    if np.all((slopes[:, 1:] > slopes[:, :-1]) | np.isnan(slopes[:, 1:])):
-        order = np.arange(width - 1, -1, -1)[None].repeat(rows, axis=0)
+    # sort by (-slope, intercept, index); lines already in increasing slope
+    # order (dimensions) are simply reversed
+    if np.all(slopes[1:] > slopes[:-1]):
+        order = np.arange(slopes.size - 1, -1, -1)
     else:
-        order = np.lexsort((intercepts, -slopes), axis=-1)
-    at = np.arange(rows)[:, None], order
-    s, c = slopes[at], intercepts[at]
-    live = ~np.isnan(s)
-    live[:, 1:] &= s[:, 1:] != s[:, :-1]  # drop the later of equal slopes
-    # drop a line when a later (flatter) live line is at least as cheap at
-    # K = 0 up to the tie tolerance; what is left rises strictly
-    if exact:
-        tie, absent = c[:, :-1], np.iinfo(c.dtype).max
-    else:
-        tie, absent = np.abs(c[:, :-1]), np.inf
-        np.maximum(tie, 1.0, out=tie)
+        order = np.lexsort((intercepts, -slopes))
+    s, c = slopes[order], intercepts[order]
+    live = np.ones(s.size, dtype=bool)
+    live[1:] = s[1:] != s[:-1]          # drop the later of equal slopes
+    order, s, c = order[live], s[live], c[live]
+    # drop a line when a later (flatter) line is at least as cheap at K = 0
+    # up to the tie tolerance; what is left rises strictly
+    tie = c[:-1]
+    if not exact:
+        tie = np.maximum(np.abs(tie), 1.0)
         tie *= _TIE_RTOL
-        tie += c[:, :-1]
-    later = np.where(live, c, absent)[:, :0:-1]
-    np.minimum.accumulate(later, axis=1, out=later)
-    live[:, :-1] &= ~(later[:, ::-1] <= tie)
-    del later, tie
-    row, pos = np.nonzero(live)
-    s, c = s[row, pos].tolist(), c[row, pos].tolist()
-    heads = [0] + (np.flatnonzero(row[1:] != row[:-1]) + 1).tolist()
-    hull, starts = _chain(heads, s, c, exact)
+        tie += c[:-1]
+    keep = np.ones(s.size, dtype=bool)
+    keep[:-1] = ~(np.minimum.accumulate(c[:0:-1])[::-1] <= tie)
+    order, s, c = order[keep], s[keep].tolist(), c[keep].tolist()
+    hull, starts = _chain(s, c, exact)
     if exact:
-        # a kept start k > 0 is the crossing with the previous kept line
+        # a start k > 0 is the crossing with the previous kept line
         starts = [Fraction(c[q] - c[p], s[p] - s[q]) if k else 0.0
                   for p, q, k in zip([0] + hull, hull, starts)]
-    return ((row0 + row[hull]) * width + order[row[hull], pos[hull]],
-            np.array(starts, dtype=object if exact else float))
+    return order[hull], np.array(starts, dtype=object if exact else float)
 
 
-def _chain(heads: list[int], s: list, c: list, exact: bool):
-    """Monotone chain over lines sorted row by row in slope-decreasing
-    order, none at least as cheap at K = 0 as a later line of its row;
-    ``heads`` are the positions where rows begin.  A top line is popped
-    when the new line crosses it no later than it starts.
+def _chain(s: list, c: list, exact: bool):
+    """Monotone chain over lines in slope-decreasing order, none at least
+    as cheap at K = 0 as a later line.  A top line is popped when the new
+    line crosses it no later than it starts.
 
     Crossings are float divisions.  On integer lines (``exact``) they are
     correctly rounded, hence monotone in the exact crossing, so only two
     crossings that round to the same float need deciding exactly, by
-    cross-multiplying the lines.  Such a tie is never with a row's first
-    line, which starts at 0: integer intercepts rise strictly along a
-    row, so every crossing is > 0."""
-    hull: list[int] = []
-    starts: list[float] = []
-    base, heads = 0, iter(heads + [len(s)])
-    nxt = next(heads)
-    for q in range(len(s)):
-        if q == nxt:                      # a new row: its first line
-            base, nxt = len(hull), next(heads)
-            hull.append(q)
-            starts.append(0.0)
-            continue
+    cross-multiplying the lines.  Such a tie is never with the first line,
+    which starts at 0: integer intercepts rise strictly, so every crossing
+    is > 0."""
+    hull, starts = [0], [0.0]
+    for q in range(1, len(s)):
         sq, cq = s[q], c[q]
         while True:
             top = hull[-1]
@@ -213,12 +194,77 @@ def _chain(heads: list[int], s: list, c: list, exact: bool):
                 break
             hull.pop()
             starts.pop()
-            if len(hull) == base:
+            if not hull:
                 k_cross = 0.0
                 break
         hull.append(q)
         starts.append(k_cross)
     return hull, starts
+
+
+def _pruned_envelopes(slopes: np.ndarray, intercepts: np.ndarray,
+                      sizes: np.ndarray):
+    """``lower_envelope`` of a batch of integer rows, without a chain.
+
+    Each row is filtered as one row is, in blocks of rows of
+    ``_HULL_CHUNK`` entries.  The lines left then lose, all rows at once,
+    every line that is not strictly convex with its two neighbours (in the
+    dual: not strictly below the segment joining them), pass after pass
+    until none drops; no line of the envelope ever drops, and a sequence
+    strictly convex at every line is the envelope itself.  Breakpoints are
+    the neighbours' crossings as integer (numerator, denominator) pairs.
+
+    With B the largest |slope| or |intercept| of the batch, padding
+    included, the cross-products stay within (2 B)^2: int64 holds them
+    while (2 B + 1)^2 < 2^63 (for the two-block lab's lines, B <= n^3, up
+    to n = 1,149), and past that every step runs on Python ints."""
+    rows, width = slopes.shape
+    bound = max(max(int(x.max()), -int(x.min())) for x in (slopes, intercepts))
+    if (2 * bound + 1) ** 2 >= 2 ** 63:
+        slopes, intercepts = slopes.astype(object), intercepts.astype(object)
+    step = max(1, _HULL_CHUNK // width)
+    parts = [_row_filter(slopes[r:r + step], intercepts[r:r + step],
+                         sizes[r:r + step], r)
+             for r in range(0, rows, step)]
+    idx, row, s, c = (np.concatenate(part) for part in zip(*parts))
+    # each row's first and last lines stay
+    head = np.ones(idx.size + 1, dtype=bool)
+    head[1:-1] = row[1:] != row[:-1]
+    inner = ~(head[1:-2] | head[2:-1])
+    while True:
+        ds, dc = s[:-1] - s[1:], c[1:] - c[:-1]
+        drop = dc[:-1] * ds[1:] >= dc[1:] * ds[:-1]
+        drop &= inner
+        if not drop.any():
+            break
+        keep = np.concatenate(([True], ~drop, [True]))
+        idx, s, c, inner = idx[keep], s[keep], c[keep], inner[~drop]
+    row = idx // width
+    head = np.ones(idx.size, dtype=bool)
+    head[1:] = row[1:] != row[:-1]
+    num, den = np.zeros_like(c), np.ones_like(s)
+    num[1:], den[1:] = c[1:] - c[:-1], s[:-1] - s[1:]
+    num[head], den[head] = 0, 1
+    return idx, (num, den)
+
+
+def _row_filter(slopes, intercepts, sizes, row0: int):
+    """The lines of a block of rows, first row ``row0``, cheaper at K = 0
+    than every flatter line of their row, as (flat index, row, slope,
+    intercept) arrays in slope-decreasing order row by row."""
+    rows, width = slopes.shape
+    pos = np.arange(width)
+    live = pos < sizes[:, None]
+    if not np.all((slopes[:, 1:] > slopes[:, :-1]) | ~live[:, 1:]):
+        raise ValueError("the lines of a row must rise in slope")
+    # a line is cheaper than every earlier (flatter) line of its row
+    live[:, 1:] &= (intercepts[:, 1:]
+                    < np.minimum.accumulate(intercepts, axis=1)[:, :-1])
+    # slope-decreasing order is each row reversed
+    at = np.flatnonzero(live[:, ::-1])
+    at += width - 1 - 2 * (at % width)
+    return (row0 * width + at, row0 + at // width, slopes.ravel()[at],
+            intercepts.ravel()[at])
 
 
 def envelope_path(contrasts: np.ndarray, deltas: np.ndarray,
@@ -241,7 +287,8 @@ def envelope_path(contrasts: np.ndarray, deltas: np.ndarray,
     hull, starts = lower_envelope(deltas, contrasts)
     hull, starts = hull.tolist(), starts.tolist()
     c_unit, d_unit = units
-    ks = [k * c_unit / d_unit for k in starts] + [np.inf]
+    k_unit = c_unit / d_unit
+    ks = [k * k_unit for k in starts] + [np.inf]
     deltas, contrasts = deltas.tolist(), contrasts.tolist()
     segs = tuple(
         PathSegment(k_lo=ks[pos], k_hi=ks[pos + 1], model_id=model_id(i),

@@ -19,8 +19,8 @@ below is the explicit, per-model version of one of their steps:
   along the envelope without a hull;
 * the lower envelope as one monotone chain per set of lines, and the
   two-block lab cut by cut: each block's statistics binned on their own,
-  and the per-cut argmin, oracle loss, and slope path merged from each
-  cut's two block chains.
+  the per-cut argmin and oracle loss, and the slope path in ``Fraction``s
+  over every pair of each cut's two block hulls.
 """
 
 from __future__ import annotations
@@ -395,9 +395,9 @@ def lower_envelope_chain(slopes, intercepts) -> tuple[list[int], list]:
     chain: lines in (-slope, intercept, index) order, each popping the top
     while it is at least as cheap at K = 0 (float intercepts within one
     part in 1e12 count as tied) or crosses the top no later than the top
-    starts.  Integer lines give ``Fraction`` breakpoints."""
+    starts.  Integer or ``Fraction`` lines give ``Fraction`` breakpoints."""
     slopes, intercepts = np.asarray(slopes), np.asarray(intercepts)
-    exact = slopes.dtype.kind in "iu" and intercepts.dtype.kind in "iu"
+    exact = slopes.dtype.kind in "iuO" and intercepts.dtype.kind in "iuO"
     if not exact:
         slopes, intercepts = slopes.astype(float), intercepts.astype(float)
     order = np.lexsort((np.arange(slopes.size), intercepts, -slopes))
@@ -485,18 +485,20 @@ def per_cut_arrays(lab: TwoBlockLab, sample: Sample):
 
 class PerCutTwoBlock:
     """A two-block sample evaluated cut by cut: per cut, the left and right
-    block statistics (A, V, L, D) from ``block_stats``."""
+    block statistics (A, V, L, D) from ``block_stats``, and each block's
+    T = sum c^2 per j and count."""
 
     def __init__(self, lab: TwoBlockLab, sample: Sample):
         self.lab = lab
         n = lab.n
         pts = np.sort(sample.points)
-        self.per_k = []
+        self.per_k, self.t_sq = [], []
         for c, (left, right) in zip(lab.cuts, per_cut_tables(lab)):
             nl = int(np.searchsorted(pts, c, side="left"))
-            self.per_k.append(
-                (block_stats(left, pts[:nl], 0.0, c, n)[:4],
-                 block_stats(right, pts[nl:], c, 1.0, n)[:4]))
+            stats = (block_stats(left, pts[:nl], 0.0, c, n),
+                     block_stats(right, pts[nl:], c, 1.0, n))
+            self.per_k.append(tuple(blk[:4] for blk in stats))
+            self.t_sq.append(((stats[0][4], nl), (stats[1][4], n - nl)))
 
     @staticmethod
     def _part(blk, complexity: str) -> np.ndarray:
@@ -535,10 +537,37 @@ class PerCutTwoBlock:
             best = min(best, left[2].min() + right[2].min())
         return self.lab.s_norm + best
 
-    def path(self, complexity: str) -> tuple[SlopePath, list]:
-        """The slope path and the key of each segment: one chain over the
-        lines of every cut."""
-        lines_s, lines_c, tags, delta_max = self.lines(complexity)
+    def exact_path(self, complexity: str) -> tuple[SlopePath, list]:
+        """The slope path and the key of each segment in ``Fraction``s: per
+        cut, the ``Fraction`` hull of each block's lines (contrast share
+        -j T / (s n) and complexity share j or j (n c - T) / (s (n - 1))
+        of a block of s / n with j cells), every pair of a left and a right
+        hull line, then one ``Fraction`` hull over the pairs of all cuts."""
+        n = self.lab.n
+        lines_s, lines_c, tags = [], [], []
+        delta_max = 0.0
+        for kk, (blocks, counts) in enumerate(zip(self.per_k, self.t_sq)):
+            hulls = []
+            for s, blk, (t_sq, count) in zip((kk + 1, n - kk - 1), blocks,
+                                             counts):
+                # the hull is that of the integer lines -j T + K j or
+                # -j T + K j (n c - T): scaling both axes changes no piece
+                js, t = np.arange(1, t_sq.size + 1), t_sq.astype(np.int64)
+                d = js if complexity == "dim" else js * (n * count - t)
+                hull, _ = lower_envelope_chain(d, -js * t)
+                hulls.append([(i, Fraction(int(d[i]), 1 if complexity == "dim"
+                                           else s * (n - 1)),
+                               Fraction(int(-js[i] * t[i]), s * n))
+                              for i in hull])
+            parts = [self._part(blk, complexity) for blk in blocks]
+            if complexity == "dmw":
+                parts = [part * n / (n - 1.0) for part in parts]
+            delta_max = max(delta_max, float(parts[0].max() + parts[1].max()))
+            for i1, d1, c1 in hulls[0]:
+                for i2, d2, c2 in hulls[1]:
+                    lines_s.append(d1 + d2)
+                    lines_c.append(c1 + c2)
+                    tags.append((kk, i1, i2))
         hull, starts = lower_envelope_chain(lines_s, lines_c)
         ks = starts + [np.inf]
         segs = tuple(PathSegment(k_lo=ks[pos], k_hi=ks[pos + 1],
@@ -547,37 +576,3 @@ class PerCutTwoBlock:
                      for pos, i in enumerate(hull))
         return (SlopePath(segments=segs, delta_max=float(delta_max)),
                 [tags[i] for i in hull])
-
-    def lines(self, complexity: str):
-        """(slopes, intercepts, keys, largest complexity) of the candidate
-        lines: per cut, the chains of both blocks walked in K order (their
-        Minkowski sum)."""
-        n = self.lab.n
-        lines_s: list[float] = []
-        lines_c: list[float] = []
-        tags: list[tuple[int, int, int]] = []
-        delta_max = 0.0
-        for kk, (left, right) in enumerate(self.per_k):
-            s1 = self._part(left, complexity)
-            s2 = self._part(right, complexity)
-            if complexity == "dmw":
-                s1, s2 = s1 * n / (n - 1.0), s2 * n / (n - 1.0)
-            delta_max = max(delta_max, float(s1.max() + s2.max()))
-            h1, st1 = lower_envelope_chain(s1, -left[0])
-            h2, st2 = lower_envelope_chain(s2, -right[0])
-            a = b = 0
-            while True:
-                i1, i2 = h1[a], h2[b]
-                lines_s.append(float(s1[i1] + s2[i2]))
-                lines_c.append(float(-left[0][i1] - right[0][i2]))
-                tags.append((kk, i1, i2))
-                nxt_a = st1[a + 1] if a + 1 < len(st1) else np.inf
-                nxt_b = st2[b + 1] if b + 1 < len(st2) else np.inf
-                nxt = min(nxt_a, nxt_b)
-                if not np.isfinite(nxt):
-                    break
-                if nxt_a == nxt:
-                    a += 1
-                if nxt_b == nxt:
-                    b += 1
-        return lines_s, lines_c, tags, delta_max

@@ -114,6 +114,21 @@ def test_log_rule_picks_right_of_exact_breakpoint(capsys, extra, line):
     assert capsys.readouterr().out.strip() == line
 
 
+@pytest.mark.parametrize("extra, line", [
+    (["--n", "7", "--seed", "0"],
+     "segments=3 K_min=0.047619 selected=two-block:k=3,j1=1,j2=3"),
+    (["--n", "13", "--seed", "12"],
+     "segments=5 K_min=0.042735 selected=two-block:k=9,j1=1,j2=1"),
+    (["--n", "13", "--seed", "12", "--complexity", "dmw"],
+     "segments=6 K_min=0.0536673 selected=two-block:k=9,j1=1,j2=1"),
+], ids=["n7-dim", "n13-dim", "n13-dmw"])
+def test_two_block_path_without_slivers(capsys, extra, line):
+    """Exact two-block paths where float noise on exact ties opened sliver
+    segments that moved the pick: K_min is 1/21, 5/117 and 30/559."""
+    assert main(["slope-path", "--collection", "two-block", *extra]) == 0
+    assert capsys.readouterr().out.strip() == line
+
+
 def test_conc_check_csv(tmp_path):
     out = tmp_path / "tail.csv"
     code = main(["conc-check", "--bound", "ustat", "--n", "40", "--dim", "5",
@@ -295,21 +310,28 @@ def test_cli_matches_per_model_oracle(kind, n, tmp_path, capsys):
             want, crit, fits, sample = _oracle_criteria(kind, n, seed, penalty)
             if got != want:
                 assert crit[got] == pytest.approx(crit[want], abs=1e-9)
-        if kind == "two-block":
-            continue
         for complexity in ("dim", "dmw"):
             out = tmp_path / "path.csv"
             assert main(["slope-path", "--collection", kind, "--n", str(n),
                          "--seed", str(seed), "--complexity", complexity,
                          "--out", str(out)]) == 0
             capsys.readouterr()
-            rows = [line.split(",") for line in _lines(out)[1:]]
+            # K_lo, K_hi, model_id, delta; two-block ids hold commas
+            rows = [(r[0], r[1], ",".join(r[2:-1]), r[-1])
+                    for r in (line.split(",") for line in _lines(out)[1:])]
             delta = {f.model.id: (f.model.dim if complexity == "dim"
                                   else resampling_dmw(f, sample))
                      for f in fits}
-            want = slope_path([(f.model.id, f.emp_contrast, delta[f.model.id])
-                               for f in fits])
-            assert [r[2] for r in rows] == [s.model_id for s in want.segments]
+            contrast = {f.model.id: f.emp_contrast for f in fits}
+            want = slope_path([(mid, contrast[mid], delta[mid])
+                               for mid in contrast])
+            assert len(rows) == len(want.segments)
+            for row, seg in zip(rows, want.segments):
+                # an exact tie (two-block, n = 9, seed 2, dmw: k=3,j1=2,j2=4
+                # and k=6,j1=4,j2=2) may go to either tied model
+                if row[2] != seg.model_id:
+                    assert delta[row[2]] == pytest.approx(seg.delta)
+                    assert contrast[row[2]] == pytest.approx(seg.contrast)
             assert [float(r[0]) for r in rows] == pytest.approx(
                 [s.k_lo for s in want.segments], rel=1e-9, abs=1e-15)
 

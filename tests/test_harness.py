@@ -2,6 +2,9 @@
 
 import concurrent.futures
 import tracemalloc
+import warnings
+from fractions import Fraction
+from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +16,6 @@ from densel.harness import (CollectionLab, Method, TwoBlockLab, _Evaluation,
                             _TwoBlockEvaluation, make_lab, parse_method,
                             penalty_sweep, run_example, summarize)
 from densel.models import build_regular_histograms
-from densel.slope import envelope_path
 from densel.rng import RngStream
 from oracles import (PerCutTwoBlock, PerModelLab, block_stats,
                      build_two_block_collection, exact_histogram_slope_pick,
@@ -308,31 +310,32 @@ def _two_block_samples():
             yield n, PowerLaw(), Sample(pts)
 
 
-def test_two_block_selections_match_per_cut_forms(monkeypatch):
+def _sliver_samples():
+    """(n, density, sample) of CLI runs whose float two-block paths carried
+    a sliver segment that moved the pick: ``slope-path --collection
+    two-block`` at --n 7 --seed 0 and --n 13 --seed 12."""
+    for n, seed in ((7, 0), (13, 12)):
+        yield n, PowerLaw(), PowerLaw().sample(n, RngStream(seed, 0, "data"))
+
+
+def test_two_block_selections_match_per_cut_forms():
     """The array selections of the two-block lab give exactly what the
-    per-cut forms give: the merged lines of every cut (for ``dmw``; ``dim``
-    keeps one line per dimension), the slope path (segments, K, delta,
-    contrast and keys compared with ==), the argmin and the oracle loss,
-    bit for bit."""
-    seen = []
-    monkeypatch.setattr(harness, "envelope_path", lambda c, d, ids, *rest: (
-        seen.append((d.tolist(), c.tolist(), [ids(i) for i in range(d.size)]))
-        or envelope_path(c, d, ids, *rest)))
+    per-cut forms give: the slope path equals the ``Fraction`` oracle
+    (segments, exact K, delta, contrast and keys compared with ==), and
+    the argmin and the oracle loss are equal bit for bit."""
     labs, count = {}, 0
-    for n, density, sample in _two_block_samples():
+    for n, density, sample in chain(_two_block_samples(), _sliver_samples()):
         if (n, density.kind) not in labs:
             labs[n, density.kind] = TwoBlockLab(n, density)
         lab = labs[n, density.kind]
         ev, per_cut = lab.evaluate(sample), PerCutTwoBlock(lab, sample)
         for complexity in ("dim", "dmw"):
-            seen.clear()
-            path, keys = ev._path(complexity)
-            assert (path, keys) == per_cut.path(complexity), (n, complexity)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")     # no breakpoint at 1 / 0
+                path, keys = ev._path(complexity)
+            assert (path, keys) == per_cut.exact_path(complexity), (
+                n, complexity)
             assert ev.path(complexity) == path
-            if complexity == "dmw":
-                lines_s, lines_c, tags, _ = per_cut.lines(complexity)
-                assert seen[0] == (lines_s, lines_c, [
-                    harness._two_block_id(*tag) for tag in tags])
         for complexity in ("dim", "dmw", "d_exact"):
             for k_const in (0.0, 0.5, 2.0, 3.7):
                 assert (ev._argmin(k_const, complexity)
@@ -342,11 +345,64 @@ def test_two_block_selections_match_per_cut_forms(monkeypatch):
     assert count >= 300
 
 
-def test_two_block_path_memory_within_evaluate():
-    """At n = 100 neither slope path holds more memory at its peak than
-    the evaluation of the sample does."""
-    lab = TwoBlockLab(100, PowerLaw())
-    sample = PowerLaw().sample(100, RngStream(30, 0, "data"))
+def test_breakpoint_order_settles_float_ties():
+    """Breakpoints sort by cut, then exact K, equal K counting once, also
+    where unequal K round to the same double: a / b < c / d = a / b +
+    1 / (b d) with b, d near 2^31 (int64), and the settle lines' K near
+    2^40 / 2^30 (Python ints, as ``lower_envelope`` returns them)."""
+    for b, a, dtype in ((2 ** 31 - 1, 2 ** 30 + 7, np.int64),
+                        (2 ** 30 + 3, 2 ** 40 + 12345, object)):
+        d = -pow(a, -1, b) % b
+        c = (a * d + 1) // b
+        assert a / b == c / d
+        cut = np.array([1, 0, 0, 1, 0, 1, 0])
+        num = np.array([c, c, a, a, 1, 2, a], dtype=dtype)
+        den = np.array([d, d, b, b, 3, 1, b], dtype=dtype)
+        order, last = harness._breakpoint_order(cut, num, den)
+        keys = [(int(k), Fraction(int(p), int(q)))
+                for k, p, q in zip(cut, num, den)]
+        assert [keys[i] for i in order] == sorted(keys)
+        assert last.tolist() == [keys[i] != keys[j] for i, j
+                                 in zip(order, order[1:])] + [True]
+
+
+def test_undominated_lines_match_pairwise_definition():
+    """A line is kept unless another line is at least as flat and strictly
+    cheaper at K = 0 (ratios over per-line denominators, exact ties
+    among them), also where slope x denominator passes 2^63, and for two
+    unequal slopes a / b < c / d = a / b + 1 / (b d) that round to the
+    same double, the flatter line dearer."""
+    a, b = 2 ** 40 + 12345, 2 ** 30 + 3
+    d = -pow(a, -1, b) % b
+    c = (a * d + 1) // b
+    inputs = [(np.array([a, c]), np.array([0, -d]), np.array([b, d]))]
+    gen = np.random.default_rng(31)
+    for big in (False, True):
+        for _ in range(60):
+            m = int(gen.integers(1, 40))
+            dens = gen.choice([6, 10, 12, 15], size=m)
+            slopes = gen.integers(0, 5, size=m) * dens // gen.choice(
+                [1, 2, 3], size=m)
+            intercepts = -gen.integers(0, 4, size=m) * dens
+            if big:
+                dens, slopes = dens << 30, slopes << 40
+            inputs.append((slopes, intercepts, dens))
+    assert a / b == c / d
+    for slopes, intercepts, dens in inputs:
+        keep = harness._undominated(slopes, intercepts, dens)
+        frac = [(Fraction(int(s), int(d)), Fraction(int(c), int(d)))
+                for s, c, d in zip(slopes, intercepts, dens)]
+        assert keep.tolist() == [
+            i for i, (s, c) in enumerate(frac)
+            if not any(s2 <= s and c2 < c for s2, c2 in frac)]
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_two_block_path_memory_within_evaluate(n):
+    """Neither slope path holds more memory at its peak than the
+    evaluation of the sample does."""
+    lab = TwoBlockLab(n, PowerLaw())
+    sample = PowerLaw().sample(n, RngStream(30, 0, "data"))
 
     def peak(fn):
         tracemalloc.start()
@@ -370,7 +426,9 @@ def _two_block_eval(left_a, right_a):
             contrast[side, kk, :len(a)] = -np.asarray(a, dtype=float)
     lab = SimpleNamespace(n=4, s_norm=0.0, d_exact=np.zeros((2, 3, 3)))
     return _TwoBlockEvaluation(lab=lab, contrast=contrast,
-                               var=np.zeros((2, 3, 3)), loss=np.zeros((2, 3, 3)))
+                               var=np.zeros((2, 3, 3)), loss=np.zeros((2, 3, 3)),
+                               t_sq=np.zeros((2, 3, 3), dtype=np.int64),
+                               count=np.zeros((2, 3), dtype=np.int64))
 
 
 def test_ties_go_to_criterion_then_dim_then_order():

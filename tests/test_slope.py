@@ -191,7 +191,7 @@ def _lines(gen, m):
 
 
 def test_float_hull_matches_chain_row_by_row():
-    """One row or a batch with NaN padding, ascending or unsorted rows:
+    """Rows of float lines, ascending or unsorted, each passed on its own:
     every row's pieces and starts are those of the chain, exactly."""
     gen = np.random.default_rng(5)
     for _ in range(300):
@@ -206,16 +206,12 @@ def test_float_hull_matches_chain_row_by_row():
             at = (np.arange(s.size) if gen.random() < 0.5 else
                   np.sort(gen.choice(width, s.size, replace=False)))
             slopes[r, at], intercepts[r, at] = s, c
-        idx, starts = lower_envelope(slopes, intercepts)
-        row, col = np.divmod(idx, width)
         for r in range(rows):
             at = np.flatnonzero(~np.isnan(slopes[r]))
+            idx, starts = lower_envelope(slopes[r, at], intercepts[r, at])
             hull, ks = lower_envelope_chain(slopes[r, at], intercepts[r, at])
-            assert col[row == r].tolist() == at[hull].tolist()
-            assert starts[row == r].tolist() == ks
-        if rows == 1:
-            one = lower_envelope(slopes[0], intercepts[0])
-            assert np.array_equal(one[0], idx) and np.array_equal(one[1], starts)
+            assert idx.tolist() == hull
+            assert starts.tolist() == ks
 
 
 def _settle_lines():
@@ -241,6 +237,43 @@ def test_integer_hull_matches_fraction_chain():
         assert (hull.tolist(), starts.tolist()) == lower_envelope_chain(
             slopes, intercepts)
     assert lower_envelope(*inputs[0])[0].tolist() == [0, 1, 2]
+
+
+def test_pruned_integer_batch_matches_fraction_chain():
+    """A batch of integer rows, each holding its lines in a prefix in
+    increasing slope order: small rows with intercept ties mixed with rows
+    whose cross-products pass 2^63 (random lines near 2^33, or the settle
+    lines).  Every row's pieces and exact starts are those of the chain."""
+    gen = np.random.default_rng(7)
+    settle_s, settle_c = (x[::-1] for x in _settle_lines())
+    for big in (False, True):
+        for _ in range(40):
+            rows, width = int(gen.integers(1, 9)), int(gen.integers(3, 40))
+            sizes = gen.integers(1, width + 1, size=rows)
+            slopes = np.cumsum(gen.integers(1, 4, size=(rows, width)), axis=1)
+            intercepts = -gen.integers(0, 6, size=(rows, width)) ** 2
+            for r in range(rows):
+                if big and gen.random() < 0.4:     # the settle lines
+                    sizes[r] = 3
+                    slopes[r, :3] = settle_s * int(gen.integers(1, 4))
+                    intercepts[r, :3] = settle_c - int(gen.integers(0, 9))
+                elif big and gen.random() < 0.5:
+                    slopes[r] = np.cumsum(gen.integers(1, 2 ** 28,
+                                                       size=width))
+                    intercepts[r] = -np.sort(gen.integers(0, 2 ** 34,
+                                                          size=width))
+            idx, (num, den) = lower_envelope(slopes, intercepts, sizes)
+            row, col = np.divmod(idx, width)
+            assert np.all(np.diff(row) >= 0)
+            for r in range(rows):
+                hull, ks = lower_envelope_chain(slopes[r, :sizes[r]],
+                                                intercepts[r, :sizes[r]])
+                assert col[row == r].tolist() == hull
+                assert [Fraction(int(p), int(q)) for p, q
+                        in zip(num[row == r], den[row == r])] == ks
+    for slopes in (np.ones((2, 3)), np.array([[1, 2, 3], [1, 3, 2]])):
+        with pytest.raises(ValueError):
+            lower_envelope(slopes, np.ones((2, 3), dtype=int), [3, 3])
 
 
 # ---------------------------------------------------------------------------
