@@ -9,6 +9,10 @@ deviation thresholds are compared with their caps; the bounds hold for
 every n, so a failing row indicates an implementation bug rather than bad
 luck.  All thresholds are evaluated with the exact D, e, v2 of the model,
 never with estimates, so the check isolates the inequality itself.
+
+p and dmw come from moments (cell counts, or the Fourier basis means) and
+only the U-statistic builds per-point basis values; every chunked array
+stays within the one budget ``CHUNK_BYTES``.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from .densities import Density
 from .models import (ModelSpec, exact_quantities, fourier_basis_matrix,
-                     histogram_cell_index, scale_constants)
+                     fourier_means, histogram_cell_index, scale_constants)
 from .rng import RngStream
 
 __all__ = [
@@ -81,7 +85,7 @@ class RegularizationReport:
 # Vectorized simulation of (p, dmw, u) for one model
 # ---------------------------------------------------------------------------
 
-CHUNK_BYTES = 8 << 20
+CHUNK_BYTES = 2 << 20
 
 
 def simulate_model_statistics(model: ModelSpec, density: Density, n: int,
@@ -89,9 +93,17 @@ def simulate_model_statistics(model: ModelSpec, density: Density, n: int,
                               compute_u: bool = False) -> dict[str, np.ndarray]:
     """Per-replication p, dmw (and optionally the double-sum u).
 
-    Replications run in chunks whose largest arrays, the (chunk, n, d)
-    basis values and with ``compute_u`` the (chunk, n, n) Gram array, fit
-    in ``CHUNK_BYTES`` each; the chunk size changes no bit of the results.
+    p and dmw come from moments: the cell counts of a histogram, the
+    basis means of ``fourier_means`` for a Fourier model, whose squared
+    basis values sum to d at every point, so that dmw = n/(n-1) (d -
+    |coeffs|^2).  dmw is clamped at 0, its exact value when all points
+    coincide.  Only ``compute_u`` builds the (n, d) centered basis values
+    of each replication and their (n, n) Gram array.
+
+    Replications run in chunks of at most n d values each, and the Gram
+    arrays in sub-chunks of at least one replication, so every array
+    stays within ``CHUNK_BYTES`` unless one replication alone exceeds it;
+    the chunk sizes change no bit of the results.
     """
     if n < 2:
         raise ValueError("dmw divides by n - 1: need n >= 2")
@@ -99,8 +111,8 @@ def simulate_model_statistics(model: ModelSpec, density: Density, n: int,
     pop = quantities.pop_coeffs
     gen = rng.generator()
     d = model.dim
-    row_bytes = 8 * n * (max(n, d) if compute_u else d)
-    step = max(1, CHUNK_BYTES // row_bytes)      # replications per chunk
+    step = max(1, CHUNK_BYTES // (8 * n * d))           # replications per chunk
+    gram_step = max(1, CHUNK_BYTES // (8 * n * n))      # per Gram sub-chunk
     p_out = np.empty(reps)
     dmw_out = np.empty(reps)
     u_out = np.empty(reps) if compute_u else None
@@ -114,24 +126,32 @@ def simulate_model_statistics(model: ModelSpec, density: Density, n: int,
             counts = np.bincount(flat.ravel(), minlength=m * d).reshape(m, d)
             widths = model.widths
             coeffs = counts / (n * np.sqrt(widths))
-            mean_sq = counts / (n * widths)
+            var = np.sum(counts / (n * widths) - coeffs ** 2, axis=1)
         else:
-            mat = fourier_basis_matrix(model.j, x)       # (m, n, d)
-            coeffs = mat.mean(axis=1)
-            mean_sq = (mat ** 2).mean(axis=1)
+            coeffs = fourier_means(model.j, x)
+            var = d - np.sum(coeffs ** 2, axis=1)
         p_out[lo:hi] = np.sum((coeffs - pop) ** 2, axis=1)
-        dmw_out[lo:hi] = n / (n - 1.0) * np.sum(mean_sq - coeffs ** 2, axis=1)
+        # guard the float tail: dmw is nonnegative by construction
+        dmw_out[lo:hi] = np.maximum(n / (n - 1.0) * var, 0.0)
         if compute_u:
             if model.basis == "histogram":
-                mat = np.zeros((m, n, d))
-                rows = np.repeat(np.arange(m), n)
-                cols = np.tile(np.arange(n), m)
-                mat[rows, cols, cell.ravel()] = 1.0 / np.sqrt(widths)[cell.ravel()]
-            centered = mat - pop
-            gram = centered @ centered.transpose(0, 2, 1)
-            total = gram.sum(axis=(1, 2))
-            diag = np.einsum("bii->b", gram)
-            u_out[lo:hi] = (total - diag) / (n * (n - 1.0))
+                # the floats of (indicator / sqrt(w)) - pop, without the
+                # indicator array
+                centered = np.empty((m, n, d))
+                centered[...] = 0.0 - pop
+                np.put_along_axis(centered, cell[..., None],
+                                  (1.0 / np.sqrt(widths) - pop)[cell][..., None],
+                                  axis=2)
+            else:
+                centered = fourier_basis_matrix(model.j, x)
+                centered -= pop
+            for a in range(0, m, gram_step):
+                c = centered[a:a + gram_step]
+                gram = c @ c.transpose(0, 2, 1)
+                total = gram.sum(axis=(1, 2))
+                diag = np.einsum("bii->b", gram)
+                del gram                # one Gram array at a time
+                u_out[lo + a:lo + a + c.shape[0]] = (total - diag) / (n * (n - 1.0))
     out = {"p": p_out, "dmw": dmw_out}
     if compute_u:
         out["u"] = u_out

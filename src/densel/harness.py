@@ -46,7 +46,7 @@ import numpy as np
 
 from .densities import Density, PowerLaw, Sample
 from .models import (ModelCollection, build_collection, exact_quantities,
-                     fourier_basis_matrix)
+                     fourier_means)
 from .rng import RngStream
 from .slope import SlopePath, envelope_path, lower_envelope, slope_pick
 
@@ -354,7 +354,8 @@ class CollectionLab:
     Regular histograms are the one-block case of the block engine: j = 1..n
     equal cells on [0, 1].  Nested Fourier models share coefficients:
     ``pop`` holds those of the largest model, every model's bias and D fall
-    out of one cumulative sum, and each sample is fitted once.
+    out of one cumulative sum, and each sample is fitted once, from the
+    basis means of ``fourier_means``.
     """
 
     def __init__(self, collection: ModelCollection, density: Density):
@@ -396,12 +397,12 @@ class CollectionLab:
                 ids=self.ids, dims=self.dims, contrasts=-a, dmws=dmws,
                 losses=self.s_norm + loss_part, d_exact=self.d_exact,
                 n=self.n, t_sq=t_sq)
-        mat = fourier_basis_matrix(self.pop.size // 2, sample.points)
-        coeffs = mat.mean(axis=0)
-        var = (mat ** 2).mean(axis=0) - coeffs ** 2
+        coeffs = fourier_means(self.pop.size // 2, sample.points)
         contrasts = -np.cumsum(coeffs ** 2)[self._last]
-        dmws = (n / (n - 1.0) * np.cumsum(var)[self._last] if n >= 2
-                else np.full(len(self.ids), np.nan))
+        # squared basis values sum to dim at every point; the clamp guards
+        # the float tail, dmw is nonnegative by construction
+        dmws = (np.maximum(n / (n - 1.0) * (self.dims + contrasts), 0.0)
+                if n >= 2 else np.full(len(self.ids), np.nan))
         losses = self.bias_sq + np.cumsum((coeffs - self.pop) ** 2)[self._last]
         return _Evaluation(ids=self.ids, dims=self.dims, contrasts=contrasts,
                            dmws=dmws, losses=losses, d_exact=self.d_exact,

@@ -183,6 +183,27 @@ def fourier_basis_matrix(j: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def fourier_means(j: int, x: np.ndarray) -> np.ndarray:
+    """Means over the last (point) axis of the Fourier basis values, in
+    the column order of ``fourier_basis_matrix``: shape x.shape[:-1] +
+    (2j+1,).
+
+    cos and sin of 2 pi k x are the parts of z**k with z = exp(2 pi i x),
+    and the powers come by repeated multiplication, so only two complex
+    arrays of the points' shape are held, never an (..., n, 2j+1) one."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape[:-1] + (2 * j + 1,))
+    out[..., 0] = 1.0
+    z = np.exp(complex(0.0, 2.0 * np.pi) * x)
+    zk = z.copy()
+    for k in range(1, j + 1):
+        mean = np.sqrt(2.0) * zk.mean(axis=-1)
+        out[..., 2 * k - 1], out[..., 2 * k] = mean.real, mean.imag
+        if k < j:
+            zk *= z
+    return out
+
+
 def histogram_cell_index(breaks: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Cell of each point; cells are [a,b) except the last which is [a,1]."""
     idx = np.searchsorted(breaks, x, side="right") - 1

@@ -1,6 +1,8 @@
 """Concentration lab: tail reports, identities, regularization."""
 
 import tracemalloc
+from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -11,12 +13,15 @@ from densel.conclab import (check_p_concentration,
                             check_ustat_concentration,
                             regularization_comparison,
                             simulate_model_statistics)
-from densel.densities import PowerLaw, Uniform
-from densel.models import (build_regular_histograms, fourier_model,
+from densel.densities import PiecewiseConstant, PowerLaw, Uniform
+from densel.models import (build_regular_histograms, exact_quantities,
+                           fourier_basis_matrix, fourier_model,
                            histogram_model, regular_histogram)
 from densel.rng import RngStream
 
 MODEL10 = build_regular_histograms(10).models[-1]
+STEP = PiecewiseConstant(np.array([0.0, 0.3, 0.7, 1.0]),
+                         np.array([0.5, 1.75, 0.5]))
 
 
 def test_simulation_deterministic():
@@ -29,32 +34,107 @@ def test_simulation_deterministic():
 
 
 def test_simulation_chunking_invariant(monkeypatch):
-    """The byte budget sets the chunk size (one replication at a time
-    under the smaller one) and changes no bit of p, dmw or u."""
+    """The byte budget sets the chunk and Gram sub-chunk sizes (one
+    replication at a time under the smallest budget, all replications in
+    one chunk but the Gram in sub-chunks under the middle one) and
+    changes no bit of p, dmw or u."""
+    n, reps = 30, 300
+
     def run(model, budget):
         monkeypatch.setattr(conclab, "CHUNK_BYTES", budget)
-        return simulate_model_statistics(model, PowerLaw(), 30, 300,
+        return simulate_model_statistics(model, PowerLaw(), n, reps,
                                          RngStream(4, 0, "c"), compute_u=True)
     for model in (MODEL10, fourier_model(3)):
-        a, b = run(model, conclab.CHUNK_BYTES), run(model, 1)
-        for key in ("p", "dmw", "u"):
-            assert np.array_equal(a[key], b[key])
+        a = run(model, conclab.CHUNK_BYTES)
+        one_chunk = 8 * n * model.dim * reps
+        assert 1 < one_chunk // (8 * n * n) < reps      # Gram sub-chunks
+        for budget in (one_chunk, 1):
+            b = run(model, budget)
+            for key in ("p", "dmw", "u"):
+                assert np.array_equal(a[key], b[key]), (model.id, budget, key)
 
 
 @pytest.mark.parametrize("model", [regular_histogram(20), fourier_model(10)],
                          ids=["reg-hist:d=20", "fourier:j=10"])
 def test_ustat_memory_within_chunk_budget(model):
-    """At n = 1000 the (n, n) Gram array of one replication alone is 8 MB:
-    the U-statistic run peaks within three chunk budgets."""
+    """At n = isqrt(CHUNK_BYTES / 8) the (n, n) Gram array of one
+    replication alone fills the chunk budget: the U-statistic run peaks
+    within three budgets."""
+    n = isqrt(conclab.CHUNK_BYTES // 8)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        simulate_model_statistics(model, PowerLaw(), 1000, 3,
+        simulate_model_statistics(model, PowerLaw(), n, 3,
                                   RngStream(12, 0, "mem"), compute_u=True)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert peak <= 3 * conclab.CHUNK_BYTES
+
+
+def test_fourier_statistics_memory_below_chunk_budget():
+    """p and dmw of a Fourier model come from moments: the run holds no
+    (chunk, n, d) basis array, and peaks below one chunk budget."""
+    model = fourier_model(50)
+    # a first call imports numpy.polynomial (the coefficient rule), which
+    # tracemalloc would count
+    simulate_model_statistics(model, PowerLaw(), 2, 1, RngStream(12, 1, "mem"))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        simulate_model_statistics(model, PowerLaw(), 1000, 200,
+                                  RngStream(12, 1, "mem"))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < conclab.CHUNK_BYTES
+
+
+@pytest.mark.parametrize("density", [PowerLaw(), Uniform(), STEP],
+                         ids=["powerlaw", "uniform", "step"])
+@pytest.mark.parametrize("j", [1, 10])
+def test_fourier_moments_match_basis_matrix(density, j):
+    """p and dmw from the basis means equal their basis-matrix forms."""
+    n, reps = 40, 50
+    model = fourier_model(j)
+    got = simulate_model_statistics(model, density, n, reps,
+                                    RngStream(13, j, "fm"))
+    x = density.quantile(RngStream(13, j, "fm").generator().random((reps, n)))
+    mat = fourier_basis_matrix(j, x)
+    coeffs = mat.mean(axis=1)
+    pop = exact_quantities(model, density, n).pop_coeffs
+    p = np.sum((coeffs - pop) ** 2, axis=1)
+    dmw = n / (n - 1.0) * np.sum((mat ** 2).mean(axis=1) - coeffs ** 2,
+                                 axis=1)
+    np.testing.assert_allclose(got["p"], p, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(got["dmw"], dmw, rtol=1e-12, atol=0.0)
+
+
+@dataclass(frozen=True)
+class _Atom(Uniform):
+    """Every draw is the point x0 (the exact quantities stay uniform's
+    for histograms)."""
+
+    x0: float = 0.5
+
+    def quantile(self, u):
+        return np.full(np.shape(u), self.x0)
+
+
+def test_dmw_nonnegative_on_identical_points():
+    """When all points coincide dmw is exactly 0; its float form must not
+    fall below it (both bases, with and without the U-statistic)."""
+    models = ([fourier_model(j) for j in range(1, 16)]
+              + [regular_histogram(d) for d in (1, 3, 7, 10, 30)]
+              + [histogram_model([0.0, 0.1, 0.35, 1.0])])
+    for n in (2, 7, 30):
+        for x0 in np.linspace(0.0, 1.0, 21):
+            for model in models:
+                sims = simulate_model_statistics(model, _Atom(x0), n, 2,
+                                                 RngStream(14, n, "atom"),
+                                                 compute_u=n == 7)
+                assert np.all(sims["dmw"] >= 0.0), (model.id, n, x0)
+                assert np.all(sims["dmw"] <= 1e-12), (model.id, n, x0)
 
 
 def test_p_concentration_passes():

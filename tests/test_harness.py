@@ -15,7 +15,7 @@ from densel.densities import PowerLaw, Sample, Uniform, density_from_config
 from densel.harness import (CollectionLab, Method, TwoBlockLab, _Evaluation,
                             _TwoBlockEvaluation, make_lab, parse_method,
                             penalty_sweep, run_example, summarize)
-from densel.models import build_regular_histograms
+from densel.models import build_regular_histograms, fourier_basis_matrix
 from densel.rng import RngStream
 from oracles import (PerCutTwoBlock, PerModelLab, block_stats,
                      build_two_block_collection, exact_histogram_slope_pick,
@@ -139,6 +139,39 @@ def test_block_labs_match_per_model_oracle(density):
                 assert ev._row(key, 0.0).model_id == oracle.ids[i]
                 assert stats(ev, key) == pytest.approx(stats(ev_o, i),
                                                        rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("density", [PowerLaw(), Uniform(), STEP],
+                         ids=["power", "uniform", "step"])
+def test_fourier_lab_moments_match_basis_matrix(density):
+    """The Fourier lab's contrasts and dmws, from the basis means, equal
+    their basis-matrix forms to 1e-12 relative."""
+    n = 30
+    lab = make_lab("fourier", n, density)
+    last = lab.dims.astype(int) - 1
+    for rep in range(3):
+        s = density.sample(n, RngStream(26, rep, "data"))
+        ev = lab.evaluate(s)
+        mat = fourier_basis_matrix(n, s.points)
+        coeffs = mat.mean(axis=0)
+        var = (mat ** 2).mean(axis=0) - coeffs ** 2
+        np.testing.assert_allclose(ev.contrasts,
+                                   -np.cumsum(coeffs ** 2)[last],
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(ev.dmws,
+                                   n / (n - 1.0) * np.cumsum(var)[last],
+                                   rtol=1e-12, atol=0.0)
+
+
+def test_fourier_lab_dmw_nonnegative_on_identical_points():
+    """dmw is exactly 0 when all points coincide: the lab's float form
+    stays >= 0, so the dmw slope path runs."""
+    for n in (2, 7, 30):
+        lab = make_lab("fourier", min(n, 15), PowerLaw())
+        for x0 in np.linspace(0.0, 1.0, 21):
+            ev = lab.evaluate(Sample(np.full(n, x0)))
+            assert np.all(ev.dmws >= 0.0) and np.all(ev.dmws <= 1e-12)
+            ev.path("dmw")
 
 
 def test_both_histogram_labs_run_the_block_engine(monkeypatch):

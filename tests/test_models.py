@@ -10,7 +10,8 @@ from densel.conclab import simulate_model_statistics
 from densel.densities import Density, PiecewiseConstant, PowerLaw, Uniform
 from densel.models import (build_fourier_collection, build_regular_histograms,
                            exact_quantities, fourier_basis_matrix,
-                           fourier_model, histogram_model, scale_constants)
+                           fourier_means, fourier_model, histogram_model,
+                           scale_constants)
 from densel.rng import RngStream
 from oracles import (basis_eval, build_two_block_collection, two_block_breaks,
                      two_block_params)
@@ -245,6 +246,21 @@ def test_fourier_basis_matrix_memory():
             tracemalloc.stop()
         assert out.shape == (300, 100, 2 * j + 1)
         assert peak <= 1.25 * out.nbytes, j
+
+
+@pytest.mark.parametrize("j", [1, 10, 100])
+@pytest.mark.parametrize("n", [2, 100, 1000])
+def test_fourier_means_match_basis_matrix(j, n):
+    """The moments from powers of exp(2 pi i x) are the column means of
+    the basis matrix, for one sample and for a stack of samples."""
+    x = np.random.default_rng(j * n).random((3, n))
+    x[:, 0], x[:, -1] = 0.0, 1.0
+    want = fourier_basis_matrix(j, x).mean(axis=-2)
+    got = fourier_means(j, x)
+    assert got.shape == (3, 2 * j + 1)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(fourier_means(j, x[1]), want[1], rtol=0.0,
+                               atol=1e-12)
 
 
 @pytest.mark.parametrize("model", [
