@@ -11,8 +11,9 @@ luck.  All thresholds are evaluated with the exact D, e, v2 of the model,
 never with estimates, so the check isolates the inequality itself.
 
 p and dmw come from moments (cell counts, or the Fourier basis means) and
-only the U-statistic builds per-point basis values; every chunked array
-stays within the one budget ``CHUNK_BYTES``.
+only the U-statistic builds per-point basis values, one Gram sub-chunk of
+replications at a time; every chunk and sub-chunk stays within the one
+budget ``CHUNK_BYTES``.
 """
 
 from __future__ import annotations
@@ -97,12 +98,14 @@ def simulate_model_statistics(model: ModelSpec, density: Density, n: int,
     basis means of ``fourier_means`` for a Fourier model, whose squared
     basis values sum to d at every point, so that dmw = n/(n-1) (d -
     |coeffs|^2).  dmw is clamped at 0, its exact value when all points
-    coincide.  Only ``compute_u`` builds the (n, d) centered basis values
-    of each replication and their (n, n) Gram array.
+    coincide.  Only ``compute_u`` builds per-point values: the (n, d)
+    centered basis values of a replication and their (n, n) Gram array,
+    both inside one Gram sub-chunk.
 
-    Replications run in chunks of at most n d values each, and the Gram
-    arrays in sub-chunks of at least one replication, so every array
-    stays within ``CHUNK_BYTES`` unless one replication alone exceeds it;
+    Replications run in chunks of n max(d, 8) values each, and the
+    centered values with their Gram arrays in sub-chunks of n (n + d)
+    values each, one sub-chunk at a time, so that chunk and sub-chunk
+    stay within ``CHUNK_BYTES`` unless one replication alone exceeds it;
     the chunk sizes change no bit of the results.
     """
     if n < 2:
@@ -111,11 +114,20 @@ def simulate_model_statistics(model: ModelSpec, density: Density, n: int,
     pop = quantities.pop_coeffs
     gen = rng.generator()
     d = model.dim
-    step = max(1, CHUNK_BYTES // (8 * n * d))           # replications per chunk
-    gram_step = max(1, CHUNK_BYTES // (8 * n * n))      # per Gram sub-chunk
+    # a replication counts at least 8 values per point: the p/dmw path
+    # holds about six at once whatever d (the draws, the points and the
+    # cell and flat indices of a histogram, or the points and the complex
+    # z and z**k of a Fourier model)
+    step = max(1, CHUNK_BYTES // (8 * n * max(d, 8)))
+    gram_step = max(1, CHUNK_BYTES // (8 * n * (n + d)))
     p_out = np.empty(reps)
     dmw_out = np.empty(reps)
     u_out = np.empty(reps) if compute_u else None
+    if model.basis == "histogram":
+        widths = model.widths
+        # the centered value of a point at its own cell; every other cell
+        # holds 0.0 - pop: the floats of (indicator / sqrt(w)) - pop
+        own = 1.0 / np.sqrt(widths) - pop
     for lo in range(0, reps, step):
         hi = min(lo + step, reps)
         m = hi - lo
@@ -124,7 +136,7 @@ def simulate_model_statistics(model: ModelSpec, density: Density, n: int,
             cell = histogram_cell_index(model.breaks, x.ravel()).reshape(m, n)
             flat = cell + d * np.arange(m)[:, None]
             counts = np.bincount(flat.ravel(), minlength=m * d).reshape(m, d)
-            widths = model.widths
+            del flat
             coeffs = counts / (n * np.sqrt(widths))
             var = np.sum(counts / (n * widths) - coeffs ** 2, axis=1)
         else:
@@ -133,25 +145,23 @@ def simulate_model_statistics(model: ModelSpec, density: Density, n: int,
         p_out[lo:hi] = np.sum((coeffs - pop) ** 2, axis=1)
         # guard the float tail: dmw is nonnegative by construction
         dmw_out[lo:hi] = np.maximum(n / (n - 1.0) * var, 0.0)
-        if compute_u:
+        if not compute_u:
+            continue
+        for a in range(0, m, gram_step):
+            b = min(a + gram_step, m)
             if model.basis == "histogram":
-                # the floats of (indicator / sqrt(w)) - pop, without the
-                # indicator array
-                centered = np.empty((m, n, d))
-                centered[...] = 0.0 - pop
-                np.put_along_axis(centered, cell[..., None],
-                                  (1.0 / np.sqrt(widths) - pop)[cell][..., None],
-                                  axis=2)
+                cells = cell[a:b].ravel()
+                c = np.empty((b - a, n, d))
+                c[...] = 0.0 - pop
+                c.reshape(-1, d)[np.arange(cells.size), cells] = own[cells]
             else:
-                centered = fourier_basis_matrix(model.j, x)
-                centered -= pop
-            for a in range(0, m, gram_step):
-                c = centered[a:a + gram_step]
-                gram = c @ c.transpose(0, 2, 1)
-                total = gram.sum(axis=(1, 2))
-                diag = np.einsum("bii->b", gram)
-                del gram                # one Gram array at a time
-                u_out[lo + a:lo + a + c.shape[0]] = (total - diag) / (n * (n - 1.0))
+                c = fourier_basis_matrix(model.j, x[a:b])
+                c -= pop
+            gram = c @ c.transpose(0, 2, 1)
+            total = gram.sum(axis=(1, 2))
+            diag = np.einsum("bii->b", gram)
+            del gram                    # one sub-chunk at a time
+            u_out[lo + a:lo + b] = (total - diag) / (n * (n - 1.0))
     out = {"p": p_out, "dmw": dmw_out}
     if compute_u:
         out["u"] = u_out

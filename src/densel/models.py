@@ -168,11 +168,12 @@ def fourier_basis_matrix(j: int, x: np.ndarray) -> np.ndarray:
     """Columns [1, sqrt2*cos(2pi k x), sqrt2*sin(2pi k x)] for k = 1..j.
 
     The result is allocated once and filled a sixteenth of the points at a
-    time, so the per-column temporaries add about a sixteenth to its size."""
+    time, so the per-column temporaries add about a sixteenth to its size;
+    slices hold at least 2048 points, so that small inputs take one pass."""
     x = np.asarray(x, dtype=float)
     out = np.empty(x.shape + (2 * j + 1,))
     flat, rows = x.reshape(-1), out.reshape(-1, 2 * j + 1)
-    step = max(1, -(-flat.size // 16))
+    step = max(2048, -(-flat.size // 16))
     for a in range(0, flat.size, step):
         xa = flat[a:a + step]
         cols = [np.ones_like(xa)]

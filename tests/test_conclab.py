@@ -13,11 +13,13 @@ from densel.conclab import (check_p_concentration,
                             check_ustat_concentration,
                             regularization_comparison,
                             simulate_model_statistics)
-from densel.densities import PiecewiseConstant, PowerLaw, Uniform
+from densel.densities import PiecewiseConstant, PowerLaw, Sample, Uniform
+from densel.fitting import fit_model
 from densel.models import (build_regular_histograms, exact_quantities,
                            fourier_basis_matrix, fourier_model,
                            histogram_model, regular_histogram)
 from densel.rng import RngStream
+from oracles import u_statistic_double_sum
 
 MODEL10 = build_regular_histograms(10).models[-1]
 STEP = PiecewiseConstant(np.array([0.0, 0.3, 0.7, 1.0]),
@@ -46,8 +48,8 @@ def test_simulation_chunking_invariant(monkeypatch):
                                          RngStream(4, 0, "c"), compute_u=True)
     for model in (MODEL10, fourier_model(3)):
         a = run(model, conclab.CHUNK_BYTES)
-        one_chunk = 8 * n * model.dim * reps
-        assert 1 < one_chunk // (8 * n * n) < reps      # Gram sub-chunks
+        one_chunk = 8 * n * max(model.dim, 8) * reps
+        assert 1 < one_chunk // (8 * n * (n + model.dim)) < reps
         for budget in (one_chunk, 1):
             b = run(model, budget)
             for key in ("p", "dmw", "u"):
@@ -72,22 +74,67 @@ def test_ustat_memory_within_chunk_budget(model):
     assert peak <= 3 * conclab.CHUNK_BYTES
 
 
-def test_fourier_statistics_memory_below_chunk_budget():
-    """p and dmw of a Fourier model come from moments: the run holds no
-    (chunk, n, d) basis array, and peaks below one chunk budget."""
-    model = fourier_model(50)
-    # a first call imports numpy.polynomial (the coefficient rule), which
-    # tracemalloc would count
-    simulate_model_statistics(model, PowerLaw(), 2, 1, RngStream(12, 1, "mem"))
+def _traced_peak(model, n, reps, compute_u=False):
+    """Traced peak of one run above its start, after a warm-up call (the
+    first Fourier call imports numpy.polynomial, which tracemalloc would
+    count)."""
+    simulate_model_statistics(model, PowerLaw(), 2, 1, RngStream(12, 1, "mem"),
+                              compute_u=compute_u)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        simulate_model_statistics(model, PowerLaw(), 1000, 200,
-                                  RngStream(12, 1, "mem"))
-        peak = tracemalloc.get_traced_memory()[1] - base
+        simulate_model_statistics(model, PowerLaw(), n, reps,
+                                  RngStream(12, 1, "mem"), compute_u=compute_u)
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < conclab.CHUNK_BYTES
+
+
+@pytest.mark.parametrize("model", [regular_histogram(1), fourier_model(1)],
+                         ids=["reg-hist:d=1", "fourier:j=1"])
+def test_small_dim_statistics_memory_within_budget(model):
+    """At small d a replication holds more values per point than d (the
+    draws, the points and their indices, or z and z**k); chunks count
+    them, so the p/dmw run stays within 1.5 budgets."""
+    assert _traced_peak(model, 100, 10_000) <= 1.5 * conclab.CHUNK_BYTES
+
+
+@pytest.mark.parametrize("model", [regular_histogram(20), fourier_model(10)],
+                         ids=["reg-hist:d=20", "fourier:j=10"])
+def test_ustat_working_set_at_benchmark_shape(model):
+    """At n = 200 the centered values of a replication are built inside
+    its Gram sub-chunk, never for a whole chunk: the U-statistic run
+    stays within 1.5 budgets."""
+    peak = _traced_peak(model, 200, 2000, compute_u=True)
+    assert peak <= 1.5 * conclab.CHUNK_BYTES
+
+
+@pytest.mark.parametrize("model", [regular_histogram(7),
+                                   histogram_model([0.0, 0.1, 0.35, 1.0]),
+                                   fourier_model(1), fourier_model(4)],
+                         ids=["reg-hist:d=7", "hist:3-cells", "fourier:j=1",
+                              "fourier:j=4"])
+@pytest.mark.parametrize("n", [2, 9, 30])
+def test_ustat_matches_double_sum_oracle(model, n):
+    """Every replication's u equals the explicit Gram double sum of the
+    oracles on the same sample, regenerated from the same stream."""
+    reps = 40
+    got = simulate_model_statistics(model, STEP, n, reps,
+                                    RngStream(15, n, "u-oracle"),
+                                    compute_u=True)["u"]
+    draws = RngStream(15, n, "u-oracle").generator().random((reps, n))
+    x = STEP.quantile(draws)
+    q = exact_quantities(model, STEP, n)
+    for r in range(reps):
+        sample = Sample(x[r], sorted_flag=False)
+        want = u_statistic_double_sum(fit_model(model, sample), sample, q)
+        assert abs(got[r] - want) <= 1e-12 * abs(want), (r, got[r], want)
+
+
+def test_fourier_statistics_memory_below_chunk_budget():
+    """p and dmw of a Fourier model come from moments: the run holds no
+    (chunk, n, d) basis array, and peaks below one chunk budget."""
+    assert _traced_peak(fourier_model(50), 1000, 200) < conclab.CHUNK_BYTES
 
 
 @pytest.mark.parametrize("density", [PowerLaw(), Uniform(), STEP],
