@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import RngStream
+from .rng import RngStream, uniforms
 
 __all__ = [
     "Density",
@@ -83,11 +83,16 @@ class Density:
         """Integral of s**2 over [0,1] (exact)."""
         raise NotImplementedError
 
-    def sample(self, n: int, rng: RngStream) -> Sample:
-        """Draw n points by inverse-cdf transform; returned sorted."""
+    def sample(self, n: int, rng: RngStream,
+               u: np.ndarray | None = None) -> Sample:
+        """Draw n points by inverse-cdf transform of the first n uniforms
+        of ``rng`` (:func:`densel.rng.uniforms`); returned sorted.  ``u``
+        passes those uniforms when they were drawn beforehand, in a batch
+        of streams."""
         if n < 1:
             raise ValueError("sample size must be >= 1")
-        u = rng.generator().random(n)
+        if u is None:
+            u = uniforms([rng], n)[0]
         pts = np.sort(self.quantile(u))
         return Sample(points=pts, sorted_flag=True)
 
@@ -156,6 +161,9 @@ class PiecewiseConstant(Density):
         hts = np.asarray(self.heights, dtype=float)
         if brk.ndim != 1 or brk.size < 2 or hts.size != brk.size - 1:
             raise ValueError("need k+1 breakpoints for k heights")
+        # NaN passes every comparison below
+        if not (np.all(np.isfinite(brk)) and np.all(np.isfinite(hts))):
+            raise ValueError("breakpoints and heights must be finite")
         if brk[0] != 0.0 or brk[-1] != 1.0 or np.any(np.diff(brk) <= 0.0):
             raise ValueError("breakpoints must increase strictly from 0 to 1")
         if np.any(hts < 0.0):

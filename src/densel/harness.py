@@ -47,7 +47,7 @@ import numpy as np
 from .densities import Density, PowerLaw, Sample
 from .models import (ModelCollection, build_collection, exact_quantities,
                      fourier_means)
-from .rng import RngStream
+from .rng import RngStream, uniforms
 from .slope import SlopePath, envelope_path, lower_envelope, slope_pick
 
 __all__ = [
@@ -212,6 +212,7 @@ def _block_tables(density: Density, lo: float, hi: float, jmax: int,
 
 # A chunk of blocks keeps its (points x cells) index array of n points per
 # block within this many bytes; a block larger than that is a chunk alone.
+# A batch of replications keeps its (reps x n) uniforms within it too.
 CHUNK_BYTES = 256 * 1024
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
@@ -827,21 +828,31 @@ def _init_worker(lab, task, seed):
     _WORKER["seed"] = seed
 
 
-def _one_rep(rep: int):
-    lab = _WORKER["lab"]
-    sample = lab.density.sample(lab.n, RngStream(_WORKER["seed"], rep, "data"))
-    return _WORKER["task"](lab.evaluate(sample))
+def _rep_batch(batch: range) -> list:
+    """``task`` of the replications in ``batch``, whose uniforms are drawn
+    as one array; each still gets its own quantile, sort and Sample."""
+    lab, seed = _WORKER["lab"], _WORKER["seed"]
+    streams = [RngStream(seed, r, "data") for r in batch]
+    draws = uniforms(streams, lab.n)
+    return [_WORKER["task"](lab.evaluate(lab.density.sample(lab.n, s, u=u)))
+            for s, u in zip(streams, draws)]
 
 
 def _run_reps(lab, task, seed: int, reps: int, threads: int):
     """``task(evaluation)`` for every replication, in replication order.
 
-    The fork pool starts all its workers at once, so it gets no more than
-    there are replications or CPUs."""
+    Replications run in batches whose uniforms fill at most CHUNK_BYTES;
+    the pool also keeps about 8 batches per worker.  The fork pool starts
+    all its workers at once, so it gets no more than there are
+    replications or CPUs."""
     workers = min(threads, reps, os.cpu_count() or 1)
+    size = max(1, CHUNK_BYTES // (8 * lab.n))
+    if workers > 1:
+        size = min(size, max(1, reps // (workers * 8)))
+    batches = [range(a, min(a + size, reps)) for a in range(0, reps, size)]
     if workers <= 1:
         _init_worker(lab, task, seed)
-        return [_one_rep(r) for r in range(reps)]
+        return [out for b in map(_rep_batch, batches) for out in b]
     # imported here: a serial run never pays for the pool's modules
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -849,8 +860,8 @@ def _run_reps(lab, task, seed: int, reps: int, threads: int):
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
                              initializer=_init_worker,
                              initargs=(lab, task, seed)) as ex:
-        return list(ex.map(_one_rep, range(reps),
-                           chunksize=max(1, reps // (workers * 8))))
+        return [out for b in ex.map(_rep_batch, batches, chunksize=1)
+                for out in b]
 
 
 def _apply_all(methods, ev) -> list[MethodOutcome]:

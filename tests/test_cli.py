@@ -7,6 +7,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from densel import harness
 from densel.cli import build_parser, main
 from densel.densities import PowerLaw
 from densel.fitting import fit_model
@@ -222,6 +223,10 @@ def test_select_bad_penalty_exits_2():
     ["conc-check", "--reps", "1", "--bound", "resampling"],
     ["conc-check", "--reps", "1", "--bound", "regularization"],
     ["sweep", "--n", "1"],
+    # NaN passes every comparison of the density checks
+    ["select", "--density", "piecewise", "--breaks", "0,1", "--heights", "nan"],
+    ["select", "--density", "piecewise", "--breaks", "0,nan,1",
+     "--heights", "1,1"],
 ])
 def test_bad_counts_and_grids_exit_2_before_work(argv, capsys):
     assert main(argv if "--n" in argv else argv + ["--n", "10"]) == 2
@@ -244,6 +249,46 @@ def test_import_skips_quadrature_module():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip().splitlines()[-1] == "[0, 0] []"
+
+
+def test_sampling_commands_skip_numpy_random():
+    """Samples and replications draw by array Philox: no command but
+    conc-check loads numpy.random (nor the secrets module it pulls in)."""
+    code = textwrap.dedent("""
+        import sys, numpy
+        if "numpy.random" in sys.modules:
+            print("eager")                  # numpy < 2 imports it with numpy
+            raise SystemExit
+        import densel.cli
+        runs = ["select --collection regular-hist --n 20",
+                "select --collection two-block --n 12",
+                "select --collection fourier --penalty ideal:2 --n 20",
+                "slope-path --collection two-block --n 12",
+                "simulate --example 1 --n 20 --reps 3",
+                "simulate --example 2 --n 12 --reps 3",
+                "sweep --n 20 --reps 2"]
+        codes = [densel.cli.main(run.split()) for run in runs]
+        loaded = [m for m in ("numpy.random", "secrets") if m in sys.modules]
+        densel.cli.main("conc-check --n 20 --reps 50 --x 1".split())
+        print(codes, loaded, "numpy.random" in sys.modules)""")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout.strip().splitlines()
+    if out[-1] == "eager":
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert out[-1] == "[0, 0, 0, 0, 0, 0, 0] [] True"
+
+
+def test_out_of_memory_exits_2(monkeypatch, capsys):
+    """An array too large to allocate ends in one error line, exit 2."""
+    def huge_lab(*args):
+        return np.empty(2 ** 62, dtype=np.uint8)    # beyond any address space
+
+    monkeypatch.setattr(harness, "make_lab", huge_lab)
+    for argv in (["select", "--n", "20"],
+                 ["simulate", "--example", "2", "--n", "20", "--reps", "1"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: out of memory")
 
 
 def test_import_skips_process_pool():
