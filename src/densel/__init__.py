@@ -11,9 +11,7 @@ from .densities import (Density, PiecewiseConstant, PowerLaw, Sample,
 from .harness import (CollectionLab, Method, SimulationReport, SweepReport,
                       TwoBlockLab, make_lab, parse_method, penalty_sweep,
                       run_example, summarize)
-from .models import (ModelSpec, build_fourier_collection,
-                     build_regular_histograms, exact_quantities,
-                     scale_constants)
+from .models import ModelSpec, exact_quantities, scale_constants
 from .rng import RngStream
 from .slope import NoJumpError, SlopePath, detect_kmin, slope_pick
 

@@ -19,8 +19,6 @@ import sys
 import warnings
 
 from . import harness, report
-from .conclab import (check_p_concentration, check_resampling_concentration,
-                      check_ustat_concentration, regularization_comparison)
 from .densities import density_from_config
 from .harness import (DEFAULT_METHODS, parse_method, penalty_constant,
                       penalty_sweep, run_example)
@@ -257,6 +255,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_conc_check(args) -> int:
+    from . import conclab       # only this command runs the concentration lab
     if args.reps < 2:
         raise UsageError(f"--reps {args.reps}: the spread over replications "
                          "needs at least 2")
@@ -276,17 +275,17 @@ def _cmd_conc_check(args) -> int:
         model = fourier_model((args.dim - 1) // 2)
     rng = RngStream(args.seed, 0, f"conc-{args.bound}")
     if args.bound == "regularization":
-        rep_out = regularization_comparison(model, density, args.n,
-                                            reps=args.reps, rng=rng)
+        rep_out = conclab.regularization_comparison(model, density, args.n,
+                                                    reps=args.reps, rng=rng)
         rows = report.regularization_rows(rep_out)
         if args.out:
             report.write_csv(args.out, report.REGULARIZATION_HEADER, rows)
         print(f"sd(dmw)={rep_out.sd_dmw:.6g} sd(n*p)={rep_out.sd_np:.6g} "
               f"ratio={rep_out.ratio:.6g}")
         return 0
-    check = {"p": check_p_concentration,
-             "resampling": check_resampling_concentration,
-             "ustat": check_ustat_concentration}[args.bound]
+    check = {"p": conclab.check_p_concentration,
+             "resampling": conclab.check_resampling_concentration,
+             "ustat": conclab.check_ustat_concentration}[args.bound]
     rep_out = check(model, density, args.n, xs=xs, reps=args.reps, rng=rng)
     if args.out:
         report.write_csv(args.out, report.TAIL_HEADER, report.tail_rows(rep_out))

@@ -6,12 +6,14 @@ is the oracle ratio, the exact loss of the selected estimator divided by
 the smallest exact loss in the collection.  Reports aggregate mean, median
 and 0.95-quantile (nearest-rank) over replications.
 
-A lab holds a collection's exact population tables and evaluates a sample
-into per-model contrast, dmw, variance number D and loss.  Every caller,
-the CLI included, picks from an evaluation through two operations:
-``argmin`` of contrast + K * complexity / n, and ``path``, the exact slope
-path, on which ``slope.slope_pick`` makes the slope heuristic's pick.  Both
-break ties on the criterion, then the dimension, then enumeration order.
+A lab is made from a collection's kind and index n: it generates the
+models' ids and dimensions, holds the exact population tables and
+evaluates a sample into per-model contrast, dmw, variance number D and
+loss.  Every caller, the CLI included, picks from an evaluation through
+two operations: ``argmin`` of contrast + K * complexity / n, and
+``path``, the exact slope path, on which ``slope.slope_pick`` makes the
+slope heuristic's pick.  Both break ties on the criterion, then the
+dimension, then enumeration order.
 
 Both histogram families run on one block engine over a row of blocks
 [lo, hi): ``_block_row`` holds the cell probabilities of j = 1..J equal
@@ -29,9 +31,9 @@ per replication.  Its slope paths run on integer lines, as the regular
 histograms' do: the path prunes the lower envelopes of all blocks in one
 integer batch, merges each cut's two envelopes by their exact
 breakpoints, and runs the exact hull once more on the merged lines that
-no other line beats at K = 0.  The per-model loop both labs are checked
-against, and the block-by-block forms of the two-block evaluation and
-selections (the path in ``Fraction``s), are in ``tests/oracles.py``.
+no other line beats at K = 0.  The model lists, the per-model loop both
+labs are checked against, and the block-by-block two-block evaluation
+and selections (the path in ``Fraction``s) are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -45,8 +47,7 @@ from math import lcm
 import numpy as np
 
 from .densities import Density, PowerLaw, Sample
-from .models import (ModelCollection, build_collection, exact_quantities,
-                     fourier_means)
+from .models import fourier_means, fourier_pop_coeffs
 from .rng import RngStream, uniforms
 from .slope import SlopePath, envelope_path, lower_envelope, slope_pick
 
@@ -350,7 +351,8 @@ def _row_stats(row: _BlockRow, t: np.ndarray, w: np.ndarray,
 
 class CollectionLab:
     """Exact population arrays of the regular-histogram or the Fourier
-    collection plus a per-sample evaluator.
+    collection plus a per-sample evaluator; it generates the models' ids
+    and dims, ``reg-hist:d={d}`` (d) and ``fourier:j={j}`` (2j+1), 1..n.
 
     Regular histograms are the one-block case of the block engine: j = 1..n
     equal cells on [0, 1].  Nested Fourier models share coefficients:
@@ -359,28 +361,30 @@ class CollectionLab:
     basis means of ``fourier_means``.
     """
 
-    def __init__(self, collection: ModelCollection, density: Density):
-        self.collection = collection
+    def __init__(self, kind: str, n: int, density: Density):
+        kind = kind.strip().lower()
+        if kind not in ("regular-hist", "fourier"):
+            raise ValueError(f"unknown collection kind {kind!r}")
+        if n < 1:
+            raise ValueError("n must be >= 1")
         self.density = density
-        self.n = collection.n
-        self.kind = collection.kind
-        self.ids = [m.id for m in collection]
-        self.dims = np.array([m.dim for m in collection], dtype=float)
+        self.n = n
+        self.kind = kind
         self.s_norm = density.l2_norm_sq()
-        if self.kind == "regular-hist":
-            self.block = _block_row(density, [0.0], [1.0], [1.0], [self.n],
-                                    self.n)
+        if kind == "regular-hist":
+            self.ids = [f"reg-hist:d={d}" for d in range(1, n + 1)]
+            self.dims = np.arange(1.0, n + 1.0)
+            self.block = _block_row(density, [0.0], [1.0], [1.0], [n], n)
             d_exact = self.block.d[0]
-        elif self.kind == "fourier":
-            big = max(collection, key=lambda m: m.dim)
-            self.pop = exact_quantities(big, density, self.n).pop_coeffs
+        else:
+            self.ids = [f"fourier:j={j}" for j in range(1, n + 1)]
+            self.dims = 2.0 * np.arange(1.0, n + 1.0) + 1.0
+            self.pop = fourier_pop_coeffs(density, n)
             self._last = self.dims.astype(int) - 1    # last coefficient
             sm = np.cumsum(self.pop ** 2)[self._last]
             # guard the float tail: bias and D are nonnegative by construction
             self.bias_sq = np.maximum(self.s_norm - sm, 0.0)
             d_exact = self.dims - sm
-        else:
-            raise ValueError(f"no lab for a {self.kind!r} collection")
         self.d_exact = np.maximum(d_exact, 0.0)
         self.d_max = float(self.d_exact.max())
 
@@ -765,7 +769,7 @@ def make_lab(kind: str, n: int, density: Density):
     """Evaluation engine for a collection kind (fast path for two-block)."""
     if kind == "two-block":
         return TwoBlockLab(n, density)
-    return CollectionLab(build_collection(kind, n), density)
+    return CollectionLab(kind, n, density)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,21 @@
-"""Model spaces: histogram and Fourier bases, collections, exact quantities.
+"""Model spaces: histogram and Fourier bases and their exact quantities.
 
 A model is a finite-dimensional linear subspace of L2[0,1] described by an
 orthonormal basis.  Histogram models are spanned by normalized indicators
 of partition cells; Fourier models by {1, sqrt(2)cos(2*pi*k*x),
-sqrt(2)sin(2*pi*k*x), k <= j}.  Two collections are built as model lists:
+sqrt(2)sin(2*pi*k*x), k <= j}.  The commands use three collections:
 
 * regular histograms with 1..n equal cells,
-* Fourier spaces with cutoff j = 1..n.
+* Fourier spaces with cutoff j = 1..n,
+* the two-block family (J1 equal cells on [0, k/n) then J2 equal cells on
+  [k/n, 1), for all 1 <= k < n, J1 <= k, J2 <= n-k), about n^3/6 models.
 
-The third, the two-block family (J1 equal cells on [0, k/n) then J2 equal
-cells on [k/n, 1), for all 1 <= k < n, J1 <= k, J2 <= n-k), has about
-n^3/6 models; ``harness.TwoBlockLab`` evaluates it block by block and never
-enumerates it.  The labs read ids and dimensions off the model lists and
-compute histogram populations block by block themselves; the per-model
-``exact_quantities`` serves the Fourier lab, the concentration lab and the
-tests.
+None is built as a list of models: the labs of ``harness`` generate ids
+and dimensions from the kind and n, compute histogram populations block
+by block and take the Fourier coefficients from ``fourier_pop_coeffs``;
+the lists are test oracles (``tests/oracles.py``).  One ``ModelSpec``,
+with ``exact_quantities`` and ``scale_constants``, serves the
+concentration lab and the tests.
 
 Given a known density, every population quantity of a model is available in
 closed form (histograms) or from one Gauss-Legendre rule over the quantile
@@ -35,14 +36,12 @@ from .densities import Density
 
 __all__ = [
     "ModelSpec",
-    "ModelCollection",
     "ExactModelQuantities",
-    "build_regular_histograms",
-    "build_fourier_collection",
     "histogram_model",
     "regular_histogram",
     "fourier_model",
     "exact_quantities",
+    "fourier_pop_coeffs",
     "scale_constants",
 ]
 
@@ -111,53 +110,6 @@ def regular_histogram(d: int) -> ModelSpec:
 def fourier_model(j: int) -> ModelSpec:
     return ModelSpec(id=f"fourier:j={j}", basis="fourier", dim=2 * j + 1, j=j,
                      params=(j,))
-
-
-@dataclass(frozen=True)
-class ModelCollection:
-    """A finite list of models sharing one basis type."""
-
-    kind: str                       # "regular-hist" | "two-block" | "fourier"
-    n: int
-    models: tuple[ModelSpec, ...]
-
-    def __post_init__(self) -> None:
-        ids = [m.id for m in self.models]
-        if len(set(ids)) != len(ids):
-            raise ValueError("model ids must be unique")
-
-    def __len__(self) -> int:
-        return len(self.models)
-
-    def __iter__(self):
-        return iter(self.models)
-
-
-def build_regular_histograms(n: int) -> ModelCollection:
-    """Histograms with d = 1..n equal cells on [0,1]."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return ModelCollection(kind="regular-hist", n=n, models=tuple(
-        regular_histogram(d) for d in range(1, n + 1)))
-
-
-def build_fourier_collection(n: int) -> ModelCollection:
-    """Fourier spaces with cutoff j = 1..n (dim 2j+1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return ModelCollection(kind="fourier", n=n,
-                           models=tuple(fourier_model(j) for j in range(1, n + 1)))
-
-
-def build_collection(kind: str, n: int) -> ModelCollection:
-    """Model list of ``regular-hist`` or ``fourier`` (see the module note
-    on the two-block family)."""
-    kind = kind.strip().lower()
-    if kind == "regular-hist":
-        return build_regular_histograms(n)
-    if kind == "fourier":
-        return build_fourier_collection(n)
-    raise ValueError(f"unknown collection kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +185,7 @@ class ExactModelQuantities:
     risk: float
 
 
-def _fourier_pop_coeffs(density: Density, j: int) -> np.ndarray:
+def fourier_pop_coeffs(density: Density, j: int) -> np.ndarray:
     """Population coefficients E psi(X) of the Fourier basis up to cutoff j.
 
     E psi(X) = integral over [0, 1] of psi(Q(t**3)) 3 t**2 dt, Q the quantile.
@@ -281,7 +233,7 @@ def exact_quantities(model: ModelSpec, density: Density, n: int) -> ExactModelQu
         sm_norm_sq = float(np.sum(probs ** 2 / widths))
         d_exact = float(np.sum(probs / widths)) - sm_norm_sq
     else:
-        pop = _fourier_pop_coeffs(density, model.j)
+        pop = fourier_pop_coeffs(density, model.j)
         sm_norm_sq = float(np.sum(pop ** 2))
         # sum of psi_lambda^2 is identically dim, so D = dim - |s_m|^2
         d_exact = model.dim - sm_norm_sq

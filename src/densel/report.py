@@ -8,11 +8,13 @@ files and golden-file tests are meaningful.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .conclab import RegularizationReport, TailReport
 from .harness import ModelRow, SimulationReport, SweepReport
 from .slope import SlopePath
+
+if TYPE_CHECKING:
+    from .conclab import RegularizationReport, TailReport
 
 
 def fmt(value) -> str:

@@ -10,7 +10,9 @@ below is the explicit, per-model version of one of their steps:
   p - dmw/n = u;
 * per-model penalties (K * dim / n, K * D / n, 2 dmw / n), the plain
   argmin ``select`` and the list form of ``slope_path``;
-* the enumerated two-block collection (about n^3/6 ``ModelSpec`` objects)
+* the model lists of the three collections: regular histograms, Fourier
+  spaces and the enumerated two-block family (about n^3/6 ``ModelSpec``
+  objects), whose ids and dimensions the labs generate from (kind, n);
   and pointwise basis evaluation;
 * the exact loss of one fit, the per-model lab that fits every model of
   a collection one at a time (the oracle of both block labs), and the
@@ -32,14 +34,14 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from densel import models
 from densel.densities import Density, Sample
 from densel.fitting import FittedModel, fit_model, histogram_counts, p_term
 from densel.harness import (Method, TwoBlockLab, _block_tables,
                             _Evaluation, _two_block_id)
-from densel.models import (ExactModelQuantities, ModelCollection, ModelSpec,
-                           exact_quantities, fourier_basis_matrix,
-                           histogram_cell_index, histogram_model)
+from densel.models import (ExactModelQuantities, ModelSpec, exact_quantities,
+                           fourier_basis_matrix, fourier_model,
+                           histogram_cell_index, histogram_model,
+                           regular_histogram)
 from densel.penalties import resampling_dmw
 from densel.rng import RngStream
 from densel.slope import _TIE_RTOL, PathSegment, SlopePath, envelope_path
@@ -67,6 +69,42 @@ def two_block_breaks(n: int, k: int, j1: int, j2: int) -> np.ndarray:
     return np.concatenate((left, right))
 
 
+@dataclass(frozen=True)
+class ModelCollection:
+    """A finite list of models sharing one basis type."""
+
+    kind: str                       # "regular-hist" | "two-block" | "fourier"
+    n: int
+    models: tuple[ModelSpec, ...]
+
+    def __post_init__(self) -> None:
+        ids = [m.id for m in self.models]
+        if len(set(ids)) != len(ids):
+            raise ValueError("model ids must be unique")
+
+    def __len__(self) -> int:
+        return len(self.models)
+
+    def __iter__(self):
+        return iter(self.models)
+
+
+def build_regular_histograms(n: int) -> ModelCollection:
+    """Histograms with d = 1..n equal cells on [0,1]."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return ModelCollection(kind="regular-hist", n=n, models=tuple(
+        regular_histogram(d) for d in range(1, n + 1)))
+
+
+def build_fourier_collection(n: int) -> ModelCollection:
+    """Fourier spaces with cutoff j = 1..n (dim 2j+1)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return ModelCollection(kind="fourier", n=n,
+                           models=tuple(fourier_model(j) for j in range(1, n + 1)))
+
+
 def build_two_block_collection(n: int) -> ModelCollection:
     """The two-block family as one ``ModelSpec`` per (k, j1, j2)."""
     if n < 1:
@@ -79,10 +117,16 @@ def build_two_block_collection(n: int) -> ModelCollection:
 
 
 def build_collection(kind: str, n: int) -> ModelCollection:
-    """``models.build_collection``, plus the enumerated two-block family."""
+    """The model list of a collection kind: regular histograms, Fourier
+    spaces or the enumerated two-block family."""
+    kind = kind.strip().lower()
+    if kind == "regular-hist":
+        return build_regular_histograms(n)
+    if kind == "fourier":
+        return build_fourier_collection(n)
     if kind == "two-block":
         return build_two_block_collection(n)
-    return models.build_collection(kind, n)
+    raise ValueError(f"unknown collection kind {kind!r}")
 
 
 def basis_eval(model: ModelSpec, lam: int, x) -> np.ndarray:

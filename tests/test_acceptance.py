@@ -20,14 +20,14 @@ from densel.conclab import (check_p_concentration,
                             simulate_model_statistics)
 from densel.densities import PowerLaw, Sample
 from densel.fitting import fit_model, p_term
-from densel.models import (build_regular_histograms, exact_quantities,
-                           fourier_model, histogram_model)
+from densel.models import exact_quantities, fourier_model, histogram_model
 from densel.penalties import resampling_dmw
 from densel.harness import DEFAULT_METHODS, Method, penalty_sweep, run_example
 from densel.rng import RngStream
 from densel.slope import detect_kmin
-from oracles import (basis_eval, exact_loss, resampling_dmw_double_sum,
-                     slope_path, u_statistic_double_sum)
+from oracles import (basis_eval, build_regular_histograms, exact_loss,
+                     resampling_dmw_double_sum, slope_path,
+                     u_statistic_double_sum)
 
 DENSITY = PowerLaw()
 

@@ -1,8 +1,10 @@
 """Command-line interface: schemas, determinism, config handling."""
 
+import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,7 +255,8 @@ def test_import_skips_quadrature_module():
 
 def test_sampling_commands_skip_numpy_random():
     """Samples and replications draw by array Philox: no command but
-    conc-check loads numpy.random (nor the secrets module it pulls in)."""
+    conc-check loads numpy.random (nor the secrets module it pulls in),
+    nor the concentration lab."""
     code = textwrap.dedent("""
         import sys, numpy
         if "numpy.random" in sys.modules:
@@ -268,14 +271,17 @@ def test_sampling_commands_skip_numpy_random():
                 "simulate --example 2 --n 12 --reps 3",
                 "sweep --n 20 --reps 2"]
         codes = [densel.cli.main(run.split()) for run in runs]
-        loaded = [m for m in ("numpy.random", "secrets") if m in sys.modules]
+        loaded = [m for m in ("numpy.random", "secrets", "densel.conclab")
+                  if m in sys.modules]
         densel.cli.main("conc-check --n 20 --reps 50 --x 1".split())
-        print(codes, loaded, "numpy.random" in sys.modules)""")
+        print(codes, loaded, [m for m in ("numpy.random", "densel.conclab")
+                              if m in sys.modules])""")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout.strip().splitlines()
     if out[-1] == "eager":
         pytest.skip("this numpy imports numpy.random with numpy itself")
-    assert out[-1] == "[0, 0, 0, 0, 0, 0, 0] [] True"
+    assert out[-1] == ("[0, 0, 0, 0, 0, 0, 0] [] "
+                       "['numpy.random', 'densel.conclab']")
 
 
 def test_out_of_memory_exits_2(monkeypatch, capsys):
@@ -291,12 +297,35 @@ def test_out_of_memory_exits_2(monkeypatch, capsys):
         assert len(err) == 1 and err[0].startswith("error: out of memory")
 
 
+def test_oversized_collection_fails_at_once():
+    """``select --n 300000`` fails at once: the lab asks for its
+    n(n+1)/2-cell table (335 GiB) before any per-model work, so a run
+    capped at 4 GiB of address space ends with one error line and exit 2."""
+    resource = pytest.importorskip("resource")
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    threads = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                    "MKL_NUM_THREADS")}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "densel.cli", "select", "--n", "300000"],
+        capture_output=True, text=True, timeout=10,
+        preexec_fn=cap_address_space,
+        env=dict(os.environ, PYTHONPATH=src, **threads))
+    err = proc.stderr.strip().splitlines()
+    assert proc.returncode == 2
+    assert len(err) == 1 and err[0].startswith("error: out of memory")
+
+
 def test_import_skips_process_pool():
-    """Only a run on more than one worker loads the process pool."""
+    """Only a run on more than one worker loads the process pool, and only
+    conc-check the concentration lab."""
     code = textwrap.dedent("""
         import sys, densel.cli
-        print([m for m in ("multiprocessing", "concurrent.futures")
-               if m in sys.modules])""")
+        print([m for m in ("multiprocessing", "concurrent.futures",
+                           "densel.conclab") if m in sys.modules])""")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip().splitlines()[-1] == "[]"

@@ -15,11 +15,10 @@ from densel.conclab import (check_p_concentration,
                             simulate_model_statistics)
 from densel.densities import PiecewiseConstant, PowerLaw, Sample, Uniform
 from densel.fitting import fit_model
-from densel.models import (build_regular_histograms, exact_quantities,
-                           fourier_basis_matrix, fourier_model,
-                           histogram_model, regular_histogram)
+from densel.models import (exact_quantities, fourier_basis_matrix,
+                           fourier_model, histogram_model, regular_histogram)
 from densel.rng import RngStream
-from oracles import u_statistic_double_sum
+from oracles import build_regular_histograms, u_statistic_double_sum
 
 MODEL10 = build_regular_histograms(10).models[-1]
 STEP = PiecewiseConstant(np.array([0.0, 0.3, 0.7, 1.0]),

@@ -15,9 +15,10 @@ from densel.densities import PowerLaw, Sample, Uniform, density_from_config
 from densel.harness import (CollectionLab, Method, TwoBlockLab, _Evaluation,
                             _TwoBlockEvaluation, make_lab, parse_method,
                             penalty_sweep, run_example, summarize)
-from densel.models import build_regular_histograms, fourier_basis_matrix
+from densel.models import fourier_basis_matrix
 from densel.rng import RngStream
 from oracles import (PerCutTwoBlock, PerModelLab, block_stats,
+                     build_collection, build_regular_histograms,
                      build_two_block_collection, exact_histogram_slope_pick,
                      oracle_ratio, per_cut_arrays)
 
@@ -541,6 +542,12 @@ def test_make_lab_kinds():
     assert isinstance(make_lab("two-block", 5, PowerLaw()), TwoBlockLab)
     assert isinstance(make_lab("regular-hist", 5, PowerLaw()), CollectionLab)
     assert make_lab("fourier", 4, PowerLaw()).kind == "fourier"
+    # the lab generates the ids and dims of the oracle's model list
+    for kind in ("regular-hist", "fourier"):
+        for n in (1, 2, 7, 100):
+            lab, col = make_lab(kind, n, PowerLaw()), build_collection(kind, n)
+            assert lab.ids == [m.id for m in col]
+            assert lab.dims.tolist() == [m.dim for m in col]
 
 
 def test_penalty_sweep_phenomenology():

@@ -8,13 +8,13 @@ from scipy import integrate
 
 from densel.conclab import simulate_model_statistics
 from densel.densities import Density, PiecewiseConstant, PowerLaw, Uniform
-from densel.models import (build_fourier_collection, build_regular_histograms,
-                           exact_quantities, fourier_basis_matrix,
+from densel.models import (exact_quantities, fourier_basis_matrix,
                            fourier_means, fourier_model, histogram_model,
                            scale_constants)
 from densel.rng import RngStream
-from oracles import (basis_eval, build_two_block_collection, two_block_breaks,
-                     two_block_params)
+from oracles import (basis_eval, build_fourier_collection,
+                     build_regular_histograms, build_two_block_collection,
+                     two_block_breaks, two_block_params)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("cli_args,spans", [
     ("select --collection regular-hist --n 20",
-     {"harness.make_lab", "harness.evaluate", "models.build_collection"}),
+     {"harness.make_lab", "harness.evaluate"}),
     ("select --collection fourier --n 10",
-     {"harness.evaluate", "models.build_collection"}),
+     {"harness.make_lab", "harness.evaluate"}),
     ("select --collection two-block --n 10", {"harness.evaluate"}),
     ("simulate --example 2 --n 6 --reps 2",
      {"harness.run_example", "harness.apply.slope-dim",
