@@ -15,10 +15,9 @@ only the U-statistic builds per-point basis values, one Gram sub-chunk of
 replications at a time; every chunk and sub-chunk stays within the one
 budget ``CHUNK_BYTES``.
 
-Draws come from numpy's C Philox (``RngStream.generator``), not from the
-array arithmetic of ``rng.uniforms`` that samples use: a check draws up to
-millions of uniforms from one stream, which numpy computes about 8 times
-faster.
+A chunk of replications draws its uniforms with one ``rng.uniforms`` call,
+as the run of the check's stream that starts where the previous chunk's
+ended, so the chunk sizes change no bit.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import numpy as np
 from .densities import Density
 from .models import (ModelSpec, exact_quantities, fourier_basis_matrix,
                      fourier_means, histogram_cell_index, scale_constants)
-from .rng import RngStream
+from .rng import RngStream, uniforms
 
 __all__ = [
     "TailRow",
@@ -107,7 +106,7 @@ def simulate_model_statistics(model: ModelSpec, density: Density, n: int,
     centered basis values of a replication and their (n, n) Gram array,
     both inside one Gram sub-chunk.
 
-    Replications run in chunks of n max(d, 8) values each, and the
+    Replications run in chunks of 8 n + 4 d values each, and the
     centered values with their Gram arrays in sub-chunks of n (n + d)
     values each, one sub-chunk at a time, so that chunk and sub-chunk
     stay within ``CHUNK_BYTES`` unless one replication alone exceeds it;
@@ -117,13 +116,13 @@ def simulate_model_statistics(model: ModelSpec, density: Density, n: int,
         raise ValueError("dmw divides by n - 1: need n >= 2")
     quantities = exact_quantities(model, density, n)
     pop = quantities.pop_coeffs
-    gen = rng.generator()
     d = model.dim
-    # a replication counts at least 8 values per point: the p/dmw path
-    # holds about six at once whatever d (the draws, the points and the
-    # cell and flat indices of a histogram, or the points and the complex
-    # z and z**k of a Fourier model)
-    step = max(1, CHUNK_BYTES // (8 * n * max(d, 8)))
+    # a replication holds 8 values per point (the draws, the points and
+    # the cell and flat indices of a histogram or the complex z and z**k
+    # of a Fourier model, and the temporaries of a step density's
+    # quantile) and 4 per coefficient (the counts or means, and the
+    # squares and differences of p and dmw)
+    step = max(1, CHUNK_BYTES // (8 * (8 * n + 4 * d)))
     gram_step = max(1, CHUNK_BYTES // (8 * n * (n + d)))
     p_out = np.empty(reps)
     dmw_out = np.empty(reps)
@@ -136,7 +135,7 @@ def simulate_model_statistics(model: ModelSpec, density: Density, n: int,
     for lo in range(0, reps, step):
         hi = min(lo + step, reps)
         m = hi - lo
-        x = density.quantile(gen.random((m, n)))
+        x = density.quantile(uniforms([rng], m * n, lo * n).reshape(m, n))
         if model.basis == "histogram":
             cell = histogram_cell_index(model.breaks, x.ravel()).reshape(m, n)
             flat = cell + d * np.arange(m)[:, None]

@@ -149,6 +149,25 @@ class ModelRow:
     loss: float
 
 
+def _tie_tolerance(n: int, k_const: float) -> float:
+    """How far above the least float criterion a histogram model's float
+    criterion under a ``dim`` or ``dmw`` penalty may lie and still tie it
+    exactly, for samples of n points (n^3 < 2^53).
+
+    A block of s / n with j <= s cells and c points has the contrast share
+    j T / (s n) <= n, T = sum c^2 <= c^2, and a penalty share K j / n
+    (``dim``) or K j (n c - T) / (s n (n - 1)) <= 2 K (``dmw``); a regular
+    histogram is the block [0, 1] with s = c = n.  With u = 2^-53, a float
+    share is within e = 2 u (n + 8) (n + 2 K) of its exact value: T and
+    j T are exact, the width 1 - fl(k / n) of a right block is off by a
+    relative u n at most, rounding c - T / n, which lies in [0, c], costs
+    2 u c before the scale j / (s (n - 1)), and the other few steps a
+    relative u each.  A criterion, one share or two and the rounding of
+    their sum, is within 3 e, so an exact minimizer lies within 6 e of the
+    float minimum; this returns 8 e."""
+    return 16.0 * 2.0 ** -53 * (n + 8) * (n + 2.0 * k_const)
+
+
 class _LabEvaluation:
     """Selection on one evaluated sample.
 
@@ -434,8 +453,16 @@ class _Evaluation(_LabEvaluation):
 
     def _argmin(self, k_const: float, complexity: str) -> tuple[int, float]:
         pens = k_const * self._complexity(complexity) / self.n
-        idx = int(np.lexsort((self.dims, self.contrasts + pens))[0])
+        crits = self.contrasts + pens
+        idx = int(np.lexsort((self.dims, crits))[0])
+        if complexity != "d_exact":
+            idx = self._settle(crits, idx, k_const, complexity)
         return idx, pens[idx]
+
+    def _settle(self, crits: np.ndarray, idx: int, k_const: float,
+                complexity: str) -> int:
+        """The float argmin stands: Fourier criteria are irrational."""
+        return idx
 
     def _lines(self, complexity: str):
         """(contrasts, complexities, units) of the path's lines."""
@@ -475,6 +502,18 @@ class _HistogramEvaluation(_Evaluation):
             return -j * t, j, (Fraction(1, n * n), 1)
         return (-j * t, j * (n * n - t),
                 (Fraction(1, n * n), Fraction(1, n * (n - 1))))
+
+    def _settle(self, crits: np.ndarray, idx: int, k_const: float,
+                complexity: str) -> int:
+        """The exact argmin, by (criterion, dim, order), among the models
+        whose float criterion may tie the least: the criterion of line i
+        is contrasts_i c_unit + (K / n) deltas_i d_unit, K = Fraction(K)."""
+        near = np.flatnonzero(crits <= crits[idx]
+                              + _tie_tolerance(self.n, k_const))
+        contrasts, deltas, (c_unit, d_unit) = self._lines(complexity)
+        k = Fraction(k_const) / self.n * d_unit
+        return min(near.tolist(), key=lambda i: (
+            int(contrasts[i]) * c_unit + k * int(deltas[i]), self.dims[i], i))
 
 
 # ---------------------------------------------------------------------------
@@ -640,12 +679,15 @@ class _TwoBlockEvaluation(_LabEvaluation):
         g = pens + self.contrast
         mins = g.min(axis=2)
         crits = mins[0] + mins[1]
+        if complexity != "d_exact":
+            kk, i1, i2 = self._settle(g, mins, crits, k_const, complexity)
+            return (kk, i1, i2), pens[0, kk, i1] + pens[1, kk, i2]
         crit = crits.min()
         best = None
         for kk in np.flatnonzero(crits == crit):
             g1, g2 = g[:, kk]
             m1, m2 = mins[:, kk]
-            # exact ties: rounding is monotone, so a pair sums to crit only
+            # float ties: rounding is monotone, so a pair sums to crit only
             # if each of its parts does so with the other block's minimum
             tied = min((i1 + i2, i1, i2)
                        for i1 in np.flatnonzero(g1 + m2 == crit)
@@ -655,6 +697,36 @@ class _TwoBlockEvaluation(_LabEvaluation):
                 best = (tied, int(kk))
         (_, i1, i2), kk = best
         return (kk, int(i1), int(i2)), pens[0, kk, i1] + pens[1, kk, i2]
+
+    def _settle(self, g: np.ndarray, mins: np.ndarray, crits: np.ndarray,
+                k_const: float, complexity: str) -> tuple[int, int, int]:
+        """The exact argmin, by (criterion, dim, order), among the models
+        whose float criterion may tie the least.  A model's criterion is
+        the sum of its blocks' shares, so the least ones pair each side's
+        least shares: a block of s / n with j cells and c points has the
+        share -j T / (s n) + K j / n (``dim``) or -j T / (s n) + K j (n c
+        - T) / (s n (n - 1)) (``dmw``), K = Fraction(K)."""
+        lab, n = self.lab, self.lab.n
+        tol = _tie_tolerance(n, k_const)
+        k = Fraction(k_const)
+        best = None
+        for kk in np.flatnonzero(crits <= crits.min() + tol).tolist():
+            least = []
+            for side in (0, 1):
+                s, c = int(lab.cells[side, kk]), int(self.count[side, kk])
+                shares = []
+                for i in np.flatnonzero(g[side, kk]
+                                        <= mins[side, kk] + tol).tolist():
+                    j, t = i + 1, int(self.t_sq[side, kk, i])
+                    pen = (Fraction(j, n) if complexity == "dim"
+                           else Fraction(j * (n * c - t), s * n * (n - 1)))
+                    shares.append((Fraction(-j * t, s * n) + k * pen, i))
+                least.append(min(shares))
+            (c1, i1), (c2, i2) = least
+            cand = (c1 + c2, i1 + i2, kk, i1, i2)
+            if best is None or cand < best:
+                best = cand
+        return best[2:]
 
     @cached_property
     def _block_envelopes(self):

@@ -9,11 +9,11 @@ and distinct triples behave as independent generators.  Replications can
 therefore run in any order, or in parallel, without sharing state.
 
 Philox block i of a stream is a pure function of (key, counter i), so
-:func:`uniforms` computes the first uniforms of many streams at once with
-uint64 array arithmetic, bit for bit those of numpy's generator on the same
-key, without importing ``numpy.random``.  Samples and replications draw
-that way; :meth:`RngStream.generator` gives numpy's C generator, for
-callers that draw far more than one sample's worth from one stream.
+:func:`uniforms` computes any run of a stream's uniforms, or of many
+streams' at once, with in-place uint64 array arithmetic, bit for bit those
+of numpy's generator on the same key.  It is the package's one generator:
+samples, replications and the concentration checks all draw with it, and
+no command loads numpy's random module.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ _PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 _PHILOX_ROUNDS = 10
 _LO32 = np.uint64(0xFFFFFFFF)
 _32 = np.uint64(32)
+_11 = np.uint64(11)
 
 
 def _splitmix64(z: int) -> int:
@@ -70,44 +71,94 @@ class RngStream:
         lo = _splitmix64((self.rep & _MASK64) ^ _hash_tag(self.tag))
         return np.array([self.seed & _MASK64, lo], dtype=np.uint64)
 
-    def generator(self) -> np.random.Generator:
-        """Fresh numpy generator positioned at the start of this stream;
-        its ``random(n)`` equals ``uniforms([self], n)[0]``."""
-        return np.random.Generator(np.random.Philox(key=self._key()))
+
+# Philox blocks per piece of :func:`uniforms`: a call works through pieces
+# of at most this many (stream, block) pairs, so that its scratch holds
+# 12 * 8 * 8192 bytes (768 KB) however many uniforms it returns.
+PIECE_BLOCKS = 8192
+
+# the multipliers as (2, 1, 1) arrays of their 32-bit halves, one row for
+# each of the words 0 and 2 that a round multiplies
+_M = np.array(_PHILOX_M, dtype=np.uint64).reshape(2, 1, 1)
+_M_LO, _M_HI = _M & _LO32, _M >> _32
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64 bits of the 128-bit products m * x, the high word
-    summed from the 32-bit halves of both factors."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _LO32, x >> _32
-    lo_hi, hi_lo = x_lo * m_hi, x_hi * m_lo
-    mid = ((x_lo * m_lo) >> _32) + (lo_hi & _LO32) + (hi_lo & _LO32)
-    hi = x_hi * m_hi + (lo_hi >> _32) + (hi_lo >> _32) + (mid >> _32)
-    return hi, x * np.uint64(m)
+def _mulhi(x: np.ndarray, out: np.ndarray, a: np.ndarray, b: np.ndarray,
+           c: np.ndarray) -> None:
+    """High 64 bits of the 128-bit products _M * x into ``out``, from the
+    32-bit halves of both factors, in the scratch a, b, c shaped like x;
+    no partial sum overflows 64 bits."""
+    np.bitwise_and(x, _LO32, out=a)                 # x_lo
+    np.multiply(a, _M_LO, out=b)
+    b >>= _32
+    a *= _M_HI
+    a += b                                          # u = x_lo m_hi + carry
+    np.right_shift(x, _32, out=out)                 # x_hi
+    np.multiply(out, _M_LO, out=b)
+    out *= _M_HI
+    np.bitwise_and(a, _LO32, out=c)
+    b += c                                          # w = x_hi m_lo + u_lo
+    a >>= _32
+    out += a
+    b >>= _32
+    out += b
 
 
-def uniforms(streams, n: int) -> np.ndarray:
-    """The first n uniforms in [0, 1) of each stream, one row per stream:
-    row i equals ``streams[i].generator().random(n)`` bit for bit.
+def uniforms(streams, n: int, start: int = 0) -> np.ndarray:
+    """Uniforms start .. start + n - 1 in [0, 1) of each stream, one row
+    per stream, bit for bit those of numpy's ``Philox`` generator on the
+    stream's key after ``start`` draws.
 
-    Philox4x64-10 on uint64 arrays of shape (streams, ceil(n / 4)): block
-    i has the counter (i, 0, 0, 0) for i = 1, 2, ... (numpy's Philox
-    increments its counter before each block), its four words are the next
-    four outputs, and each output x gives the double (x >> 11) * 2**-53.
+    Philox4x64-10 on uint64 arrays: block i has the counter (i, 0, 0, 0)
+    for i = 1, 2, ... (numpy's Philox increments its counter before each
+    block), its four words are the next four outputs, and each output x
+    gives the double (x >> 11) * 2**-53.  Uniform s is word s % 4 of block
+    s // 4 + 1, so a run that starts inside a block drops that block's
+    leading words.  The rounds run in place on scratch arrays, through
+    pieces of at most ``PIECE_BLOCKS`` (stream, block) pairs; the words
+    0 and 2, which a round multiplies, are one (2, streams, blocks) array
+    and the words 1 and 3 another.
     """
     keys = np.array([s._key() for s in streams],
                     dtype=np.uint64).reshape(-1, 2)
-    blocks = -(-n // 4)
-    k0, k1 = keys[:, :1], keys[:, 1:]
-    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64),
-                         (len(keys), blocks))
-    c1 = c2 = c3 = np.zeros_like(c0)
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(len(keys), -1)
-    return (words[:, :n] >> np.uint64(11)) * 2.0 ** -53
+    rows = len(keys)
+    out = np.empty((rows, n))
+    if rows == 0 or n == 0:
+        return out
+    first, skip = divmod(start, 4)      # block index (counter - 1), words
+    blocks = -(-(skip + n) // 4)
+    width = -(-blocks // -(-blocks // PIECE_BLOCKS))    # even pieces
+    height = min(rows, max(1, PIECE_BLOCKS // width))
+    # round r's key words (k0, k1) of every stream, as (2, streams, 1)
+    weyl = np.array(_PHILOX_W, dtype=np.uint64)[:, None]
+    round_keys = [(keys.T + weyl * np.uint64(r))[:, :, None]
+                  for r in range(_PHILOX_ROUNDS)]
+    scratch = np.empty((6, 2 * height * width), dtype=np.uint64)
+    for r0 in range(0, rows, height):
+        r1 = min(r0 + height, rows)
+        for b0 in range(0, blocks, width):
+            b1 = min(b0 + width, blocks)
+            shape = (2, r1 - r0, b1 - b0)
+            x, y, h, a, b, c = (s[:2 * (r1 - r0) * (b1 - b0)].reshape(shape)
+                                for s in scratch)
+            x[0] = np.arange(first + b0 + 1, first + b1 + 1, dtype=np.uint64)
+            x[1] = 0
+            y[...] = 0
+            for r in range(_PHILOX_ROUNDS):
+                _mulhi(x, h, a, b, c)
+                h = h[::-1]                 # (hi of word 2, hi of word 0)
+                h ^= y
+                h ^= round_keys[r][:, r0:r1]
+                np.multiply(x, _M, out=y[::-1])
+                x, h = h, x
+            # word k of block b is uniform 4 b + k - skip of this call
+            for k, word in enumerate((x[0], y[0], x[1], y[1])):
+                lo = max(b0, int(k < skip))
+                hi = min(b1, (n + skip - k + 3) // 4)
+                if lo >= hi:
+                    continue
+                word >>= _11
+                col = 4 * lo + k - skip
+                np.multiply(word[:, lo - b0:hi - b0], 2.0 ** -53,
+                            out=out[r0:r1, col:col + 4 * (hi - lo) - 3:4])
+    return out

@@ -4,6 +4,8 @@ Nothing here runs in the ``densel`` command.  The labs of
 ``densel.harness`` compute every selection from arrays; each definition
 below is the explicit, per-model version of one of their steps:
 
+* numpy's C Philox generator on a stream's key, whose draws
+  ``rng.uniforms`` computes with array arithmetic;
 * the resampling penalty by Monte-Carlo over drawn weight vectors (Efron
   multinomial, 0/2 coin flips, leave-one-out), and the O(n^2 d) double
   sums behind the closed-form dmw and the U-statistic identity
@@ -45,6 +47,16 @@ from densel.models import (ExactModelQuantities, ModelSpec, exact_quantities,
 from densel.penalties import resampling_dmw
 from densel.rng import RngStream
 from densel.slope import _TIE_RTOL, PathSegment, SlopePath, envelope_path
+
+
+# ---------------------------------------------------------------------------
+# Random streams
+# ---------------------------------------------------------------------------
+
+def generator(stream: RngStream) -> np.random.Generator:
+    """Fresh numpy generator positioned at the start of ``stream``; its
+    ``random(n)`` equals ``uniforms([stream], n)[0]``."""
+    return np.random.Generator(np.random.Philox(key=stream._key()))
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +316,7 @@ def resampling_mc_draws(fit: FittedModel, sample: Sample,
     if scheme.v_w2(n) <= 0.0:
         raise ValueError(f"scheme {scheme.name!r} has zero weight variance")
     mat = _basis_matrix(fit, sample)
-    w = scheme.draw(n, b, rng.generator())
+    w = scheme.draw(n, b, generator(rng))
     centered = (w - w.mean(axis=1, keepdims=True)) / n
     nu = centered @ mat                      # (b, d) resampled fluctuations
     return np.sum(nu ** 2, axis=1)
@@ -388,6 +400,40 @@ def slope_path(points: Sequence[tuple[str, float, float]]) -> SlopePath:
     path, _ = envelope_path(contrasts, deltas, lambda i: pts[i][0],
                             delta_max=deltas.max(), units=(1, 1))
     return path
+
+
+def exact_argmin(kind: str, sample: Sample, k_const: float,
+                 complexity: str) -> str:
+    """The regular-histogram or two-block model minimizing contrast +
+    K complexity / n over the whole list, in ``Fraction``s with K =
+    Fraction(K); ties go to the smaller dim, then to the earlier model.
+
+    A block of s / n with j cells and c points, T = sum c^2 over its
+    cells, adds -j T / (s n) to the contrast, j to the dim and j (n c - T)
+    / (s (n - 1)) to dmw; a regular histogram is the one block [0, 1],
+    with s = c = n.  The points are binned by the float breaks of the
+    model list."""
+    n, k = sample.n, Fraction(k_const)
+
+    def share(s: int, counts: np.ndarray) -> Fraction:
+        j, c, t = counts.size, int(counts.sum()), int(np.sum(counts ** 2))
+        pen = (Fraction(j, n) if complexity == "dim"
+               else Fraction(j * (n * c - t), s * n * (n - 1)))
+        return Fraction(-j * t, s * n) + k * pen
+
+    if kind == "regular-hist":
+        crits = ((share(n, histogram_counts(np.arange(j + 1) / j, sample)),
+                  j, f"reg-hist:d={j}") for j in range(1, n + 1))
+        return min(crits)[2]
+    left = {(kk, j): share(kk, histogram_counts(
+        two_block_breaks(n, kk, j, 1), sample)[:j])
+        for kk in range(1, n) for j in range(1, kk + 1)}
+    right = {(kk, j): share(n - kk, histogram_counts(
+        two_block_breaks(n, kk, 1, j), sample)[1:])
+        for kk in range(1, n) for j in range(1, n - kk + 1)}
+    best = min((left[kk, j1] + right[kk, j2], j1 + j2, pos, (kk, j1, j2))
+               for pos, (kk, j1, j2) in enumerate(two_block_params(n)))
+    return _two_block_id(*(v - 1 for v in best[3]))
 
 
 def exact_histogram_slope_pick(sample: Sample, complexity: str) -> str:
@@ -552,28 +598,53 @@ class PerCutTwoBlock:
 
     def argmin(self, k_const: float, complexity: str):
         """(key, penalty) of contrast + k_const * complexity / n, ties to
-        the smaller dimension, then the earlier cut, j1 and j2."""
+        the smaller dimension, then the earlier cut, j1 and j2.  Criteria
+        compare in ``Fraction``s under ``dim`` and ``dmw``, from each
+        block's T and count with K = Fraction(K), and in floats under
+        ``d_exact``."""
         n = self.lab.n
         scale = k_const / (n - 1.0) if complexity == "dmw" else k_const / n
         best_key, best = None, None
         for kk, (left, right) in enumerate(self.per_k):
             p1 = scale * self._part(left, complexity)
             p2 = scale * self._part(right, complexity)
-            g1, g2 = p1 - left[0], p2 - right[0]
-            m1, m2 = g1.min(), g2.min()
-            crit = m1 + m2
-            if best_key is not None and crit > best_key[0]:
-                continue
-            tied = min((i1 + i2, i1, i2)
-                       for i1 in np.flatnonzero(g1 + m2 == crit)
-                       for i2 in np.flatnonzero(m1 + g2 == crit)
-                       if g1[i1] + g2[i2] == crit)
+            if complexity == "d_exact":
+                g1, g2 = p1 - left[0], p2 - right[0]
+                m1, m2 = g1.min(), g2.min()
+                crit = m1 + m2
+                if best_key is not None and crit > best_key[0]:
+                    continue
+                tied = min((i1 + i2, i1, i2)
+                           for i1 in np.flatnonzero(g1 + m2 == crit)
+                           for i2 in np.flatnonzero(m1 + g2 == crit)
+                           if g1[i1] + g2[i2] == crit)
+            else:
+                (m1, i1), (m2, i2) = (
+                    self._least_share(kk, side, k_const, complexity)
+                    for side in (0, 1))
+                crit, tied = m1 + m2, (i1 + i2, i1, i2)
             key = (crit, tied[0])
             if best_key is None or key < best_key:
                 best_key = key
                 best = ((kk, int(tied[1]), int(tied[2])),
                         p1[tied[1]] + p2[tied[2]])
         return best
+
+    def _least_share(self, kk: int, side: int, k_const: float,
+                     complexity: str) -> tuple[Fraction, int]:
+        """(share, j - 1) of the least share of one block of s / n with c
+        points, the smallest j on ties.  The share -j T / (s n) + K j / n
+        (``dim``) or + K j (n c - T) / (s n (n - 1)) (``dmw``) times
+        s n (n - 1) q, K = p / q, is an integer."""
+        n = self.lab.n
+        p, q = Fraction(k_const).as_integer_ratio()
+        t_sq, c = self.t_sq[kk][side]
+        s = kk + 1 if side == 0 else n - kk - 1
+        least = min(
+            (-j * t * (n - 1) * q
+             + p * j * (s * (n - 1) if complexity == "dim" else n * c - t), j)
+            for j, t in enumerate(t_sq.astype(np.int64).tolist(), start=1))
+        return Fraction(least[0], s * n * (n - 1) * q), least[1] - 1
 
     def oracle_loss(self) -> float:
         best = np.inf

@@ -254,9 +254,9 @@ def test_import_skips_quadrature_module():
 
 
 def test_sampling_commands_skip_numpy_random():
-    """Samples and replications draw by array Philox: no command but
-    conc-check loads numpy.random (nor the secrets module it pulls in),
-    nor the concentration lab."""
+    """Every draw is array Philox: no command, conc-check included, loads
+    numpy.random (nor the secrets module it pulls in), and no command but
+    conc-check loads the concentration lab."""
     code = textwrap.dedent("""
         import sys, numpy
         if "numpy.random" in sys.modules:
@@ -271,17 +271,20 @@ def test_sampling_commands_skip_numpy_random():
                 "simulate --example 2 --n 12 --reps 3",
                 "sweep --n 20 --reps 2"]
         codes = [densel.cli.main(run.split()) for run in runs]
-        loaded = [m for m in ("numpy.random", "secrets", "densel.conclab")
-                  if m in sys.modules]
-        densel.cli.main("conc-check --n 20 --reps 50 --x 1".split())
-        print(codes, loaded, [m for m in ("numpy.random", "densel.conclab")
-                              if m in sys.modules])""")
+        modules = ("numpy.random", "secrets", "densel.conclab")
+        loaded = [m for m in modules if m in sys.modules]
+        checks = ["conc-check --n 20 --reps 50 --x 1",
+                  "conc-check --bound ustat --n 20 --dim 3 --reps 50 --x 1",
+                  "conc-check --bound resampling --basis fourier --n 20 "
+                  "--dim 5 --reps 50 --x 1"]
+        conc = [densel.cli.main(run.split()) for run in checks]
+        print(codes, loaded, conc, [m for m in modules if m in sys.modules])""")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout.strip().splitlines()
     if out[-1] == "eager":
         pytest.skip("this numpy imports numpy.random with numpy itself")
-    assert out[-1] == ("[0, 0, 0, 0, 0, 0, 0] [] "
-                       "['numpy.random', 'densel.conclab']")
+    assert out[-1] == ("[0, 0, 0, 0, 0, 0, 0] [] [0, 0, 0] "
+                       "['densel.conclab']")
 
 
 def test_out_of_memory_exits_2(monkeypatch, capsys):
@@ -368,6 +371,15 @@ def _oracle_criteria(kind, n, seed, penalty):
                   {m.id: m.dim for m in collection}).model_id
     crit = {f.model.id: f.emp_contrast + p.value for f, p in zip(fits, pens)}
     return pick, crit, fits, sample
+
+
+def test_select_settles_exact_ties(capsys):
+    """d = 5 (T = 34) and d = 10 (T = 22) both have the criterion -6/5
+    exactly, which floats round to -1.2 and -1.2000000000000002: the tie
+    goes to the smaller dimension."""
+    assert main("select --collection regular-hist --n 10 --penalty "
+                "dimension:1 --seed 43".split()) == 0
+    assert capsys.readouterr().out.split()[:2] == ["selected", "reg-hist:d=5"]
 
 
 @pytest.mark.parametrize("kind,n", [("regular-hist", 25), ("fourier", 12),

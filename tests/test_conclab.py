@@ -18,7 +18,8 @@ from densel.fitting import fit_model
 from densel.models import (exact_quantities, fourier_basis_matrix,
                            fourier_model, histogram_model, regular_histogram)
 from densel.rng import RngStream
-from oracles import build_regular_histograms, u_statistic_double_sum
+from oracles import (build_regular_histograms, generator,
+                     u_statistic_double_sum)
 
 MODEL10 = build_regular_histograms(10).models[-1]
 STEP = PiecewiseConstant(np.array([0.0, 0.3, 0.7, 1.0]),
@@ -47,7 +48,7 @@ def test_simulation_chunking_invariant(monkeypatch):
                                          RngStream(4, 0, "c"), compute_u=True)
     for model in (MODEL10, fourier_model(3)):
         a = run(model, conclab.CHUNK_BYTES)
-        one_chunk = 8 * n * max(model.dim, 8) * reps
+        one_chunk = 8 * (8 * n + 4 * model.dim) * reps
         assert 1 < one_chunk // (8 * n * (n + model.dim)) < reps
         for budget in (one_chunk, 1):
             b = run(model, budget)
@@ -121,7 +122,7 @@ def test_ustat_matches_double_sum_oracle(model, n):
     got = simulate_model_statistics(model, STEP, n, reps,
                                     RngStream(15, n, "u-oracle"),
                                     compute_u=True)["u"]
-    draws = RngStream(15, n, "u-oracle").generator().random((reps, n))
+    draws = generator(RngStream(15, n, "u-oracle")).random((reps, n))
     x = STEP.quantile(draws)
     q = exact_quantities(model, STEP, n)
     for r in range(reps):
@@ -145,7 +146,7 @@ def test_fourier_moments_match_basis_matrix(density, j):
     model = fourier_model(j)
     got = simulate_model_statistics(model, density, n, reps,
                                     RngStream(13, j, "fm"))
-    x = density.quantile(RngStream(13, j, "fm").generator().random((reps, n)))
+    x = density.quantile(generator(RngStream(13, j, "fm")).random((reps, n)))
     mat = fourier_basis_matrix(j, x)
     coeffs = mat.mean(axis=1)
     pop = exact_quantities(model, density, n).pop_coeffs

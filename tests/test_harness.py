@@ -19,8 +19,8 @@ from densel.models import fourier_basis_matrix
 from densel.rng import RngStream
 from oracles import (PerCutTwoBlock, PerModelLab, block_stats,
                      build_collection, build_regular_histograms,
-                     build_two_block_collection, exact_histogram_slope_pick,
-                     oracle_ratio, per_cut_arrays)
+                     build_two_block_collection, exact_argmin,
+                     exact_histogram_slope_pick, oracle_ratio, per_cut_arrays)
 
 ALL_METHODS = (Method("slope-dim"), Method("resampling"),
                Method("resampling-slope"), Method("ideal", 2.0))
@@ -453,15 +453,25 @@ def test_two_block_path_memory_within_evaluate(n):
 
 
 def _two_block_eval(left_a, right_a):
-    """A two-block evaluation of n = 4 from per-cut A arrays alone."""
+    """A two-block evaluation of n = 4 from per-cut A arrays alone, with
+    T = A s n / j, which gives the exact shares -j T / (s n) the same
+    values (the A here make every such T an integer)."""
+    n = 4
+    cells = np.array([[1, 2, 3], [3, 2, 1]])
     contrast = np.full((2, 3, 3), np.inf)
+    t_sq = np.zeros((2, 3, 3), dtype=np.int64)
     for side, blocks in enumerate((left_a, right_a)):
         for kk, a in enumerate(blocks):
             contrast[side, kk, :len(a)] = -np.asarray(a, dtype=float)
-    lab = SimpleNamespace(n=4, s_norm=0.0, d_exact=np.zeros((2, 3, 3)))
+            for j, share in enumerate(a, start=1):
+                t = Fraction(share) * int(cells[side, kk]) * n / j
+                assert t.denominator == 1
+                t_sq[side, kk, j - 1] = int(t)
+    lab = SimpleNamespace(n=n, s_norm=0.0, d_exact=np.zeros((2, 3, 3)),
+                          cells=cells)
     return _TwoBlockEvaluation(lab=lab, contrast=contrast,
                                var=np.zeros((2, 3, 3)), loss=np.zeros((2, 3, 3)),
-                               t_sq=np.zeros((2, 3, 3), dtype=np.int64),
+                               t_sq=t_sq,
                                count=np.zeros((2, 3), dtype=np.int64))
 
 
@@ -480,6 +490,26 @@ def test_ties_go_to_criterion_then_dim_then_order():
     # with dimension 3 at the last cut too, the first cut wins
     ev = _two_block_eval(([0.5], [0.25, 0.5], [0.25, 0.5, 0.5]), right)
     assert ev.argmin(0.0, "dim").model_id == "two-block:k=1,j1=1,j2=2"
+
+
+@pytest.mark.parametrize("kind,sizes", [
+    ("regular-hist", range(2, 41)),
+    ("two-block", (*range(2, 13), 16, 20, 25, 31, 40))])
+def test_argmin_equals_fraction_oracle(kind, sizes):
+    """Both histogram labs pick, under dim and dmw penalties, the exact
+    argmin of the Fraction oracle: the float argmin, then an exact settle
+    among the models within its rounding tolerance.  Exact ties are common
+    here, and floats round tied rationals apart."""
+    for n in sizes:
+        lab = make_lab(kind, n, PowerLaw())
+        for seed in range(3 if kind == "regular-hist" else 1):
+            sample = PowerLaw().sample(n, RngStream(seed, n, "tie"))
+            ev = lab.evaluate(sample)
+            for k_const in (0.5, 1.0, 2.0, 2.5):
+                for complexity in ("dim", "dmw"):
+                    want = exact_argmin(kind, sample, k_const, complexity)
+                    got = ev.argmin(k_const, complexity).model_id
+                    assert got == want, (n, seed, k_const, complexity)
 
 
 def test_two_block_dim_penalties_match_spec_dims():
