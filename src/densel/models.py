@@ -19,10 +19,11 @@ concentration lab and the tests.
 
 Given a known density, every population quantity of a model is available in
 closed form (histograms) or from one Gauss-Legendre rule over the quantile
-function (Fourier coefficients): the projection coefficients, the
-projection norm, the squared bias, the variance number ``d_exact`` (n times
-the expected squared estimation error, written D below), and the scale
-constants that drive all concentration thresholds.
+function, computed here by Newton's method, on powers of exp(2 pi i x)
+(Fourier coefficients): the projection coefficients, the projection norm,
+the squared bias, the variance number ``d_exact`` (n times the expected
+squared estimation error, written D below), and the scale constants that
+drive all concentration thresholds.
 """
 
 from __future__ import annotations
@@ -185,6 +186,25 @@ class ExactModelQuantities:
     risk: float
 
 
+def gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the m-point Gauss-Legendre rule on
+    [-1, 1]: Newton's method on P_m from the three-term recurrence, started
+    at cos(pi (i - 1/4) / (m + 1/2)); weights 2 / ((1 - x**2) P_m'(x)**2).
+    Both are symmetrized, so the nodes are exactly odd about 0."""
+    x = np.cos(np.pi * (np.arange(m, 0, -1) - 0.25) / (m + 0.5))
+    for _ in range(100):
+        p0, p1 = np.ones_like(x), x
+        for i in range(2, m + 1):
+            p0, p1 = p1, ((2 * i - 1) * x * p1 - (i - 1) * p0) / i
+        dp = m * (x * p1 - p0) / (x * x - 1.0)
+        step = p1 / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-16:
+            break
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+
+
 def fourier_pop_coeffs(density: Density, j: int) -> np.ndarray:
     """Population coefficients E psi(X) of the Fourier basis up to cutoff j.
 
@@ -193,33 +213,37 @@ def fourier_pop_coeffs(density: Density, j: int) -> np.ndarray:
     analytic (t**4 for the power law, a cubic for uniform and step
     densities), so a composite 32-point Gauss-Legendre rule with j+1 panels
     per piece converges exponentially; the same rule at 2(j+1) panels must
-    agree within 1e-10.  One frequency at a time keeps memory O(nodes).
+    agree within 1e-10.  cos and sin of 2 pi k x are the parts of z**k,
+    z = exp(2 pi i x) at the nodes, and the powers come by repeated
+    multiplication, so memory stays O(nodes).
     """
     breaks = np.asarray(getattr(density, "breaks", (0.0, 1.0)), dtype=float)
-    kinks = np.cbrt(density.cdf(breaks))
+    kinks = np.sort(np.cbrt(density.cdf(breaks)))
     kinks[0], kinks[-1] = 0.0, 1.0
-    kinks = np.unique(kinks)            # zero-mass cells have no width in t
-    gl_x, gl_w = np.polynomial.legendre.leggauss(32)
-    rules = []
+    kinks = kinks[np.diff(kinks, prepend=-1.0) > 0.0]   # drop zero-mass cells
+    gl_x, gl_w = gauss_legendre(32)
+    weights, powers, zs = [], [], []
     for panels in (j + 1, 2 * (j + 1)):
         edges = kinks[:-1, None] + np.diff(kinks)[:, None] * (
             np.arange(panels + 1) / panels)
         half = 0.5 * np.diff(edges, axis=1).reshape(-1, 1)
         t = (edges[:, :-1].reshape(-1, 1) + half * (1.0 + gl_x)).ravel()
-        rules.append((density.quantile(t ** 3),
-                      np.sqrt(2.0) * (half * gl_w).ravel() * 3.0 * t * t))
+        w = np.sqrt(2.0) * (half * gl_w).ravel() * 3.0 * t * t
+        weights.append(w.astype(complex))   # each sum is one complex dot
+        zs.append(np.exp(complex(0.0, 2.0 * np.pi) * density.quantile(t ** 3)))
+        powers.append(zs[-1].copy())
     coeffs = np.empty(2 * j + 1)
     coeffs[0] = 1.0                     # psi_0 == 1 integrates s to 1
     for k in range(1, j + 1):
-        (c1, s1), (c2, s2) = [(w @ np.cos(2.0 * np.pi * k * x),
-                               w @ np.sin(2.0 * np.pi * k * x))
-                              for x, w in rules]
-        err = max(abs(c1 - c2), abs(s1 - s2))
+        c1, c2 = [w @ zk for w, zk in zip(weights, powers)]
+        err = max(abs(c1.real - c2.real), abs(c1.imag - c2.imag))
         if not err <= 1e-10:
             raise ArithmeticError(
                 f"Gauss-Legendre rule for Fourier coefficient k={k} did not "
                 f"converge (two rules differ by {err:.2e})")
-        coeffs[2 * k - 1], coeffs[2 * k] = c2, s2
+        coeffs[2 * k - 1], coeffs[2 * k] = c2.real, c2.imag
+        for zk, z in zip(powers, zs):
+            zk *= z
     return coeffs
 
 

@@ -15,7 +15,9 @@ below is the explicit, per-model version of one of their steps:
 * the model lists of the three collections: regular histograms, Fourier
   spaces and the enumerated two-block family (about n^3/6 ``ModelSpec``
   objects), whose ids and dimensions the labs generate from (kind, n);
-  and pointwise basis evaluation;
+  pointwise basis evaluation; and the Fourier population coefficients
+  with cos and sin at every node and frequency, on numpy's
+  Gauss-Legendre rule;
 * the exact loss of one fit, the per-model lab that fits every model of
   a collection one at a time (the oracle of both block labs), and the
   oracle ratio of one method on one sample through it;
@@ -139,6 +141,38 @@ def build_collection(kind: str, n: int) -> ModelCollection:
     if kind == "two-block":
         return build_two_block_collection(n)
     raise ValueError(f"unknown collection kind {kind!r}")
+
+
+def fourier_pop_coeffs_trig(density: Density, j: int) -> np.ndarray:
+    """``models.fourier_pop_coeffs`` on numpy's ``leggauss`` rule, with
+    cos and sin of 2 pi k x at every node: the same composite rules and
+    the same 1e-10 agreement check."""
+    breaks = np.asarray(getattr(density, "breaks", (0.0, 1.0)), dtype=float)
+    kinks = np.cbrt(density.cdf(breaks))
+    kinks[0], kinks[-1] = 0.0, 1.0
+    kinks = np.unique(kinks)            # zero-mass cells have no width in t
+    gl_x, gl_w = np.polynomial.legendre.leggauss(32)
+    rules = []
+    for panels in (j + 1, 2 * (j + 1)):
+        edges = kinks[:-1, None] + np.diff(kinks)[:, None] * (
+            np.arange(panels + 1) / panels)
+        half = 0.5 * np.diff(edges, axis=1).reshape(-1, 1)
+        t = (edges[:, :-1].reshape(-1, 1) + half * (1.0 + gl_x)).ravel()
+        rules.append((density.quantile(t ** 3),
+                      np.sqrt(2.0) * (half * gl_w).ravel() * 3.0 * t * t))
+    coeffs = np.empty(2 * j + 1)
+    coeffs[0] = 1.0
+    for k in range(1, j + 1):
+        (c1, s1), (c2, s2) = [(w @ np.cos(2.0 * np.pi * k * x),
+                               w @ np.sin(2.0 * np.pi * k * x))
+                              for x, w in rules]
+        err = max(abs(c1 - c2), abs(s1 - s2))
+        if not err <= 1e-10:
+            raise ArithmeticError(
+                f"Gauss-Legendre rule for Fourier coefficient k={k} did not "
+                f"converge (two rules differ by {err:.2e})")
+        coeffs[2 * k - 1], coeffs[2 * k] = c2, s2
+    return coeffs
 
 
 def basis_eval(model: ModelSpec, lam: int, x) -> np.ndarray:

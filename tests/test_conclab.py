@@ -75,9 +75,8 @@ def test_ustat_memory_within_chunk_budget(model):
 
 
 def _traced_peak(model, n, reps, compute_u=False):
-    """Traced peak of one run above its start, after a warm-up call (the
-    first Fourier call imports numpy.polynomial, which tracemalloc would
-    count)."""
+    """Traced peak of one run above its start, after a warm-up call, so
+    that whatever a first call loads or caches is not counted."""
     simulate_model_statistics(model, PowerLaw(), 2, 1, RngStream(12, 1, "mem"),
                               compute_u=compute_u)
     tracemalloc.start()

@@ -9,12 +9,13 @@ from scipy import integrate
 from densel.conclab import simulate_model_statistics
 from densel.densities import Density, PiecewiseConstant, PowerLaw, Uniform
 from densel.models import (exact_quantities, fourier_basis_matrix,
-                           fourier_means, fourier_model, histogram_model,
-                           scale_constants)
+                           fourier_means, fourier_model, fourier_pop_coeffs,
+                           gauss_legendre, histogram_model, scale_constants)
 from densel.rng import RngStream
 from oracles import (basis_eval, build_fourier_collection,
                      build_regular_histograms, build_two_block_collection,
-                     two_block_breaks, two_block_params)
+                     fourier_pop_coeffs_trig, two_block_breaks,
+                     two_block_params)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +196,45 @@ def test_fourier_coeffs_match_quadrature(density, j):
             scale * (h * (np.sin(w * b) - np.sin(w * a))).sum(1), abs=1e-13)
         assert pop[2::2] == pytest.approx(
             scale * (h * (np.cos(w * a) - np.cos(w * b))).sum(1), abs=1e-13)
+
+
+@pytest.mark.parametrize("j", [1, 2, 40, 300])
+@pytest.mark.parametrize("density", [PowerLaw(), Uniform(), STEP3, STEP_ZERO],
+                         ids=["powerlaw", "uniform", "step", "step-zero-cell"])
+def test_fourier_coeffs_match_trig_oracle(density, j):
+    """Powers of z on the in-package rule give the coefficients of cos and
+    sin at every node on numpy's rule."""
+    pop = fourier_pop_coeffs(density, j)
+    assert np.max(np.abs(pop - fourier_pop_coeffs_trig(density, j))) <= 1e-13
+
+
+def _gauss_legendre_long(m):
+    """The m-point rule in extended precision: Newton polish of numpy's
+    nodes on the recurrence in long double, weights 2 / ((1-x^2) P'^2)."""
+    x = np.polynomial.legendre.leggauss(m)[0].astype(np.longdouble)
+    for _ in range(3):
+        p0, p1 = np.ones_like(x), x
+        for i in range(2, m + 1):
+            p0, p1 = p1, ((2 * i - 1) * x * p1 - (i - 1) * p0) / i
+        dp = m * (x * p1 - p0) / (x * x - 1)
+        x = x - p1 / dp
+    return x, 2 / ((1 - x * x) * dp * dp)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 32, 64])
+def test_gauss_legendre_matches_numpy(m):
+    x, w = gauss_legendre(m)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(m)
+    assert np.max(np.abs(x - ref_x)) <= 1e-15
+    # numpy's m = 64 weights are themselves 2.3e-15 off (checked against a
+    # 40-digit rule); the extended-precision rule holds every m to 1e-15
+    assert np.max(np.abs(w - ref_w)) <= (1e-15 if m <= 32 else 2.5e-15)
+    long_x, long_w = _gauss_legendre_long(m)
+    assert np.max(np.abs(x - long_x)) <= 1e-15
+    assert np.max(np.abs(w - long_w)) <= 1e-15
+    assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
+    assert np.array_equal(w, w[::-1])
+    assert w.sum() == pytest.approx(2.0, abs=4e-15)
 
 
 class _HiddenKink(Density):
