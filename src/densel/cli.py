@@ -8,31 +8,38 @@ randomness derives from ``--seed``; re-running any invocation produces
 byte-identical output files, whatever ``--threads`` says.
 
 Flags can be preloaded from a flat ``key = value`` config file via
-``--config``; explicit flags win.  Unknown config keys are rejected.
+``--config``; explicit flags win.  Unknown config keys are rejected, and
+so are ``command`` and ``config``, which a config file cannot set.
+
+This module imports no densel module itself: ``main`` loads the modules
+of the command it runs, so ``conc-check`` never loads ``harness`` or the
+slope paths, and no other command the concentration lab.  ``argparse``
+too loads only once those modules have, in ``build_parser``.
 """
 
 from __future__ import annotations
 
-import argparse
+import importlib
 import math
 import sys
 import warnings
+from typing import TYPE_CHECKING
 
-from . import harness, report
-from .densities import density_from_config
-from .harness import (DEFAULT_METHODS, parse_method, penalty_constant,
-                      penalty_sweep, run_example)
-from .models import fourier_model, regular_histogram
-from .rng import RngStream
-from .slope import slope_pick
+if TYPE_CHECKING:
+    import argparse
 
 
 class UsageError(Exception):
     """Invalid flag combination or config content (exit code 2)."""
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+def _parse_floats(text: str, flag: str) -> list[float]:
+    """The numbers of a comma list; an error names the flag."""
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError:
+        raise UsageError(f"{flag} {text!r}: need a comma list of "
+                         "numbers") from None
 
 
 MAX_GRID_POINTS = 10_000
@@ -41,9 +48,14 @@ MAX_GRID_POINTS = 10_000
 def _parse_grid(text: str) -> list[float]:
     """'lo:hi:step' (finite, step > 0, bounded count) or a comma list of
     penalty constants, each 0 <= K < inf."""
+    from .harness import penalty_constant
     if ":" in text:
-        lo, hi, step = (float(t) for t in text.split(":"))
-        if not (all(map(math.isfinite, (lo, hi, step))) and step > 0.0):
+        try:
+            lo, hi, step = (float(t) for t in text.split(":"))
+            valid = all(map(math.isfinite, (lo, hi, step))) and step > 0.0
+        except ValueError:              # not three numbers
+            valid = False
+        if not valid:
             raise UsageError(f"--k-grid {text!r}: need finite lo:hi:step "
                              "with step > 0")
         span = (hi - lo) / step             # inf when hi - lo overflows
@@ -52,7 +64,7 @@ def _parse_grid(text: str) -> list[float]:
                              f"more than {MAX_GRID_POINTS}")
         grid = [lo + i * step for i in range(int(round(span)) + 1)]
     else:
-        grid = _parse_floats(text)
+        grid = _parse_floats(text, "--k-grid")
     try:
         return [penalty_constant(k) for k in grid]
     except ValueError as exc:
@@ -60,9 +72,17 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _density_from_args(args) -> object:
-    breaks = _parse_floats(args.breaks) if getattr(args, "breaks", None) else None
-    heights = _parse_floats(args.heights) if getattr(args, "heights", None) else None
-    return density_from_config(args.density, breaks=breaks, heights=heights)
+    """The ``--density``; only a piecewise one can fail, and its errors
+    name the flags that define it."""
+    from .densities import density_from_config
+    breaks = _parse_floats(args.breaks, "--breaks") if args.breaks else None
+    heights = _parse_floats(args.heights, "--heights") if args.heights else None
+    try:
+        return density_from_config(args.density, breaks=breaks,
+                                   heights=heights)
+    except ValueError as exc:
+        raise UsageError(f"--breaks {args.breaks!r} --heights "
+                         f"{args.heights!r}: {exc}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -83,6 +103,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     # abbreviated flags are off everywhere: an abbreviation would not be
     # recognized as explicit and would lose to a --config value
     parser = argparse.ArgumentParser(
@@ -162,7 +183,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
                 raise UsageError(f"{args.config}:{lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
             entries[key.replace("-", "_")] = value
-    valid = set(vars(args))
+    valid = set(vars(args)) - {"command", "config"}
     unknown = sorted(set(entries) - valid)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
@@ -191,6 +212,7 @@ def _check_counts(args: argparse.Namespace) -> None:
 
 def _penalty_spec(text: str) -> tuple[float, str]:
     """(K, complexity) of a ``--penalty`` spec: K * complexity / n."""
+    from .harness import penalty_constant
     spec = text.strip().lower()
     if spec == "resampling":
         return 2.0, "dmw"
@@ -202,12 +224,15 @@ def _penalty_spec(text: str) -> tuple[float, str]:
 
 def _evaluate(args):
     """The lab evaluation of the command's sample."""
+    from . import harness
+    from .rng import RngStream
     density = _density_from_args(args)
     lab = harness.make_lab(args.collection, args.n, density)
     return lab.evaluate(density.sample(args.n, RngStream(args.seed, 0, "data")))
 
 
 def _cmd_select(args) -> int:
+    from . import report
     k_const, complexity = _penalty_spec(args.penalty)
     row = _evaluate(args).argmin(k_const, complexity)
     if args.out:
@@ -219,6 +244,8 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_slope_path(args) -> int:
+    from . import report
+    from .slope import slope_pick
     path = _evaluate(args).path(args.complexity)
     if args.out:
         report.write_csv(args.out, report.PATH_HEADER, report.path_rows(path))
@@ -232,15 +259,17 @@ def _cmd_slope_path(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import harness, report
     density = _density_from_args(args)
     reps = args.reps if args.reps is not None else (1000 if args.example == 1 else 200)
     if args.methods:
-        methods = tuple(parse_method(tok) for tok in args.methods.split(","))
+        methods = tuple(harness.parse_method(tok)
+                        for tok in args.methods.split(","))
     else:
-        methods = DEFAULT_METHODS
-    rep_out = run_example(args.example, args.n, reps, methods=methods,
-                          seed=args.seed, density=density,
-                          threads=args.threads)
+        methods = harness.DEFAULT_METHODS
+    rep_out = harness.run_example(args.example, args.n, reps, methods=methods,
+                                  seed=args.seed, density=density,
+                                  threads=args.threads)
     if args.out:
         report.write_csv(args.out, report.SUMMARY_HEADER,
                          report.summary_rows(rep_out))
@@ -255,11 +284,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_conc_check(args) -> int:
-    from . import conclab       # only this command runs the concentration lab
+    from . import conclab, report
+    from .models import fourier_model, regular_histogram
+    from .rng import RngStream
     if args.reps < 2:
         raise UsageError(f"--reps {args.reps}: the spread over replications "
                          "needs at least 2")
-    xs = _parse_floats(args.x)
+    xs = _parse_floats(args.x, "--x")
     if not (xs and all(0.0 < x < math.inf for x in xs)):
         raise UsageError(f"--x {args.x!r}: need deviation levels that are "
                          "finite and > 0")
@@ -297,11 +328,12 @@ def _cmd_conc_check(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import harness, report
     density = _density_from_args(args)
     k_grid = _parse_grid(args.k_grid)
-    rep_out = penalty_sweep(args.collection, args.n, k_grid, args.reps,
-                            seed=args.seed, density=density,
-                            threads=args.threads)
+    rep_out = harness.penalty_sweep(args.collection, args.n, k_grid,
+                                    args.reps, seed=args.seed,
+                                    density=density, threads=args.threads)
     if args.out:
         report.write_csv(args.out, report.SWEEP_HEADER,
                          report.sweep_rows(rep_out))
@@ -317,6 +349,14 @@ def _warning_line(message, *_):
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    # The command's own module loads first, before report, argparse and
+    # the parser, so that compiling it (harness.py is the largest compile
+    # transient) happens on the smallest heap.  The parser has no option
+    # before the command's name.
+    command = next((tok for tok in argv if not tok.startswith("-")), None)
+    first = "conclab" if command == "conc-check" else "harness"
+    for name in (first, "report"):
+        importlib.import_module(f".{name}", __package__)
     parser = build_parser()
     try:
         args = _apply_config(parser, argv)

@@ -10,11 +10,10 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .harness import ModelRow, SimulationReport, SweepReport
-from .slope import SlopePath
-
-if TYPE_CHECKING:
+if TYPE_CHECKING:                   # annotations only: a writer loads no lab
     from .conclab import RegularizationReport, TailReport
+    from .harness import ModelRow, SimulationReport, SweepReport
+    from .slope import SlopePath
 
 
 def fmt(value) -> str:

@@ -229,14 +229,25 @@ def test_select_bad_penalty_exits_2():
     ["select", "--density", "piecewise", "--breaks", "0,1", "--heights", "nan"],
     ["select", "--density", "piecewise", "--breaks", "0,nan,1",
      "--heights", "1,1"],
+    # a list that does not parse names its flag
+    ["sweep", "--k-grid", "1:2"],
+    ["sweep", "--k-grid", "a:b:c"],
+    ["sweep", "--k-grid", "1,x"],
+    ["conc-check", "--x", "abc"],
+    ["select", "--density", "piecewise", "--breaks", "0,x,1",
+     "--heights", "1,1"],
+    ["select", "--density", "piecewise", "--breaks", "0,1", "--heights", "y"],
 ])
 def test_bad_counts_and_grids_exit_2_before_work(argv, capsys):
     assert main(argv if "--n" in argv else argv + ["--n", "10"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    for flag in ("--k-grid", "--dim"):
-        if any(tok.startswith(flag) for tok in argv):
-            assert flag in err[0]
+    # the error names each flag given; --breaks and --heights define one
+    # density, whose errors name at least one of them
+    for group in (("--k-grid",), ("--dim",), ("--x",),
+                  ("--breaks", "--heights")):
+        if any(tok.startswith(flag) for flag in group for tok in argv):
+            assert any(flag in err[0] for flag in group)
 
 
 def test_import_skips_quadrature_module():
@@ -300,6 +311,47 @@ def test_sampling_commands_skip_numpy_random():
         pytest.skip("this numpy imports numpy.random with numpy itself")
     assert out[-1] == ("[0, 0, 0, 0, 0, 0, 0] [] [0, 0, 0] "
                        "['densel.conclab']")
+
+
+def _modules_loaded(argv):
+    """The modules a fresh ``python -v -m densel.cli ARGV`` imports, from
+    the verbose log of every module it loads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-v", "-m", "densel.cli"] + argv.split(),
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return {line.split("'")[1] for line in proc.stderr.splitlines()
+            if line.startswith("import '")}
+
+
+@pytest.mark.parametrize("argv", [
+    "conc-check --n 20 --reps 50 --x 1",
+    "conc-check --bound ustat --n 20 --dim 3 --reps 50 --x 1",
+    "conc-check --bound resampling --basis fourier --n 20 --dim 5 "
+    "--reps 50 --x 1",
+])
+def test_conc_check_loads_no_harness_nor_exact_paths(argv):
+    """A fresh conc-check process never loads the labs or the slope paths,
+    nor the exact arithmetic only those need.  In-process ``main`` calls
+    inherit the test's imports, so only a new process can show this."""
+    loaded = _modules_loaded(argv)
+    assert "densel.conclab" in loaded
+    assert not loaded & {"densel.harness", "densel.slope", "fractions",
+                         "decimal"}
+
+
+@pytest.mark.parametrize("argv", [
+    "select --collection two-block --n 12",
+    "slope-path --collection fourier --n 20",
+    "simulate --example 2 --n 12 --reps 3",
+    "sweep --n 20 --reps 2",
+])
+def test_other_commands_load_no_concentration_lab(argv):
+    loaded = _modules_loaded(argv)
+    assert "densel.harness" in loaded
+    assert "densel.conclab" not in loaded
 
 
 def test_out_of_memory_exits_2(monkeypatch, capsys):
@@ -458,6 +510,21 @@ def test_config_unknown_key_exits_2(tmp_path, capsys):
     cfg.write_text("gamma_max = 3\n")
     assert main(["simulate", "--example", "1", "--config", str(cfg)]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("command", "simulate"),
+                                        ("config", "other.cfg")])
+def test_config_cannot_set_command_or_config(key, value, tmp_path, capsys):
+    """``command`` and ``config`` are parser state, not flags: a config
+    file naming either is rejected like any unknown key (a nested file
+    was ignored, even one with ``n = 0``)."""
+    (tmp_path / "other.cfg").write_text("n = 0\n")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {tmp_path / value}\n")
+    argv = ["simulate", "--n", "10", "--reps", "2", "--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: unknown config keys: {key}"]
 
 
 def test_config_piecewise_density(tmp_path):
