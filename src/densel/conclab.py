@@ -12,8 +12,8 @@ never with estimates, so the check isolates the inequality itself.
 
 p and dmw come from moments (cell counts, or the Fourier basis means) and
 only the U-statistic builds per-point basis values, one Gram sub-chunk of
-replications at a time; every chunk and sub-chunk stays within the one
-budget ``CHUNK_BYTES``.
+replications at a time; a chunk and the Gram sub-chunks inside it share
+the one budget ``CHUNK_BYTES``.
 
 A chunk of replications draws its uniforms with one ``rng.uniforms`` call,
 as the run of the check's stream that starts where the previous chunk's
@@ -23,7 +23,7 @@ ended, so the chunk sizes change no bit.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,7 @@ __all__ = [
 DEFAULT_X_GRID = (1.0, 5.0, 20.0, 40.0, 80.0)
 
 
-@dataclass(frozen=True)
-class TailRow:
+class TailRow(NamedTuple):
     """One tested deviation bound at one x."""
 
     label: str
@@ -60,21 +59,19 @@ class TailRow:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class TailReport:
+class TailReport(NamedTuple):
     bound: str
     model_id: str
     n: int
     reps: int
-    rows: tuple[TailRow, ...] = field(default_factory=tuple)
+    rows: tuple[TailRow, ...] = ()
 
     @property
     def all_passed(self) -> bool:
         return all(r.passed for r in self.rows)
 
 
-@dataclass(frozen=True)
-class RegularizationReport:
+class RegularizationReport(NamedTuple):
     """Spread of the resampling estimate vs the raw variance part."""
 
     model_id: str
@@ -108,9 +105,9 @@ def simulate_model_statistics(model: ModelSpec, density: Density, n: int,
 
     Replications run in chunks of 8 n + 4 d values each, and the
     centered values with their Gram arrays in sub-chunks of n (n + d)
-    values each, one sub-chunk at a time, so that chunk and sub-chunk
-    stay within ``CHUNK_BYTES`` unless one replication alone exceeds it;
-    the chunk sizes change no bit of the results.
+    values each, one at a time: a chunk fills ``CHUNK_BYTES``, or half of
+    it when its sub-chunks take the other half, unless one replication
+    alone exceeds that; the chunk sizes change no bit of the results.
     """
     if n < 2:
         raise ValueError("dmw divides by n - 1: need n >= 2")
@@ -122,8 +119,9 @@ def simulate_model_statistics(model: ModelSpec, density: Density, n: int,
     # of a Fourier model, and the temporaries of a step density's
     # quantile) and 4 per coefficient (the counts or means, and the
     # squares and differences of p and dmw)
-    step = max(1, CHUNK_BYTES // (8 * (8 * n + 4 * d)))
-    gram_step = max(1, CHUNK_BYTES // (8 * n * (n + d)))
+    budget = CHUNK_BYTES // 2 if compute_u else CHUNK_BYTES
+    step = max(1, budget // (8 * (8 * n + 4 * d)))
+    gram_step = max(1, budget // (8 * n * (n + d)))
     p_out = np.empty(reps)
     dmw_out = np.empty(reps)
     u_out = np.empty(reps) if compute_u else None

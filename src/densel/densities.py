@@ -15,8 +15,6 @@ quantile function.  Adaptive quadrature is only a cross-check in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .rng import RngStream, uniforms
@@ -43,22 +41,50 @@ def _check_domain(x: np.ndarray | float) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class Sample:
+class _Frozen:
+    """A value whose fields, named by ``_fields``, are set once by its
+    constructor: assigning or deleting one raises ``AttributeError``, and
+    equality, hash and repr go by the fields' values, as in a frozen
+    dataclass."""
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return (self._values() == other._values()
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return "{}({})".format(type(self).__name__, ", ".join(
+            f"{k}={v!r}" for k, v in zip(self._fields, self._values())))
+
+
+class Sample(_Frozen):
     """An ordered i.i.d. sample of points in [0,1]."""
 
-    points: np.ndarray
-    sorted_flag: bool = True
+    _fields = ("points", "sorted_flag")
 
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
+    def __init__(self, points: np.ndarray, sorted_flag: bool = True) -> None:
+        pts = np.asarray(points, dtype=float)
         if pts.ndim != 1 or pts.size == 0:
             raise ValueError("sample must be a non-empty 1-d array")
         if np.any(pts < 0.0) or np.any(pts > 1.0):
             raise ValueError("sample points must lie in [0, 1]")
-        if self.sorted_flag and np.any(np.diff(pts) < 0.0):
+        if sorted_flag and np.any(np.diff(pts) < 0.0):
             raise ValueError("sorted_flag set but points are not nondecreasing")
-        object.__setattr__(self, "points", pts)
+        self._set(pts, sorted_flag)
 
     @property
     def n(self) -> int:
@@ -69,6 +95,7 @@ class Density:
     """Common interface of the shipped densities."""
 
     kind: str = "abstract"
+    _fields = ("kind",)             # the fields a frozen density compares by
 
     def pdf(self, x):
         raise NotImplementedError
@@ -102,11 +129,10 @@ class Density:
         return np.diff(f)
 
 
-@dataclass(frozen=True)
-class PowerLaw(Density):
+class PowerLaw(_Frozen, Density):
     """s(x) = 0.75 * x**(-0.25) on [0,1]; F(x) = x**0.75."""
 
-    kind: str = field(default="powerlaw", init=False)
+    kind = "powerlaw"
 
     def pdf(self, x):
         x = _check_domain(x)
@@ -127,11 +153,10 @@ class PowerLaw(Density):
         return 9.0 / 8.0
 
 
-@dataclass(frozen=True)
-class Uniform(Density):
+class Uniform(_Frozen, Density):
     """s(x) = 1 on [0,1]."""
 
-    kind: str = field(default="uniform", init=False)
+    kind = "uniform"
 
     def pdf(self, x):
         x = _check_domain(x)
@@ -148,17 +173,15 @@ class Uniform(Density):
         return 1.0
 
 
-@dataclass(frozen=True)
-class PiecewiseConstant(Density):
+class PiecewiseConstant(_Frozen, Density):
     """Step density: heights[i] on [breaks[i], breaks[i+1])."""
 
-    breaks: np.ndarray
-    heights: np.ndarray
-    kind: str = field(default="piecewise", init=False)
+    _fields = ("breaks", "heights", "kind")
+    kind = "piecewise"
 
-    def __post_init__(self) -> None:
-        brk = np.asarray(self.breaks, dtype=float)
-        hts = np.asarray(self.heights, dtype=float)
+    def __init__(self, breaks: np.ndarray, heights: np.ndarray) -> None:
+        brk = np.asarray(breaks, dtype=float)
+        hts = np.asarray(heights, dtype=float)
         if brk.ndim != 1 or brk.size < 2 or hts.size != brk.size - 1:
             raise ValueError("need k+1 breakpoints for k heights")
         # NaN passes every comparison below
@@ -171,8 +194,7 @@ class PiecewiseConstant(Density):
         mass = float(np.sum(hts * np.diff(brk)))
         if abs(mass - 1.0) > 1e-12:
             raise ValueError(f"total mass {mass!r} differs from 1 by more than 1e-12")
-        object.__setattr__(self, "breaks", brk)
-        object.__setattr__(self, "heights", hts)
+        self._set(brk, hts)
 
     def pdf(self, x):
         x = _check_domain(x)

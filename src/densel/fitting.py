@@ -15,7 +15,7 @@ population projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FittedModel:
+class FittedModel(NamedTuple):
     """Empirical basis coefficients of one model on one sample.
 
     For histograms ``counts`` holds the per-cell bin counts used to derive

@@ -39,10 +39,10 @@ and selections (the path in ``Fraction``s) are in ``tests/oracles.py``.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from math import lcm
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,8 +74,7 @@ ORACLE_EPS = 1e-15
 # Methods
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Method:
+class Method(NamedTuple):
     """A selection method: slope on dims, resampling, slope on dmw, or the
     deterministic K * D / n penalty (needs the true density)."""
 
@@ -114,8 +113,7 @@ DEFAULT_METHODS = (Method("slope-dim"), Method("resampling"),
                    Method("resampling-slope"))
 
 
-@dataclass(frozen=True)
-class MethodOutcome:
+class MethodOutcome(NamedTuple):
     """One method's result on one replication."""
 
     method: str
@@ -131,8 +129,7 @@ class MethodOutcome:
 _SLOPE_COMPLEXITY = {"slope-dim": "dim", "resampling-slope": "dmw"}
 
 
-@dataclass(frozen=True)
-class ModelRow:
+class ModelRow(NamedTuple):
     """One model's statistics on one sample under one penalty.
 
     ``criterion`` is the empirical contrast plus ``penalty``; ``dmw`` is
@@ -237,8 +234,7 @@ CHUNK_BYTES = 256 * 1024
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
-@dataclass(frozen=True)
-class _BlockRow:
+class _BlockRow(NamedTuple):
     """A row of blocks [lo_b, lo_b + width_b), each cut into j = 1..cells_b
     equal cells for every j, with the cell probabilities of all of them.
 
@@ -433,18 +429,13 @@ class CollectionLab:
                            n=self.n)
 
 
-@dataclass
 class _Evaluation(_LabEvaluation):
     """All per-model statistics of one replication; a model's key is its
     position in the collection."""
 
-    ids: list[str]
-    dims: np.ndarray
-    contrasts: np.ndarray
-    dmws: np.ndarray
-    losses: np.ndarray
-    d_exact: np.ndarray
-    n: int
+    def __init__(self, ids, dims, contrasts, dmws, losses, d_exact, n):
+        self.ids, self.dims, self.contrasts = ids, dims, contrasts
+        self.dmws, self.losses, self.d_exact, self.n = dmws, losses, d_exact, n
 
     def _complexity(self, name: str) -> np.ndarray:
         if name == "dmw" and self.n < 2:
@@ -486,7 +477,6 @@ class _Evaluation(_LabEvaluation):
         return float(self.losses.min())
 
 
-@dataclass
 class _HistogramEvaluation(_Evaluation):
     """A regular-histogram evaluation, whose slope paths run on integer
     lines: with T = sum c^2 over the j cells, the contrast is -j T / n^2,
@@ -494,7 +484,9 @@ class _HistogramEvaluation(_Evaluation):
     ``dmw``, so the lines are -j T + K' j or -j T + K' j (n^2 - T) with K'
     in units of 1/n^2 or (n - 1)/n."""
 
-    t_sq: np.ndarray
+    def __init__(self, *args, t_sq: np.ndarray, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.t_sq = t_sq
 
     def _lines(self, complexity: str):
         n, j, t = self.n, self.dims.astype(np.int64), self.t_sq
@@ -639,7 +631,6 @@ def _undominated(slopes: np.ndarray, intercepts: np.ndarray,
     return np.sort(order[keep])
 
 
-@dataclass
 class _TwoBlockEvaluation(_LabEvaluation):
     """Block statistics of one replication as (side, cut, cells) arrays: the
     block's share -A of the contrast (+inf where no model is), V of the
@@ -657,12 +648,9 @@ class _TwoBlockEvaluation(_LabEvaluation):
     Both paths of an evaluation share the blocks' envelopes: a block's
     ``dmw`` envelope is the start of its ``dim`` one."""
 
-    lab: TwoBlockLab
-    contrast: np.ndarray
-    var: np.ndarray
-    loss: np.ndarray
-    t_sq: np.ndarray
-    count: np.ndarray
+    def __init__(self, lab, contrast, var, loss, t_sq, count):
+        self.lab, self.contrast, self.var, self.loss = lab, contrast, var, loss
+        self.t_sq, self.count = t_sq, count
 
     def _part(self, complexity: str) -> np.ndarray:
         """Each block's share of a complexity: its cell count, V or D."""
@@ -858,8 +846,7 @@ def summarize(ratios) -> tuple[float, float, float]:
     return float(vals.mean()), float(med), float(q95)
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(NamedTuple):
     """Oracle-ratio statistics per method over N replications."""
 
     collection: str
@@ -878,8 +865,7 @@ class SimulationReport:
         return sum(1 for f in self.flags[method] if f)
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     """Selected-variance ratios along a penalty-constant grid."""
 
     collection: str
@@ -920,8 +906,10 @@ def _run_reps(lab, task, seed: int, reps: int, threads: int):
     Replications run in batches whose uniforms fill at most CHUNK_BYTES;
     the pool also keeps about 8 batches per worker.  The fork pool starts
     all its workers at once, so it gets no more than there are
-    replications or CPUs."""
-    workers = min(threads, reps, os.cpu_count() or 1)
+    replications or CPUs this process may run on."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(threads, reps, cpus)
     size = max(1, CHUNK_BYTES // (8 * lab.n))
     if workers > 1:
         size = min(size, max(1, reps // (workers * 8)))

@@ -28,12 +28,11 @@ drive all concentration thresholds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .densities import Density
+from .densities import Density, _Frozen
 
 __all__ = [
     "ModelSpec",
@@ -51,35 +50,32 @@ __all__ = [
 # Model specifications
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class ModelSpec:
+class ModelSpec(_Frozen):
     """One basis: either a histogram partition or a Fourier cutoff.
 
-    ``breaks`` is the partition (histograms only), ``j`` the frequency
-    cutoff (Fourier only).  ``params`` carries the generating parameters,
-    e.g. ``(k, j1, j2)`` for two-block models, for stable ids and joins.
+    ``basis`` is "histogram" or "fourier", ``breaks`` the partition
+    (histograms only), ``j`` the frequency cutoff (Fourier only).
+    ``params`` carries the generating parameters, e.g. ``(k, j1, j2)`` for
+    two-block models, for stable ids and joins; the id alone is compared.
     """
 
-    id: str
-    basis: str                      # "histogram" | "fourier"
-    dim: int
-    breaks: np.ndarray | None = None
-    j: int | None = None
-    params: tuple = ()
+    _fields = ("id", "basis", "dim", "breaks", "j", "params")
 
-    def __post_init__(self) -> None:
-        if self.basis == "histogram":
-            brk = np.asarray(self.breaks, dtype=float)
-            if brk[0] != 0.0 or brk[-1] != 1.0 or np.any(np.diff(brk) <= 0.0):
+    def __init__(self, id: str, basis: str, dim: int, breaks=None,
+                 j: int | None = None, params: tuple = ()) -> None:
+        if basis == "histogram":
+            breaks = np.asarray(breaks, dtype=float)
+            if (breaks[0] != 0.0 or breaks[-1] != 1.0
+                    or np.any(np.diff(breaks) <= 0.0)):
                 raise ValueError("histogram breakpoints must cover [0,1] strictly increasing")
-            if self.dim != brk.size - 1:
+            if dim != breaks.size - 1:
                 raise ValueError("dim must equal the number of cells")
-            object.__setattr__(self, "breaks", brk)
-        elif self.basis == "fourier":
-            if self.j is None or self.j < 1 or self.dim != 2 * self.j + 1:
+        elif basis == "fourier":
+            if j is None or j < 1 or dim != 2 * j + 1:
                 raise ValueError("fourier model needs j >= 1 and dim = 2j+1")
         else:
-            raise ValueError(f"unknown basis {self.basis!r}")
+            raise ValueError(f"unknown basis {basis!r}")
+        self._set(id, basis, dim, breaks, j, params)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ModelSpec) and self.id == other.id
@@ -168,8 +164,7 @@ def histogram_cell_index(breaks: np.ndarray, x: np.ndarray) -> np.ndarray:
 # Exact population quantities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExactModelQuantities:
+class ExactModelQuantities(NamedTuple):
     """Population quantities of one model under a known density.
 
     ``d_exact`` is n times the expected squared estimation error of the

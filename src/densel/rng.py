@@ -18,7 +18,7 @@ no command loads numpy's random module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +49,7 @@ def _hash_tag(tag: str) -> int:
     return h
 
 
-@dataclass(frozen=True)
-class RngStream:
+class RngStream(NamedTuple):
     """A named, reproducible random stream.
 
     Parameters

@@ -28,11 +28,12 @@ bisects the path at exact 2 * K_min.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
+
+from .densities import _Frozen
 
 __all__ = [
     "PathSegment",
@@ -54,8 +55,7 @@ class NoJumpError(RuntimeError):
     """Raised when a path has no breakpoint to calibrate on."""
 
 
-@dataclass(frozen=True)
-class PathSegment:
+class PathSegment(NamedTuple):
     k_lo: float
     k_hi: float
     model_id: str
@@ -63,8 +63,7 @@ class PathSegment:
     contrast: float
 
 
-@dataclass(frozen=True)
-class SlopePath:
+class SlopePath(_Frozen):
     """The exact piecewise-constant map K -> selected model on [0, inf).
 
     ``delta_max`` is the largest complexity in the whole collection, not
@@ -72,12 +71,12 @@ class SlopePath:
     path the segments' K, delta and contrast are ``Fraction``s or ints.
     """
 
-    segments: tuple[PathSegment, ...]
-    delta_max: float
+    _fields = ("segments", "delta_max")
 
-    def __post_init__(self) -> None:
-        if not self.segments:
+    def __init__(self, segments: tuple[PathSegment, ...], delta_max: float):
+        if not segments:
             raise ValueError("a path needs at least one segment")
+        self._set(segments, delta_max)
 
     @property
     def breakpoints(self) -> list[float]:

@@ -334,12 +334,13 @@ def _modules_loaded(argv):
 ])
 def test_conc_check_loads_no_harness_nor_exact_paths(argv):
     """A fresh conc-check process never loads the labs or the slope paths,
-    nor the exact arithmetic only those need.  In-process ``main`` calls
-    inherit the test's imports, so only a new process can show this."""
+    nor the exact arithmetic only those need, nor ``dataclasses`` and the
+    ``copy`` it imports.  In-process ``main`` calls inherit the test's
+    imports, so only a new process can show this."""
     loaded = _modules_loaded(argv)
     assert "densel.conclab" in loaded
     assert not loaded & {"densel.harness", "densel.slope", "fractions",
-                         "decimal"}
+                         "decimal", "dataclasses", "copy"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -349,9 +350,12 @@ def test_conc_check_loads_no_harness_nor_exact_paths(argv):
     "sweep --n 20 --reps 2",
 ])
 def test_other_commands_load_no_concentration_lab(argv):
+    """The other commands load the labs but not the concentration lab,
+    nor ``dataclasses`` and ``copy``: their records are plain classes and
+    named tuples."""
     loaded = _modules_loaded(argv)
     assert "densel.harness" in loaded
-    assert "densel.conclab" not in loaded
+    assert not loaded & {"densel.conclab", "dataclasses", "copy"}
 
 
 def test_out_of_memory_exits_2(monkeypatch, capsys):

@@ -297,9 +297,9 @@ def test_histogram_slope_picks_match_fraction_oracle():
                     == exact_histogram_slope_pick(sample, complexity)), (n, rep)
 
 
-def test_thread_pool_capped_at_reps_and_cpus(monkeypatch):
-    """The fork pool starts every worker at once: it gets
-    min(threads, reps, CPUs) of them (a recording executor stands in)."""
+def _record_pools(monkeypatch) -> list:
+    """The worker counts of the pools ``run_example`` makes, by a recording
+    executor that runs the batches in process."""
     made = []
 
     class Recorder:
@@ -317,7 +317,17 @@ def test_thread_pool_capped_at_reps_and_cpus(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    return made
+
+
+def test_thread_pool_capped_at_reps_and_cpus(monkeypatch):
+    """The fork pool starts every worker at once: it gets
+    min(threads, reps, CPUs) of them, counting the CPUs this process may
+    run on (its affinity mask, not ``os.cpu_count()``)."""
+    made = _record_pools(monkeypatch)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
     serial = run_example(1, 12, 2, seed=28)
     for threads, reps, workers in ((64, 2, 2), (64, 10, 3), (2, 10, 2),
                                    (64, 1, None)):
@@ -327,6 +337,16 @@ def test_thread_pool_capped_at_reps_and_cpus(monkeypatch):
         if reps == 2:
             for m in rep.methods:
                 assert np.array_equal(rep.ratios[m], serial.ratios[m])
+
+
+def test_thread_pool_counts_all_cpus_without_affinity(monkeypatch):
+    """Where the platform has no affinity mask, the pool counts
+    ``os.cpu_count()``."""
+    made = _record_pools(monkeypatch)
+    monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    run_example(1, 12, 10, seed=28, threads=64)
+    assert made == [3]
 
 
 def _two_block_samples():
