@@ -7,6 +7,12 @@ checks), and ``sweep`` (selection along a penalty-constant grid).  All
 randomness derives from ``--seed``; re-running any invocation produces
 byte-identical output files, whatever ``--threads`` says.
 
+``simulate``, ``sweep`` and ``conc-check`` split their replications over
+``--threads`` worker processes (``fork.fork_map``), by default as many as
+the CPUs this process may run on; the library functions default to one.
+Each replication draws from its own place in the streams, so the split
+changes no bit.
+
 Flags can be preloaded from a flat ``key = value`` config file via
 ``--config``; explicit flags win.  Unknown config keys are rejected, and
 so are ``command`` and ``config``, which a config file cannot set.
@@ -102,6 +108,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="output CSV path")
 
 
+def _add_threads(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--threads", type=int, default=None,
+                        help="worker processes (default: the CPUs this "
+                             "process may run on); outputs do not depend "
+                             "on it")
+
+
 def build_parser() -> argparse.ArgumentParser:
     import argparse
     # abbreviated flags are off everywhere: an abbreviation would not be
@@ -137,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="replications (default 1000 for ex. 1, 200 for ex. 2)")
     p.add_argument("--methods", default=None,
                    help="comma list: slope-dim,resampling,resampling-slope,ideal:K")
-    p.add_argument("--threads", type=int, default=1)
+    _add_threads(p)
     p.add_argument("--raw-out", default=None,
                    help="also write per-replication ratios to this CSV")
 
@@ -154,6 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=10_000)
     p.add_argument("--x", default="1,5,20,40,80",
                    help="comma list of deviation levels")
+    _add_threads(p)
 
     p = sub.add_parser("sweep", help="selection along a penalty-constant grid",
                        allow_abbrev=False)
@@ -163,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-grid", default="0.2:1.8:0.2",
                    help="'lo:hi:step' or comma list (default 0.2:1.8:0.2)")
     p.add_argument("--reps", type=int, default=200)
-    p.add_argument("--threads", type=int, default=1)
+    _add_threads(p)
 
     return parser
 
@@ -199,11 +213,15 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
 
 
 def _check_counts(args: argparse.Namespace) -> None:
-    """Reject replication and thread counts below 1 before any work."""
+    """Reject replication and thread counts below 1 before any work; an
+    unset ``--threads`` becomes the CPUs this process may run on."""
     for name in ("reps", "threads"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise UsageError(f"--{name} must be >= 1, got {value}")
+    if hasattr(args, "threads") and args.threads is None:
+        from .fork import usable_cpus
+        args.threads = usable_cpus()
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +325,8 @@ def _cmd_conc_check(args) -> int:
     rng = RngStream(args.seed, 0, f"conc-{args.bound}")
     if args.bound == "regularization":
         rep_out = conclab.regularization_comparison(model, density, args.n,
-                                                    reps=args.reps, rng=rng)
+                                                    reps=args.reps, rng=rng,
+                                                    threads=args.threads)
         rows = report.regularization_rows(rep_out)
         if args.out:
             report.write_csv(args.out, report.REGULARIZATION_HEADER, rows)
@@ -317,7 +336,8 @@ def _cmd_conc_check(args) -> int:
     check = {"p": conclab.check_p_concentration,
              "resampling": conclab.check_resampling_concentration,
              "ustat": conclab.check_ustat_concentration}[args.bound]
-    rep_out = check(model, density, args.n, xs=xs, reps=args.reps, rng=rng)
+    rep_out = check(model, density, args.n, xs=xs, reps=args.reps, rng=rng,
+                    threads=args.threads)
     if args.out:
         report.write_csv(args.out, report.TAIL_HEADER, report.tail_rows(rep_out))
     for row in rep_out.rows:

@@ -17,7 +17,11 @@ the one budget ``CHUNK_BYTES``.
 
 A chunk of replications draws its uniforms with one ``rng.uniforms`` call,
 as the run of the check's stream that starts where the previous chunk's
-ended, so the chunk sizes change no bit.
+ended, so the chunk sizes change no bit.  For the same reason the chunks
+can run on several CPUs: every check takes ``threads`` (1 by default,
+the CLI's ``--threads``), and ``simulate_model_statistics`` splits its
+chunks into that many contiguous ranges, run by forked workers, with the
+same bits as a serial run.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .densities import Density
+from .fork import fork_map, usable_cpus
 from .models import (ModelSpec, exact_quantities, fourier_basis_matrix,
                      fourier_means, histogram_cell_index, scale_constants)
 from .rng import RngStream, uniforms
@@ -92,7 +97,8 @@ CHUNK_BYTES = 2 << 20
 
 def simulate_model_statistics(model: ModelSpec, density: Density, n: int,
                               reps: int, rng: RngStream,
-                              compute_u: bool = False) -> dict[str, np.ndarray]:
+                              compute_u: bool = False,
+                              threads: int = 1) -> dict[str, np.ndarray]:
     """Per-replication p, dmw (and optionally the double-sum u).
 
     p and dmw come from moments: the cell counts of a histogram, the
@@ -108,11 +114,16 @@ def simulate_model_statistics(model: ModelSpec, density: Density, n: int,
     values each, one at a time: a chunk fills ``CHUNK_BYTES``, or half of
     it when its sub-chunks take the other half, unless one replication
     alone exceeds that; the chunk sizes change no bit of the results.
+
+    The chunks are split into contiguous ranges, one per worker, and
+    ``fork.fork_map`` runs each range after the first in a forked child.
+    There are min(threads, usable CPUs, chunks) workers, so a run of one
+    chunk never forks; each worker makes the chunks a serial run makes,
+    so the results are the same bits for every ``threads``.
     """
     if n < 2:
         raise ValueError("dmw divides by n - 1: need n >= 2")
-    quantities = exact_quantities(model, density, n)
-    pop = quantities.pop_coeffs
+    pop = exact_quantities(model, density, n).pop_coeffs
     d = model.dim
     # a replication holds 8 values per point (the draws, the points and
     # the cell and flat indices of a histogram or the complex z and z**k
@@ -122,52 +133,62 @@ def simulate_model_statistics(model: ModelSpec, density: Density, n: int,
     budget = CHUNK_BYTES // 2 if compute_u else CHUNK_BYTES
     step = max(1, budget // (8 * (8 * n + 4 * d)))
     gram_step = max(1, budget // (8 * n * (n + d)))
-    p_out = np.empty(reps)
-    dmw_out = np.empty(reps)
-    u_out = np.empty(reps) if compute_u else None
     if model.basis == "histogram":
         widths = model.widths
         # the centered value of a point at its own cell; every other cell
         # holds 0.0 - pop: the floats of (indicator / sqrt(w)) - pop
         own = 1.0 / np.sqrt(widths) - pop
-    for lo in range(0, reps, step):
-        hi = min(lo + step, reps)
-        m = hi - lo
-        x = density.quantile(uniforms([rng], m * n, lo * n).reshape(m, n))
-        if model.basis == "histogram":
-            cell = histogram_cell_index(model.breaks, x.ravel()).reshape(m, n)
-            flat = cell + d * np.arange(m)[:, None]
-            counts = np.bincount(flat.ravel(), minlength=m * d).reshape(m, d)
-            del flat
-            coeffs = counts / (n * np.sqrt(widths))
-            var = np.sum(counts / (n * widths) - coeffs ** 2, axis=1)
-        else:
-            coeffs = fourier_means(model.j, x)
-            var = d - np.sum(coeffs ** 2, axis=1)
-        p_out[lo:hi] = np.sum((coeffs - pop) ** 2, axis=1)
-        # guard the float tail: dmw is nonnegative by construction
-        dmw_out[lo:hi] = np.maximum(n / (n - 1.0) * var, 0.0)
-        if not compute_u:
-            continue
-        for a in range(0, m, gram_step):
-            b = min(a + gram_step, m)
+
+    def run(part: range) -> tuple:
+        p_out = np.empty(len(part))
+        dmw_out = np.empty(len(part))
+        u_out = np.empty(len(part)) if compute_u else None
+        for lo in range(part.start, part.stop, step):
+            hi = min(lo + step, part.stop)
+            m = hi - lo
+            at = lo - part.start
+            x = density.quantile(uniforms([rng], m * n, lo * n).reshape(m, n))
             if model.basis == "histogram":
-                cells = cell[a:b].ravel()
-                c = np.empty((b - a, n, d))
-                c[...] = 0.0 - pop
-                c.reshape(-1, d)[np.arange(cells.size), cells] = own[cells]
+                cell = histogram_cell_index(model.breaks,
+                                            x.ravel()).reshape(m, n)
+                flat = cell + d * np.arange(m)[:, None]
+                counts = np.bincount(flat.ravel(),
+                                     minlength=m * d).reshape(m, d)
+                del flat
+                coeffs = counts / (n * np.sqrt(widths))
+                var = np.sum(counts / (n * widths) - coeffs ** 2, axis=1)
             else:
-                c = fourier_basis_matrix(model.j, x[a:b])
-                c -= pop
-            gram = c @ c.transpose(0, 2, 1)
-            total = gram.sum(axis=(1, 2))
-            diag = np.einsum("bii->b", gram)
-            del gram                    # one sub-chunk at a time
-            u_out[lo + a:lo + b] = (total - diag) / (n * (n - 1.0))
-    out = {"p": p_out, "dmw": dmw_out}
-    if compute_u:
-        out["u"] = u_out
-    return out
+                coeffs = fourier_means(model.j, x)
+                var = d - np.sum(coeffs ** 2, axis=1)
+            p_out[at:at + m] = np.sum((coeffs - pop) ** 2, axis=1)
+            # guard the float tail: dmw is nonnegative by construction
+            dmw_out[at:at + m] = np.maximum(n / (n - 1.0) * var, 0.0)
+            if not compute_u:
+                continue
+            for a in range(0, m, gram_step):
+                b = min(a + gram_step, m)
+                if model.basis == "histogram":
+                    cells = cell[a:b].ravel()
+                    c = np.empty((b - a, n, d))
+                    c[...] = 0.0 - pop
+                    c.reshape(-1, d)[np.arange(cells.size), cells] = own[cells]
+                else:
+                    c = fourier_basis_matrix(model.j, x[a:b])
+                    c -= pop
+                gram = c @ c.transpose(0, 2, 1)
+                total = gram.sum(axis=(1, 2))
+                diag = np.einsum("bii->b", gram)
+                del gram                    # one sub-chunk at a time
+                u_out[at + a:at + b] = (total - diag) / (n * (n - 1.0))
+        return p_out, dmw_out, u_out
+
+    chunks = -(-reps // step)
+    workers = max(1, min(threads, usable_cpus(), chunks))
+    cuts = [i * chunks // workers * step for i in range(workers)] + [reps]
+    parts = fork_map(run, [range(a, b) for a, b in zip(cuts, cuts[1:])])
+    keys = ("p", "dmw", "u") if compute_u else ("p", "dmw")
+    return {key: np.concatenate([part[i] for part in parts])
+            for i, key in enumerate(keys)}
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +249,14 @@ def _tail_row(label: str, x: float, exceed: np.ndarray, threshold: float,
 
 def check_p_concentration(model: ModelSpec, density: Density, n: int,
                           xs=DEFAULT_X_GRID, reps: int = 10_000,
-                          rng: RngStream | None = None) -> TailReport:
+                          rng: RngStream | None = None,
+                          threads: int = 1) -> TailReport:
     """Two-sided deviation of p around D/n at cap exp(-x/20)."""
     rng = rng if rng is not None else RngStream(0, 0, "conc-p")
     q = exact_quantities(model, density, n)
     e, v2 = scale_constants(model, density, n)
-    sims = simulate_model_statistics(model, density, n, reps, rng)
+    sims = simulate_model_statistics(model, density, n, reps, rng,
+                                     threads=threads)
     dev = sims["p"] - q.d_exact / n
     rows = []
     for x in xs:
@@ -249,13 +272,15 @@ def check_p_concentration(model: ModelSpec, density: Density, n: int,
 
 def check_resampling_concentration(model: ModelSpec, density: Density, n: int,
                                    xs=DEFAULT_X_GRID, reps: int = 10_000,
-                                   rng: RngStream | None = None) -> TailReport:
+                                   rng: RngStream | None = None,
+                                   threads: int = 1) -> TailReport:
     """Tails of dmw - D (one- and two-sided) and of p - dmw/n, plus the
     unbiasedness row mean(dmw) = D within three standard errors."""
     rng = rng if rng is not None else RngStream(0, 0, "conc-dmw")
     q = exact_quantities(model, density, n)
     e, v2 = scale_constants(model, density, n)
-    sims = simulate_model_statistics(model, density, n, reps, rng)
+    sims = simulate_model_statistics(model, density, n, reps, rng,
+                                     threads=threads)
     dmw_dev = sims["dmw"] - q.d_exact
     gap = sims["p"] - sims["dmw"] / n
     rows = []
@@ -284,14 +309,15 @@ def check_resampling_concentration(model: ModelSpec, density: Density, n: int,
 
 def check_ustat_concentration(model: ModelSpec, density: Density, n: int,
                               xs=DEFAULT_X_GRID, reps: int = 10_000,
-                              rng: RngStream | None = None) -> TailReport:
+                              rng: RngStream | None = None,
+                              threads: int = 1) -> TailReport:
     """Tails of the degenerate U-statistic, plus the algebraic identity
     row max |u - (p - dmw/n)| over replications (relative, 1e-10)."""
     rng = rng if rng is not None else RngStream(0, 0, "conc-u")
     q = exact_quantities(model, density, n)
     e, v2 = scale_constants(model, density, n)
     sims = simulate_model_statistics(model, density, n, reps, rng,
-                                     compute_u=True)
+                                     compute_u=True, threads=threads)
     u = sims["u"]
     gap = sims["p"] - sims["dmw"] / n
     scale = np.maximum(np.abs(u), 1.0)
@@ -312,11 +338,13 @@ def check_ustat_concentration(model: ModelSpec, density: Density, n: int,
 
 def regularization_comparison(model: ModelSpec, density: Density, n: int,
                               reps: int = 10_000,
-                              rng: RngStream | None = None) -> RegularizationReport:
+                              rng: RngStream | None = None,
+                              threads: int = 1) -> RegularizationReport:
     """Spread of dmw against n*p over replications; the resampling
     estimate concentrates strictly better on non-constant models."""
     rng = rng if rng is not None else RngStream(0, 0, "conc-reg")
-    sims = simulate_model_statistics(model, density, n, reps, rng)
+    sims = simulate_model_statistics(model, density, n, reps, rng,
+                                     threads=threads)
     sd_dmw = float(np.std(sims["dmw"], ddof=1))
     sd_np = float(np.std(n * sims["p"], ddof=1))
     degenerate = sd_np == 0.0

@@ -38,7 +38,6 @@ and selections (the path in ``Fraction``s) are in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from functools import cached_property, partial
 from math import lcm
@@ -881,51 +880,33 @@ class SweepReport(NamedTuple):
 # Replication drivers
 # ---------------------------------------------------------------------------
 
-_WORKER: dict = {}
-
-
-def _init_worker(lab, task, seed):
-    _WORKER["lab"] = lab
-    _WORKER["task"] = task
-    _WORKER["seed"] = seed
-
-
-def _rep_batch(batch: range) -> list:
-    """``task`` of the replications in ``batch``, whose uniforms are drawn
-    as one array; each still gets its own quantile, sort and Sample."""
-    lab, seed = _WORKER["lab"], _WORKER["seed"]
-    streams = [RngStream(seed, r, "data") for r in batch]
-    draws = uniforms(streams, lab.n)
-    return [_WORKER["task"](lab.evaluate(lab.density.sample(lab.n, s, u=u)))
-            for s, u in zip(streams, draws)]
-
-
 def _run_reps(lab, task, seed: int, reps: int, threads: int):
     """``task(evaluation)`` for every replication, in replication order.
 
-    Replications run in batches whose uniforms fill at most CHUNK_BYTES;
-    the pool also keeps about 8 batches per worker.  The fork pool starts
-    all its workers at once, so it gets no more than there are
-    replications or CPUs this process may run on."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = min(threads, reps, cpus)
+    The replications are split into min(threads, reps, usable CPUs)
+    contiguous ranges, and ``fork.fork_map`` runs each range after the
+    first in a forked child.  A range runs in batches whose uniforms fill
+    at most CHUNK_BYTES, drawn as one array; each replication still gets
+    its own quantile, sort and Sample."""
+    # imported here: select and slope-path run no replications and so
+    # never load it
+    from .fork import fork_map, usable_cpus
     size = max(1, CHUNK_BYTES // (8 * lab.n))
-    if workers > 1:
-        size = min(size, max(1, reps // (workers * 8)))
-    batches = [range(a, min(a + size, reps)) for a in range(0, reps, size)]
-    if workers <= 1:
-        _init_worker(lab, task, seed)
-        return [out for b in map(_rep_batch, batches) for out in b]
-    # imported here: a serial run never pays for the pool's modules
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
-                             initializer=_init_worker,
-                             initargs=(lab, task, seed)) as ex:
-        return [out for b in ex.map(_rep_batch, batches, chunksize=1)
-                for out in b]
+
+    def run(part: range) -> list:
+        out = []
+        for a in range(part.start, part.stop, size):
+            streams = [RngStream(seed, r, "data")
+                       for r in range(a, min(a + size, part.stop))]
+            draws = uniforms(streams, lab.n)
+            out.extend(task(lab.evaluate(lab.density.sample(lab.n, s, u=u)))
+                       for s, u in zip(streams, draws))
+        return out
+
+    workers = max(1, min(threads, reps, usable_cpus()))
+    parts = [range(i * reps // workers, (i + 1) * reps // workers)
+             for i in range(workers)]
+    return [row for part in fork_map(run, parts) for row in part]
 
 
 def _apply_all(methods, ev) -> list[MethodOutcome]:

@@ -155,9 +155,22 @@ def fourier_means(j: int, x: np.ndarray) -> np.ndarray:
 
 
 def histogram_cell_index(breaks: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cell of each point; cells are [a,b) except the last which is [a,1]."""
-    idx = np.searchsorted(breaks, x, side="right") - 1
-    return np.minimum(idx, breaks.size - 2)
+    """Cell of each point; cells are [a,b) except the last which is [a,1].
+
+    For the d equal cells of ``regular_histogram``, whose breaks are the
+    floats i / d, floor(d x) is the cell or one of its neighbours, so one
+    comparison against each float end of that cell settles it: the same
+    cell as the search of the breaks that other partitions use."""
+    d = breaks.size - 1
+    if not np.array_equal(breaks, np.arange(d + 1, dtype=float) / d):
+        idx = np.searchsorted(breaks, x, side="right") - 1
+        return np.minimum(idx, d - 1)
+    idx = np.clip(np.floor(x * d), 0, d - 1).astype(np.intp)
+    upper = breaks[1:].copy()
+    upper[-1] = np.inf                  # the last cell is closed at 1
+    idx -= x < breaks[idx]
+    idx += x >= upper[idx]
+    return idx
 
 
 # ---------------------------------------------------------------------------

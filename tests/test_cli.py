@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from densel import harness
+from densel import conclab, harness
 from densel.cli import build_parser, main
 from densel.densities import PowerLaw
 from densel.fitting import fit_model
@@ -204,6 +204,8 @@ def test_select_bad_penalty_exits_2():
     ["conc-check", "--reps", "0"],
     ["simulate", "--reps", "2", "--threads", "-3"],
     ["sweep", "--threads", "0"],
+    ["conc-check", "--threads", "0"],
+    ["conc-check", "--threads", "-2"],
     ["conc-check", "--n", "1", "--bound", "p"],
     ["conc-check", "--n", "1", "--bound", "regularization"],
     ["conc-check", "--x", "-1"],
@@ -394,15 +396,91 @@ def test_oversized_collection_fails_at_once():
 
 
 def test_import_skips_process_pool():
-    """Only a run on more than one worker loads the process pool, and only
-    conc-check the concentration lab."""
+    """Neither the import nor a run on two workers loads
+    ``multiprocessing`` or ``concurrent.futures``: the workers are forked
+    by ``densel.fork``.  Only conc-check loads the concentration lab."""
     code = textwrap.dedent("""
         import sys, densel.cli
-        print([m for m in ("multiprocessing", "concurrent.futures",
-                           "densel.conclab") if m in sys.modules])""")
+        pools = ("multiprocessing", "concurrent.futures")
+        print([m for m in pools + ("densel.conclab",) if m in sys.modules])
+        runs = ["simulate --n 12 --reps 4 --threads 2",
+                "conc-check --n 30 --reps 2000 --x 1 --threads 2"]
+        codes = [densel.cli.main(run.split()) for run in runs]
+        print(codes, [m for m in pools if m in sys.modules])""")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip().splitlines()[-1] == "[]"
+                         text=True, check=True).stdout.strip().splitlines()
+    assert out[0] == "[]"
+    assert out[-1] == "[0, 0] []"
+
+
+def _cpus(monkeypatch, count):
+    """A patched CPU count, so that no run starts more than ``count``
+    processes whatever ``--threads`` says."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+
+
+@pytest.mark.parametrize("basis, dim", [("hist", "10"), ("fourier", "7")])
+@pytest.mark.parametrize("bound", ["p", "resampling", "ustat",
+                                   "regularization"])
+def test_conc_check_threads_byte_identical(bound, basis, dim, tmp_path,
+                                           monkeypatch, capsys):
+    """CSV, stdout and exit code are the same at --threads 1, 2 and 3,
+    with a patched CPU count of 3 and a budget that makes 400
+    replications 14 chunks or more."""
+    _cpus(monkeypatch, 3)
+    monkeypatch.setattr(conclab, "CHUNK_BYTES", 1 << 16)
+    runs = []
+    for threads in ("1", "2", "3"):
+        out = tmp_path / f"threads-{threads}.csv"
+        code = main(["conc-check", "--bound", bound, "--basis", basis,
+                     "--dim", dim, "--n", "30", "--reps", "400", "--x", "1,5",
+                     "--seed", "2", "--threads", threads, "--out", str(out)])
+        runs.append((code, capsys.readouterr().out, _read(out)))
+    assert runs[0][0] in (0, 1)
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_worker_error_exits_2_and_leaves_no_child(monkeypatch, capsys):
+    """A ValueError raised in a forked conc-check worker ends the command
+    with exit 2 and one error line, and every child has been reaped."""
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(conclab, "CHUNK_BYTES", 1 << 16)
+    fork_map = conclab.fork_map
+
+    def failing(fn, parts):
+        def run(part):
+            if part.start > 0:                  # the forked worker's part
+                raise ValueError("worker failed")
+            return fn(part)
+        return fork_map(run, parts)
+
+    monkeypatch.setattr(conclab, "fork_map", failing)
+    assert main(["conc-check", "--n", "30", "--reps", "400", "--x", "1",
+                 "--threads", "2"]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: worker failed"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_config_threads_and_explicit_flag(tmp_path, monkeypatch):
+    """``threads = N`` in --config sets the conc-check workers, an explicit
+    --threads wins over it, and without either a command takes every CPU
+    it may run on (patched to 3)."""
+    _cpus(monkeypatch, 3)
+    monkeypatch.setattr(conclab, "CHUNK_BYTES", 1 << 16)
+    made, fork_map = [], conclab.fork_map
+    monkeypatch.setattr(conclab, "fork_map", lambda fn, parts: (
+        made.append(len(parts)) or fork_map(fn, parts)))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threads = 2\n")
+    base = ["conc-check", "--n", "30", "--reps", "400", "--x", "1"]
+    for extra in (["--config", str(cfg)],
+                  ["--config", str(cfg), "--threads", "1"],
+                  []):
+        assert main(base + extra) == 0
+    assert made == [2, 1, 3]
 
 
 def test_conc_check_warnings_one_line_each(capsys):

@@ -1,5 +1,6 @@
 """Concentration lab: tail reports, identities, regularization."""
 
+import os
 import tracemalloc
 from dataclasses import dataclass
 from math import isqrt
@@ -55,6 +56,39 @@ def test_simulation_chunking_invariant(monkeypatch):
             b = run(model, budget)
             for key in ("p", "dmw", "u"):
                 assert np.array_equal(a[key], b[key]), (model.id, budget, key)
+
+
+def test_forked_workers_bit_identical(monkeypatch):
+    """Chunks split over forked workers give every bit of the serial p,
+    dmw and u, for both bases.  There are min(threads, CPUs, chunks)
+    workers: with a patched CPU count of 3, a budget of 50 replications
+    per chunk (100 without u) and 300 replications, threads 2, 3 and 64
+    make 2, 3 and 3 workers, and a run of one chunk makes one."""
+    n, reps = 30, 300
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    made, fork_map = [], conclab.fork_map
+    monkeypatch.setattr(conclab, "fork_map", lambda fn, parts: (
+        made.append(len(parts)) or fork_map(fn, parts)))
+    for model in (MODEL10, fourier_model(3)):
+        monkeypatch.setattr(conclab, "CHUNK_BYTES",
+                            2 * 8 * (8 * n + 4 * model.dim) * 50)
+        for compute_u in (False, True):
+            def run(threads, reps=reps):
+                made.clear()
+                out = simulate_model_statistics(
+                    model, PowerLaw(), n, reps, RngStream(6, 0, "f"),
+                    compute_u=compute_u, threads=threads)
+                return out, made[0]
+            serial, _ = run(1)
+            for threads, workers in ((2, 2), (3, 3), (64, 3)):
+                forked, count = run(threads)
+                assert count == workers
+                assert serial.keys() == forked.keys()
+                for key in serial:
+                    assert np.array_equal(serial[key], forked[key]), (
+                        model.id, compute_u, threads, key)
+            assert run(3, reps=50)[1] == 1
 
 
 @pytest.mark.parametrize("model", [regular_histogram(20), fourier_model(10)],

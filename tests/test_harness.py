@@ -1,6 +1,6 @@
 """Experiment harness: ratios, reports, the fast two-block engine."""
 
-import concurrent.futures
+import os
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from densel import harness
+from densel import fork, harness
 from densel.densities import PowerLaw, Sample, Uniform, density_from_config
 from densel.harness import (CollectionLab, Method, TwoBlockLab, _Evaluation,
                             _TwoBlockEvaluation, make_lab, parse_method,
@@ -298,55 +298,65 @@ def test_histogram_slope_picks_match_fraction_oracle():
 
 
 def _record_pools(monkeypatch) -> list:
-    """The worker counts of the pools ``run_example`` makes, by a recording
-    executor that runs the batches in process."""
+    """The worker counts ``run_example`` splits its replications over, by
+    a recording ``fork_map`` that runs every part in process."""
     made = []
 
-    class Recorder:
-        def __init__(self, max_workers, mp_context, initializer, initargs):
-            made.append(max_workers)
-            initializer(*initargs)
+    def recorder(fn, parts):
+        made.append(len(parts))
+        return [fn(part) for part in parts]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(fork, "fork_map", recorder)
     return made
 
 
 def test_thread_pool_capped_at_reps_and_cpus(monkeypatch):
-    """The fork pool starts every worker at once: it gets
-    min(threads, reps, CPUs) of them, counting the CPUs this process may
-    run on (its affinity mask, not ``os.cpu_count()``)."""
+    """A run gets min(threads, reps, CPUs) workers, counting the CPUs this
+    process may run on (its affinity mask, not ``os.cpu_count()``); one
+    worker is the serial run, in process."""
     made = _record_pools(monkeypatch)
-    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
                         raising=False)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     serial = run_example(1, 12, 2, seed=28)
     for threads, reps, workers in ((64, 2, 2), (64, 10, 3), (2, 10, 2),
-                                   (64, 1, None)):
+                                   (64, 1, 1)):
         made.clear()
         rep = run_example(1, 12, reps, seed=28, threads=threads)
-        assert made == ([workers] if workers else [])
+        assert made == [workers]
         if reps == 2:
             for m in rep.methods:
                 assert np.array_equal(rep.ratios[m], serial.ratios[m])
 
 
 def test_thread_pool_counts_all_cpus_without_affinity(monkeypatch):
-    """Where the platform has no affinity mask, the pool counts
+    """Where the platform has no affinity mask, the workers count
     ``os.cpu_count()``."""
     made = _record_pools(monkeypatch)
-    monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     run_example(1, 12, 10, seed=28, threads=64)
     assert made == [3]
+
+
+def test_forked_workers_byte_identical(monkeypatch):
+    """Three forked workers (a patched CPU count of 3) give every ratio,
+    pick and flag of the serial run, in replication order, for both
+    experiments and the sweep."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    for example, n in ((1, 15), (2, 8)):
+        serial = run_example(example, n, 7, seed=31)
+        forked = run_example(example, n, 7, seed=31, threads=3)
+        for m in serial.methods:
+            assert np.array_equal(forked.ratios[m], serial.ratios[m])
+            assert forked.selected[m] == serial.selected[m]
+            assert forked.flags[m] == serial.flags[m]
+    serial = penalty_sweep("regular-hist", 15, [0.5, 2.0], 5, seed=31)
+    forked = penalty_sweep("regular-hist", 15, [0.5, 2.0], 5, seed=31,
+                           threads=3)
+    assert np.array_equal(forked.mean_d_ratio, serial.mean_d_ratio)
+    assert np.array_equal(forked.mean_oracle_ratio, serial.mean_oracle_ratio)
 
 
 def _two_block_samples():

@@ -10,7 +10,8 @@ from densel.conclab import simulate_model_statistics
 from densel.densities import Density, PiecewiseConstant, PowerLaw, Uniform
 from densel.models import (exact_quantities, fourier_basis_matrix,
                            fourier_means, fourier_model, fourier_pop_coeffs,
-                           gauss_legendre, histogram_model, scale_constants)
+                           gauss_legendre, histogram_cell_index,
+                           histogram_model, regular_histogram, scale_constants)
 from densel.rng import RngStream
 from oracles import (basis_eval, build_fourier_collection,
                      build_regular_histograms, build_two_block_collection,
@@ -81,6 +82,40 @@ def test_fourier_collection():
 # ---------------------------------------------------------------------------
 # Basis evaluation
 # ---------------------------------------------------------------------------
+
+def _searched_cells(breaks, x):
+    """The cell by a search of the float breaks: the rule of every
+    partition, the oracle of the equal-width shortcut."""
+    return np.minimum(np.searchsorted(breaks, x, side="right") - 1,
+                      breaks.size - 2)
+
+
+def test_regular_cell_index_on_float_edges():
+    """floor(d x) settled against the float ends of its cell gives the
+    searched cell on every float edge i/d (d <= 60), its neighbours on
+    both sides, the ends of [0, 1] and beyond, fl(15/22) at d = 22, where
+    22 * fl(15/22) rounds below 15, and random power-law points."""
+    for d in range(1, 61):
+        breaks = regular_histogram(d).breaks
+        edges = np.arange(d + 1) / d
+        x = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                            np.nextafter(edges, np.inf), [-0.5, 1.5]])
+        assert np.array_equal(histogram_cell_index(breaks, x),
+                              _searched_cells(breaks, x)), d
+    x = np.array([15 / 22, 14.5 / 22, 0.01])
+    assert 22 * x[0] < 15.0
+    assert list(histogram_cell_index(regular_histogram(22).breaks, x)) == [
+        15, 14, 0]
+    points = PowerLaw().sample(20_000, RngStream(33, 0, "cells")).points
+    for d in (7, 20, 59):
+        breaks = regular_histogram(d).breaks
+        assert np.array_equal(histogram_cell_index(breaks, points),
+                              _searched_cells(breaks, points)), d
+    # other partitions keep the search
+    breaks = np.array([0.0, 0.3, 0.7, 1.0])
+    assert list(histogram_cell_index(breaks, np.array([0.3, 0.69, 1.0]))) == [
+        1, 1, 2]
+
 
 def test_histogram_basis_values():
     m = histogram_model([0.0, 0.5, 1.0])
