@@ -370,9 +370,9 @@ def _warning_line(message, *_):
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # The command's own module loads first, before report, argparse and
-    # the parser, so that compiling it (harness.py is the largest compile
-    # transient) happens on the smallest heap.  The parser has no option
-    # before the command's name.
+    # the parser, so that compiling it and the modules it imports (labs.py
+    # is the largest compile transient left) happens on the smallest heap.
+    # The parser has no option before the command's name.
     command = next((tok for tok in argv if not tok.startswith("-")), None)
     first = "conclab" if command == "conc-check" else "harness"
     for name in (first, "report"):

@@ -6,11 +6,11 @@ search on the (sorted) sample, so a fit costs O(d + log n).  The empirical
 contrast of the fitted estimator is minus the sum of squared coefficients;
 it is the data term of every selection criterion in this package.
 
-These are the per-model reference forms: the labs of ``densel.harness``
-compute the same statistics for whole collections at once and never call
-them, and the tests' per-model lab (``tests/oracles.py``) checks the labs
-against ``fit_model`` and ``p_term``, the squared distance to the
-population projection.
+These are the per-model reference forms: the labs (``densel.labs``,
+``densel.twoblock``) compute the same statistics for whole collections at
+once and never call them, and the tests' per-model lab
+(``tests/oracles.py``) checks the labs against ``fit_model`` and
+``p_term``, the squared distance to the population projection.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def histogram_counts(breaks: np.ndarray, sample: Sample) -> np.ndarray:
     """Bin counts for a partition, cells [a,b) except the last, [a,1].
 
     The points are placed by a search of the float breaks.  The labs'
-    block engine (``harness._bin_counts``) bins by floor(j x) instead, which
+    block engine (``labs._bin_counts``) bins by floor(j x) instead, which
     differs only for a point on a float edge: x = fl(15/22) is counted in
     [15/22, 16/22) here and in [14/22, 15/22) by the engine."""
     pts = sample.points if sample.sorted_flag else np.sort(sample.points)

@@ -4,9 +4,9 @@ For any exchangeable weight vector the resampling penalty collapses to
 ``2*dmw/n`` with ``dmw = n/(n-1) * sum_lambda(Pn(psi^2) - (Pn psi)^2)``,
 independent of the weight distribution, so no weights are ever drawn.
 ``resampling_dmw`` computes it for one fitted model; it is the per-model
-reference form of the number the labs of ``densel.harness`` compute for
-whole collections at once, and the tests' per-model lab checks them
-against it.  The Monte-Carlo weight schemes and the O(n^2 d) double sum
+reference form of the number the labs (``densel.labs``,
+``densel.twoblock``) compute for whole collections at once, and the
+tests' per-model lab checks them against it.  The Monte-Carlo weight schemes and the O(n^2 d) double sum
 it replaces are kept as test oracles (``tests/oracles.py``).
 """
 

@@ -1,8 +1,9 @@
 """Slow, obviously-correct forms the tests check the package against.
 
-Nothing here runs in the ``densel`` command.  The labs of
-``densel.harness`` compute every selection from arrays; each definition
-below is the explicit, per-model version of one of their steps:
+Nothing here runs in the ``densel`` command.  The labs of ``densel.labs``
+and ``densel.twoblock`` compute every selection from arrays; each
+definition below is the explicit, per-model version of one of their
+steps:
 
 * numpy's C Philox generator on a stream's key, whose draws
   ``rng.uniforms`` computes with array arithmetic;

@@ -341,8 +341,9 @@ def test_conc_check_loads_no_harness_nor_exact_paths(argv):
     imports, so only a new process can show this."""
     loaded = _modules_loaded(argv)
     assert "densel.conclab" in loaded
-    assert not loaded & {"densel.harness", "densel.slope", "fractions",
-                         "decimal", "dataclasses", "copy"}
+    assert not loaded & {"densel.harness", "densel.labs", "densel.twoblock",
+                         "densel.slope", "fractions", "decimal",
+                         "dataclasses", "copy"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -356,7 +357,7 @@ def test_other_commands_load_no_concentration_lab(argv):
     nor ``dataclasses`` and ``copy``: their records are plain classes and
     named tuples."""
     loaded = _modules_loaded(argv)
-    assert "densel.harness" in loaded
+    assert {"densel.harness", "densel.labs", "densel.twoblock"} <= loaded
     assert not loaded & {"densel.conclab", "dataclasses", "copy"}
 
 

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from densel import fork, harness
+from densel import fork, harness, labs, twoblock
 from densel.densities import PowerLaw, Sample, Uniform, density_from_config
 from densel.harness import (CollectionLab, Method, TwoBlockLab, _Evaluation,
                             _TwoBlockEvaluation, make_lab, parse_method,
@@ -176,11 +176,16 @@ def test_fourier_lab_dmw_nonnegative_on_identical_points():
 
 
 def test_both_histogram_labs_run_the_block_engine(monkeypatch):
+    """Every module that calls the engine's functions runs them from its
+    own namespace; each binding is wrapped."""
     calls = []
     for name in ("_block_tables", "_bin_counts", "_row_stats"):
-        fn = getattr(harness, name)
-        monkeypatch.setattr(harness, name, lambda *a, _fn=fn, _name=name:
-                            calls.append(_name) or _fn(*a))
+        fn = getattr(labs, name)
+        for module in (labs, twoblock):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    lambda *a, _fn=fn, _name=name:
+                                    calls.append(_name) or _fn(*a))
     for kind in ("regular-hist", "two-block"):
         calls.clear()
         make_lab(kind, 6, PowerLaw()).evaluate(

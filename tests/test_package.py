@@ -1,10 +1,12 @@
 """The package namespace: the names of the labs and the slope paths load
-their home module lazily."""
+their home module lazily; no module is costly to compile."""
 
 import importlib
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -72,3 +74,24 @@ def test_import_loads_only_the_shared_modules():
     assert out == ["['densel.densities', 'densel.models', 'densel.rng']",
                    "['densel.densities', 'densel.models', 'densel.rng', "
                    "'densel.slope']"]
+
+
+COMPILE_BUDGET = 1.5 * 2 ** 20
+
+
+@pytest.mark.parametrize("path", sorted(Path(densel.__file__).parent
+                                        .glob("*.py")),
+                         ids=lambda path: path.name)
+def test_module_compiles_within_budget(path):
+    """Compiling any one module peaks at most at 1.5 MB of Python heap.
+    Without cached bytecode a command compiles every densel module it
+    imports, so one large module's compile would set the peak memory of
+    every command that loads it."""
+    source = path.read_text(encoding="utf-8")
+    tracemalloc.start()
+    try:
+        compile(source, str(path), "exec")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= COMPILE_BUDGET, f"{path.name}: {peak / 2 ** 20:.2f} MB"

@@ -24,9 +24,10 @@ ROOT = Path(__file__).resolve().parents[1]
     ("select --collection fourier --n 10",
      {"harness.make_lab", "harness.evaluate"}),
     ("select --collection two-block --n 10", {"harness.evaluate"}),
-    ("simulate --example 2 --n 6 --reps 2",
+    ("simulate --example 2 --n 6 --reps 2 --threads 1",
      {"harness.run_example", "harness.apply.slope-dim",
-      "harness.apply.resampling", "harness.apply.resampling-slope"}),
+      "harness.apply.resampling", "harness.apply.resampling-slope",
+      "slope.lower_envelope"}),
     ("conc-check --bound ustat --n 20 --dim 3 --reps 50 --x 1",
      {"conclab.simulate_model_statistics", "conclab.check.ustat"}),
 ], ids=["regular-hist", "fourier", "two-block", "simulate", "ustat"])
@@ -41,3 +42,7 @@ def test_tracer_runs_and_finds_its_spans(cli_args, spans, tmp_path):
     assert spans <= {span[0] for span in record["spans"]}
     if "ustat" in cli_args:
         assert record["counts"]["conclab.gram_bytes_computed"] > 0
+    if "simulate" in cli_args:
+        # per replication (all in this process at --threads 1, as in the
+        # benchmark), the blocks' batched hull and one hull per path
+        assert record["counts"]["slope.lower_envelope.calls"] == 3 * 2
