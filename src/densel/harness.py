@@ -13,8 +13,10 @@ methods live in those two modules, each of which compiles in about a
 megabyte of heap: without cached bytecode a command compiles every
 module it loads, and one module holding all of them set the peak memory
 of every command that loads it.  This module imports both eagerly and
-re-exports the names that callers and tests reach through it
-(``CollectionLab``, ``_Evaluation``, ``CHUNK_BYTES``, ...).
+re-exports only the names that callers, tests and the benchmark tracer
+reach through it: the labs, the method records, ``CHUNK_BYTES``, and the
+evaluation classes and helpers that the tests check (the tracer wraps
+``_Evaluation.apply`` and ``_TwoBlockEvaluation.apply``).
 """
 
 from __future__ import annotations
@@ -26,10 +28,8 @@ import numpy as np
 
 from .densities import Density, PowerLaw
 from .labs import (CHUNK_BYTES, DEFAULT_METHODS, ORACLE_EPS, CollectionLab,
-                   Method, MethodOutcome, ModelRow, _bin_counts,
-                   _block_tables, _Evaluation, _HistogramEvaluation,
-                   _LabEvaluation, _row_stats, _tie_tolerance, parse_method,
-                   penalty_constant)
+                   Method, MethodOutcome, ModelRow, _block_tables,
+                   _Evaluation, parse_method, penalty_constant)
 from .rng import RngStream, uniforms
 from .twoblock import (TwoBlockLab, _breakpoint_order, _two_block_id,
                        _TwoBlockEvaluation, _undominated)

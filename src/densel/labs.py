@@ -7,9 +7,11 @@ evaluates a sample into per-model contrast, dmw, variance number D and
 loss.  Every caller, the CLI included, picks from an evaluation through
 two operations: ``argmin`` of contrast + K * complexity / n, and
 ``path``, the exact slope path, on which ``slope.slope_pick`` makes the
-slope heuristic's pick.  The argmin breaks ties on the criterion, then
-the dimension, then enumeration order; the path gives a breakpoint to
-the flatter of its two lines and a full tie to the earliest line.
+slope heuristic's pick.  Ties follow one rule: the least criterion,
+then the least complexity, then the earliest model in enumeration order.
+The path keeps it (a breakpoint goes to the flatter of its two lines, a
+full tie to the earliest line), and on the histogram labs the ``dim``
+and ``dmw`` argmin is the path's segment at the penalty constant.
 
 Both histogram families run on one block engine over a row of blocks
 [lo, hi): ``_block_row`` holds the cell probabilities of j = 1..J equal
@@ -124,32 +126,15 @@ class ModelRow(NamedTuple):
     loss: float
 
 
-def _tie_tolerance(n: int, k_const: float) -> float:
-    """How far above the least float criterion a histogram model's float
-    criterion under a ``dim`` or ``dmw`` penalty may lie and still tie it
-    exactly, for samples of n points (n^3 < 2^53).
-
-    A block of s / n with j <= s cells and c points has the contrast share
-    j T / (s n) <= n, T = sum c^2 <= c^2, and a penalty share K j / n
-    (``dim``) or K j (n c - T) / (s n (n - 1)) <= 2 K (``dmw``); a regular
-    histogram is the block [0, 1] with s = c = n.  With u = 2^-53, a float
-    share is within e = 2 u (n + 8) (n + 2 K) of its exact value: T and
-    j T are exact, the width 1 - fl(k / n) of a right block is off by a
-    relative u n at most, rounding c - T / n, which lies in [0, c], costs
-    2 u c before the scale j / (s (n - 1)), and the other few steps a
-    relative u each.  A criterion, one share or two and the rounding of
-    their sum, is within 3 e, so an exact minimizer lies within 6 e of the
-    float minimum; this returns 8 e."""
-    return 16.0 * 2.0 ** -53 * (n + 8) * (n + 2.0 * k_const)
-
-
 class _LabEvaluation:
     """Selection on one evaluated sample.
 
-    Subclasses key their models in their own way and provide
-    ``_argmin(k_const, complexity) -> (key, penalty)``,
-    ``_path(complexity) -> (SlopePath, key per segment)``,
-    ``_row(key, penalty)`` and ``oracle_loss()``.
+    Subclasses key their models in their own way, set ``n`` and an empty
+    ``_paths`` dict, and provide ``_argmin(k_const, complexity) -> (key,
+    penalty)``, ``_build_path(complexity) -> (SlopePath, key per
+    segment)``, ``_row(key, penalty)`` and ``oracle_loss()``.  An argmin
+    takes the least criterion, then the least complexity, then the
+    earliest model in enumeration order.
     """
 
     def argmin(self, k_const: float, complexity: str) -> ModelRow:
@@ -160,6 +145,17 @@ class _LabEvaluation:
     def path(self, complexity: str) -> SlopePath:
         """Exact slope path for the complexity ``dim`` or ``dmw``."""
         return self._path(complexity)[0]
+
+    def _path(self, complexity: str) -> tuple[SlopePath, list]:
+        """``_build_path``, once per evaluation and complexity."""
+        if complexity not in self._paths:
+            self._paths[complexity] = self._build_path(complexity)
+        return self._paths[complexity]
+
+    def _path_key(self, k_const: float, complexity: str):
+        """The key of the exact path's segment at Fraction(k_const) / n."""
+        path, keys = self._path(complexity)
+        return keys[path._position(Fraction(k_const) / self.n)]
 
     def apply(self, method: Method) -> MethodOutcome:
         if method.kind in _SLOPE_COMPLEXITY:
@@ -415,6 +411,7 @@ class _Evaluation(_LabEvaluation):
     def __init__(self, ids, dims, contrasts, dmws, losses, d_exact, n):
         self.ids, self.dims, self.contrasts = ids, dims, contrasts
         self.dmws, self.losses, self.d_exact, self.n = dmws, losses, d_exact, n
+        self._paths = {}
 
     def _complexity(self, name: str) -> np.ndarray:
         if name == "dmw" and self.n < 2:
@@ -422,23 +419,18 @@ class _Evaluation(_LabEvaluation):
         return {"dim": self.dims, "dmw": self.dmws, "d_exact": self.d_exact}[name]
 
     def _argmin(self, k_const: float, complexity: str) -> tuple[int, float]:
-        pens = k_const * self._complexity(complexity) / self.n
-        crits = self.contrasts + pens
-        idx = int(np.lexsort((self.dims, crits))[0])
-        if complexity != "d_exact":
-            idx = self._settle(crits, idx, k_const, complexity)
+        """The argmin in floats, kept for the Fourier models and for
+        ``d_exact``, whose values are not rational."""
+        deltas = self._complexity(complexity)
+        pens = k_const * deltas / self.n
+        idx = int(np.lexsort((deltas, self.contrasts + pens))[0])
         return idx, pens[idx]
-
-    def _settle(self, crits: np.ndarray, idx: int, k_const: float,
-                complexity: str) -> int:
-        """The float argmin stands: Fourier criteria are irrational."""
-        return idx
 
     def _lines(self, complexity: str):
         """(contrasts, complexities, units) of the path's lines."""
         return self.contrasts, self._complexity(complexity), (1, 1)
 
-    def _path(self, complexity: str) -> tuple[SlopePath, list[int]]:
+    def _build_path(self, complexity: str) -> tuple[SlopePath, list[int]]:
         delta_max = self._complexity(complexity).max()
         contrasts, deltas, units = self._lines(complexity)
         return envelope_path(contrasts, deltas, self.ids.__getitem__,
@@ -474,15 +466,8 @@ class _HistogramEvaluation(_Evaluation):
         return (-j * t, j * (n * n - t),
                 (Fraction(1, n * n), Fraction(1, n * (n - 1))))
 
-    def _settle(self, crits: np.ndarray, idx: int, k_const: float,
-                complexity: str) -> int:
-        """The exact argmin, by (criterion, dim, order), among the models
-        whose float criterion may tie the least: the criterion of line i
-        is contrasts_i c_unit + (K / n) deltas_i d_unit, K = Fraction(K)."""
-        near = np.flatnonzero(crits <= crits[idx]
-                              + _tie_tolerance(self.n, k_const))
-        contrasts, deltas, (c_unit, d_unit) = self._lines(complexity)
-        k = Fraction(k_const) / self.n * d_unit
-        return min(near.tolist(), key=lambda i: (
-            int(contrasts[i]) * c_unit + k * int(deltas[i]), self.dims[i], i))
-
+    def _argmin(self, k_const: float, complexity: str) -> tuple[int, float]:
+        if complexity == "d_exact":
+            return super()._argmin(k_const, complexity)
+        idx = self._path_key(k_const, complexity)
+        return idx, k_const * self._complexity(complexity)[idx] / self.n

@@ -3,12 +3,13 @@
 A model (k, j1, j2) has j1 equal cells on [0, k/n) and j2 on [k/n, 1].
 Each of its statistics is a left term depending on (k, j1) plus a right
 term depending on (k, j2), held as (side, cut, cells) arrays, so the
-argmin over roughly n^3/6 models costs O(n^2) array work per
-replication.  Its slope paths run on integer lines, as the regular
-histograms' do: the path prunes the lower envelopes of all blocks in one
-integer batch, merges each cut's two envelopes by their exact
-breakpoints, and runs the exact hull once more on the merged lines that
-no other line beats at K = 0.  The block-by-block evaluation and
+float argmin under ``d_exact`` over roughly n^3/6 models costs O(n^2)
+array work per replication.  Its slope paths run on integer lines, as
+the regular histograms' do: the path prunes the lower envelopes of all
+blocks in one integer batch, merges each cut's two envelopes by their
+exact breakpoints, and runs the exact hull once more on the merged lines
+that no other line beats at K = 0; the ``dim`` and ``dmw`` argmin is a
+segment of that path.  The block-by-block evaluation and
 selections (the path in ``Fraction``s) are in ``tests/oracles.py``.
 """
 
@@ -23,7 +24,7 @@ import numpy as np
 from . import slope
 from .densities import Density, Sample
 from .labs import (ModelRow, _LabEvaluation, _bin_counts, _block_row,
-                   _row_stats, _tie_tolerance)
+                   _row_stats)
 
 __all__ = ["TwoBlockLab"]
 
@@ -43,7 +44,8 @@ class TwoBlockLab:
     holds D (0 elsewhere).  Each evaluation also keeps the integer
     T = sum c^2 per (side, cut, cells) and the block counts, from which
     the slope paths build integer lines.  Selections are array operations
-    over all cuts: the argmin reduces per (side, cut), and the slope path
+    over all cuts: the ``d_exact`` argmin reduces per (side, cut), and the
+    slope path, whose segments are also the ``dim`` and ``dmw`` argmin,
     prunes the lower envelopes of all 2(n-1) blocks in one integer batch,
     merges each cut's two envelopes by their exact breakpoints and runs
     the exact hull once more on the merged lines that may be on it.
@@ -167,70 +169,35 @@ class _TwoBlockEvaluation(_LabEvaluation):
     def __init__(self, lab, contrast, var, loss, t_sq, count):
         self.lab, self.contrast, self.var, self.loss = lab, contrast, var, loss
         self.t_sq, self.count = t_sq, count
+        self.n, self._paths = lab.n, {}
 
     def _part(self, complexity: str) -> np.ndarray:
         """Each block's share of a complexity: its cell count, V or D."""
         if complexity == "dim":
-            return np.arange(1.0, self.lab.n)
+            return np.arange(1.0, self.n)
         return {"dmw": self.var, "d_exact": self.lab.d_exact}[complexity]
 
     def _argmin(self, k_const: float, complexity: str):
-        n = self.lab.n
+        n = self.n
         # k dmw / n with dmw = n/(n-1) (V_left + V_right)
         scale = k_const / (n - 1.0) if complexity == "dmw" else k_const / n
-        pens = np.broadcast_to(scale * self._part(complexity),
-                               self.contrast.shape)
-        g = pens + self.contrast
-        mins = g.min(axis=2)
-        crits = mins[0] + mins[1]
+        part = np.broadcast_to(self._part(complexity), self.contrast.shape)
         if complexity != "d_exact":
-            kk, i1, i2 = self._settle(g, mins, crits, k_const, complexity)
-            return (kk, i1, i2), pens[0, kk, i1] + pens[1, kk, i2]
-        crit = crits.min()
-        best = None
-        for kk in np.flatnonzero(crits == crit):
-            g1, g2 = g[:, kk]
-            m1, m2 = mins[:, kk]
+            kk, i1, i2 = self._path_key(k_const, complexity)
+        else:
+            g = scale * part + self.contrast
+            mins = g.min(axis=2)
+            crits = mins[0] + mins[1]
+            crit = crits.min()
             # float ties: rounding is monotone, so a pair sums to crit only
             # if each of its parts does so with the other block's minimum
-            tied = min((i1 + i2, i1, i2)
-                       for i1 in np.flatnonzero(g1 + m2 == crit)
-                       for i2 in np.flatnonzero(m1 + g2 == crit)
-                       if g1[i1] + g2[i2] == crit)
-            if best is None or tied[0] < best[0][0]:
-                best = (tied, int(kk))
-        (_, i1, i2), kk = best
-        return (kk, int(i1), int(i2)), pens[0, kk, i1] + pens[1, kk, i2]
-
-    def _settle(self, g: np.ndarray, mins: np.ndarray, crits: np.ndarray,
-                k_const: float, complexity: str) -> tuple[int, int, int]:
-        """The exact argmin, by (criterion, dim, order), among the models
-        whose float criterion may tie the least.  A model's criterion is
-        the sum of its blocks' shares, so the least ones pair each side's
-        least shares: a block of s / n with j cells and c points has the
-        share -j T / (s n) + K j / n (``dim``) or -j T / (s n) + K j (n c
-        - T) / (s n (n - 1)) (``dmw``), K = Fraction(K)."""
-        lab, n = self.lab, self.lab.n
-        tol = _tie_tolerance(n, k_const)
-        k = Fraction(k_const)
-        best = None
-        for kk in np.flatnonzero(crits <= crits.min() + tol).tolist():
-            least = []
-            for side in (0, 1):
-                s, c = int(lab.cells[side, kk]), int(self.count[side, kk])
-                shares = []
-                for i in np.flatnonzero(g[side, kk]
-                                        <= mins[side, kk] + tol).tolist():
-                    j, t = i + 1, int(self.t_sq[side, kk, i])
-                    pen = (Fraction(j, n) if complexity == "dim"
-                           else Fraction(j * (n * c - t), s * n * (n - 1)))
-                    shares.append((Fraction(-j * t, s * n) + k * pen, i))
-                least.append(min(shares))
-            (c1, i1), (c2, i2) = least
-            cand = (c1 + c2, i1 + i2, kk, i1, i2)
-            if best is None or cand < best:
-                best = cand
-        return best[2:]
+            _, kk, i1, i2 = min(
+                (part[0, kk, i1] + part[1, kk, i2], kk, i1, i2)
+                for kk in np.flatnonzero(crits == crit).tolist()
+                for i1 in np.flatnonzero(g[0, kk] + mins[1, kk] == crit).tolist()
+                for i2 in np.flatnonzero(mins[0, kk] + g[1, kk] == crit).tolist()
+                if g[0, kk, i1] + g[1, kk, i2] == crit)
+        return (kk, i1, i2), scale * part[0, kk, i1] + scale * part[1, kk, i2]
 
     @cached_property
     def _block_envelopes(self):
@@ -239,7 +206,7 @@ class _TwoBlockEvaluation(_LabEvaluation):
         starting at K = num / den, 0 / 1 at a row's first piece.  The lines
         -j T + K j s n, at most n^3 in size, are the block's shares times
         s n."""
-        n, m, cells = self.lab.n, self.lab.n - 1, self.lab.cells
+        n, m, cells = self.n, self.n - 1, self.lab.cells
         js = np.arange(1, n)
         # looked up on ``slope`` at call time, so that a wrapper installed
         # there (benchmarks/tracer.py) sees the call
@@ -248,7 +215,7 @@ class _TwoBlockEvaluation(_LabEvaluation):
             (-js * self.t_sq).reshape(2 * m, m), cells.ravel())
         return idx, num, den
 
-    def _path(self, complexity: str):
+    def _build_path(self, complexity: str):
         lab = self.lab
         n, m = lab.n, lab.n - 1
         idx, num, den = self._block_envelopes
@@ -325,7 +292,7 @@ class _TwoBlockEvaluation(_LabEvaluation):
 
     def _row(self, key: tuple[int, int, int], penalty: float) -> ModelRow:
         kk, i1, i2 = key
-        n = self.lab.n
+        n = self.n
         return ModelRow(
             model_id=_two_block_id(kk, i1, i2),
             criterion=float(penalty + self.contrast[0, kk, i1]

@@ -441,7 +441,8 @@ def exact_argmin(kind: str, sample: Sample, k_const: float,
                  complexity: str) -> str:
     """The regular-histogram or two-block model minimizing contrast +
     K complexity / n over the whole list, in ``Fraction``s with K =
-    Fraction(K); ties go to the smaller dim, then to the earlier model.
+    Fraction(K); ties go to the smaller complexity, then to the earlier
+    model.
 
     A block of s / n with j cells and c points, T = sum c^2 over its
     cells, adds -j T / (s n) to the contrast, j to the dim and j (n c - T)
@@ -450,23 +451,25 @@ def exact_argmin(kind: str, sample: Sample, k_const: float,
     model list."""
     n, k = sample.n, Fraction(k_const)
 
-    def share(s: int, counts: np.ndarray) -> Fraction:
+    def share(s: int, counts: np.ndarray) -> tuple[Fraction, Fraction]:
+        """(criterion, complexity / n) shares of one block."""
         j, c, t = counts.size, int(counts.sum()), int(np.sum(counts ** 2))
         pen = (Fraction(j, n) if complexity == "dim"
                else Fraction(j * (n * c - t), s * n * (n - 1)))
-        return Fraction(-j * t, s * n) + k * pen
+        return Fraction(-j * t, s * n) + k * pen, pen
 
     if kind == "regular-hist":
-        crits = ((share(n, histogram_counts(np.arange(j + 1) / j, sample)),
+        crits = ((*share(n, histogram_counts(np.arange(j + 1) / j, sample)),
                   j, f"reg-hist:d={j}") for j in range(1, n + 1))
-        return min(crits)[2]
+        return min(crits)[3]
     left = {(kk, j): share(kk, histogram_counts(
         two_block_breaks(n, kk, j, 1), sample)[:j])
         for kk in range(1, n) for j in range(1, kk + 1)}
     right = {(kk, j): share(n - kk, histogram_counts(
         two_block_breaks(n, kk, 1, j), sample)[1:])
         for kk in range(1, n) for j in range(1, n - kk + 1)}
-    best = min((left[kk, j1] + right[kk, j2], j1 + j2, pos, (kk, j1, j2))
+    best = min((left[kk, j1][0] + right[kk, j2][0],
+                left[kk, j1][1] + right[kk, j2][1], pos, (kk, j1, j2))
                for pos, (kk, j1, j2) in enumerate(two_block_params(n)))
     return _two_block_id(*(v - 1 for v in best[3]))
 
@@ -633,10 +636,10 @@ class PerCutTwoBlock:
 
     def argmin(self, k_const: float, complexity: str):
         """(key, penalty) of contrast + k_const * complexity / n, ties to
-        the smaller dimension, then the earlier cut, j1 and j2.  Criteria
-        compare in ``Fraction``s under ``dim`` and ``dmw``, from each
-        block's T and count with K = Fraction(K), and in floats under
-        ``d_exact``."""
+        the smaller complexity, then the earlier cut, j1 and j2.  Criteria
+        and complexities compare in ``Fraction``s under ``dim`` and
+        ``dmw``, from each block's T and count with K = Fraction(K), and
+        in floats under ``d_exact``."""
         n = self.lab.n
         scale = k_const / (n - 1.0) if complexity == "dmw" else k_const / n
         best_key, best = None, None
@@ -649,15 +652,15 @@ class PerCutTwoBlock:
                 crit = m1 + m2
                 if best_key is not None and crit > best_key[0]:
                     continue
-                tied = min((i1 + i2, i1, i2)
+                tied = min((left[3][i1] + right[3][i2], i1, i2)
                            for i1 in np.flatnonzero(g1 + m2 == crit)
                            for i2 in np.flatnonzero(m1 + g2 == crit)
                            if g1[i1] + g2[i2] == crit)
             else:
-                (m1, i1), (m2, i2) = (
+                (m1, d1, i1), (m2, d2, i2) = (
                     self._least_share(kk, side, k_const, complexity)
                     for side in (0, 1))
-                crit, tied = m1 + m2, (i1 + i2, i1, i2)
+                crit, tied = m1 + m2, (d1 + d2, i1, i2)
             key = (crit, tied[0])
             if best_key is None or key < best_key:
                 best_key = key
@@ -666,20 +669,21 @@ class PerCutTwoBlock:
         return best
 
     def _least_share(self, kk: int, side: int, k_const: float,
-                     complexity: str) -> tuple[Fraction, int]:
-        """(share, j - 1) of the least share of one block of s / n with c
-        points, the smallest j on ties.  The share -j T / (s n) + K j / n
-        (``dim``) or + K j (n c - T) / (s n (n - 1)) (``dmw``) times
-        s n (n - 1) q, K = p / q, is an integer."""
-        n = self.lab.n
-        p, q = Fraction(k_const).as_integer_ratio()
+                     complexity: str) -> tuple[Fraction, Fraction, int]:
+        """(share, complexity share, j - 1) of the least share of one block
+        of s / n with c points, the smallest complexity share and then the
+        smallest j on ties.  The share is -j T / (s n) + K j / n (``dim``)
+        or + K j (n c - T) / (s n (n - 1)) (``dmw``), K = Fraction(K); the
+        complexity share is j or j (n c - T) / (s (n - 1))."""
+        n, k = self.lab.n, Fraction(k_const)
         t_sq, c = self.t_sq[kk][side]
         s = kk + 1 if side == 0 else n - kk - 1
         least = min(
-            (-j * t * (n - 1) * q
-             + p * j * (s * (n - 1) if complexity == "dim" else n * c - t), j)
-            for j, t in enumerate(t_sq.astype(np.int64).tolist(), start=1))
-        return Fraction(least[0], s * n * (n - 1) * q), least[1] - 1
+            (Fraction(-j * t, s * n) + k * d / n, d, j)
+            for j, t in enumerate(t_sq.astype(np.int64).tolist(), start=1)
+            for d in [j if complexity == "dim"
+                      else Fraction(j * (n * c - t), s * (n - 1))])
+        return least[0], least[1], least[2] - 1
 
     def oracle_loss(self) -> float:
         best = np.inf

@@ -526,10 +526,19 @@ def _oracle_criteria(kind, n, seed, penalty):
 def test_select_settles_exact_ties(capsys):
     """d = 5 (T = 34) and d = 10 (T = 22) both have the criterion -6/5
     exactly, which floats round to -1.2 and -1.2000000000000002: the tie
-    goes to the smaller dimension."""
+    goes to the smaller complexity, here the dimension."""
     assert main("select --collection regular-hist --n 10 --penalty "
                 "dimension:1 --seed 43".split()) == 0
     assert capsys.readouterr().out.split()[:2] == ["selected", "reg-hist:d=5"]
+
+
+def test_select_full_tie_goes_to_the_earlier_model(capsys):
+    """k=1,j1=1,j2=2 and k=2,j1=1,j2=1 both have criterion -3 and dmw 0
+    (all three points in [2/3, 1)): the tie goes to the earlier model in
+    enumeration order, though it has the larger dimension."""
+    assert main("select --collection two-block --n 3 --seed 26".split()) == 0
+    assert capsys.readouterr().out == (
+        "selected two-block:k=1,j1=1,j2=2 criterion=-3 penalty=0\n")
 
 
 @pytest.mark.parametrize("kind,n", [("regular-hist", 25), ("fourier", 12),

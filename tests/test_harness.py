@@ -487,10 +487,11 @@ def test_two_block_path_memory_within_evaluate(n):
         assert peak(lambda: ev.path(complexity))[0] <= limit, complexity
 
 
-def _two_block_eval(left_a, right_a):
+def _two_block_eval(left_a, right_a, d_exact=None):
     """A two-block evaluation of n = 4 from per-cut A arrays alone, with
     T = A s n / j, which gives the exact shares -j T / (s n) the same
-    values (the A here make every such T an integer)."""
+    values (the A here make every such T an integer), and D from
+    ``d_exact`` (0 by default)."""
     n = 4
     cells = np.array([[1, 2, 3], [3, 2, 1]])
     contrast = np.full((2, 3, 3), np.inf)
@@ -502,29 +503,52 @@ def _two_block_eval(left_a, right_a):
                 t = Fraction(share) * int(cells[side, kk]) * n / j
                 assert t.denominator == 1
                 t_sq[side, kk, j - 1] = int(t)
-    lab = SimpleNamespace(n=n, s_norm=0.0, d_exact=np.zeros((2, 3, 3)),
-                          cells=cells)
+    lab = SimpleNamespace(n=n, s_norm=0.0, cells=cells,
+                          d_exact=(np.zeros((2, 3, 3)) if d_exact is None
+                                   else d_exact))
     return _TwoBlockEvaluation(lab=lab, contrast=contrast,
                                var=np.zeros((2, 3, 3)), loss=np.zeros((2, 3, 3)),
                                t_sq=t_sq,
                                count=np.zeros((2, 3), dtype=np.int64))
 
 
-def test_ties_go_to_criterion_then_dim_then_order():
-    """Both labs break exact criterion ties on the smaller dimension, then
+def test_ties_go_to_criterion_then_complexity_then_order():
+    """Both labs break exact criterion ties on the smaller complexity, then
     on the earlier model in enumeration order (k, then j1, then j2)."""
     ev = _Evaluation(ids=["a", "b", "c"], dims=np.array([3.0, 1.0, 1.0]),
                      contrasts=np.full(3, -1.0), dmws=np.zeros(3),
                      losses=np.ones(3), d_exact=np.zeros(3), n=4)
     assert ev.argmin(0.0, "dim").model_id == "b"
     # every cut reaches contrast -1; the best dimensions are 3, 3 and 2
+    left = ([0.5], [0.25, 0.5], [0.5, 0.5, 0.5])
     right = ([0.25, 0.5, 0.5], [0.5, 0.25], [0.5])
-    ev = _two_block_eval(([0.5], [0.25, 0.5], [0.5, 0.5, 0.5]), right)
-    row = ev.argmin(0.0, "dim")
+    row = _two_block_eval(left, right).argmin(0.0, "dim")
     assert (row.model_id, row.dim) == ("two-block:k=3,j1=1,j2=1", 2)
     # with dimension 3 at the last cut too, the first cut wins
     ev = _two_block_eval(([0.5], [0.25, 0.5], [0.25, 0.5, 0.5]), right)
     assert ev.argmin(0.0, "dim").model_id == "two-block:k=1,j1=1,j2=2"
+    # a float tie under d_exact goes to the smaller D, whatever the dims:
+    # only k=1, j2=3 (dim 4) has D 1.5, every other model D 2
+    d_exact = np.ones((2, 3, 3))
+    d_exact[1, 0, 2] = 0.5
+    row = _two_block_eval(left, right, d_exact).argmin(0.0, "d_exact")
+    assert (row.model_id, row.d_exact) == ("two-block:k=1,j1=1,j2=3", 1.5)
+    ev = _Evaluation(ids=["a", "b", "c"], dims=np.array([1.0, 2.0, 3.0]),
+                     contrasts=np.full(3, -1.0), dmws=np.zeros(3),
+                     losses=np.ones(3), d_exact=np.array([0.5, 0.25, 0.75]),
+                     n=4)
+    assert ev.argmin(0.0, "d_exact").model_id == "b"
+    # a full dmw tie (equal criterion and dmw) goes to the earlier model,
+    # not the smaller dim: at n = 3 seed 26 the three points lie in
+    # [2/3, 1), one cell of either model, both of criterion -3 and dmw 0
+    sample = PowerLaw().sample(3, RngStream(26, 0, "data"))
+    ev = TwoBlockLab(3, PowerLaw()).evaluate(sample)
+    row, later = ev.argmin(2.0, "dmw"), ev._row((1, 0, 0), 0.0)
+    assert row.model_id == exact_argmin("two-block", sample, 2.0, "dmw")
+    assert (row.model_id, later.model_id) == ("two-block:k=1,j1=1,j2=2",
+                                              "two-block:k=2,j1=1,j2=1")
+    assert (row.criterion, row.dmw) == (later.criterion, later.dmw)
+    assert row.dmw == 0.0 and row.dim > later.dim
 
 
 @pytest.mark.parametrize("kind,sizes", [
@@ -532,9 +556,9 @@ def test_ties_go_to_criterion_then_dim_then_order():
     ("two-block", (*range(2, 13), 16, 20, 25, 31, 40))])
 def test_argmin_equals_fraction_oracle(kind, sizes):
     """Both histogram labs pick, under dim and dmw penalties, the exact
-    argmin of the Fraction oracle: the float argmin, then an exact settle
-    among the models within its rounding tolerance.  Exact ties are common
-    here, and floats round tied rationals apart."""
+    argmin of the Fraction oracle: the exact slope path's segment at
+    K / n.  Exact ties are common here, and floats round tied rationals
+    apart."""
     for n in sizes:
         lab = make_lab(kind, n, PowerLaw())
         for seed in range(3 if kind == "regular-hist" else 1):
@@ -545,6 +569,49 @@ def test_argmin_equals_fraction_oracle(kind, sizes):
                     want = exact_argmin(kind, sample, k_const, complexity)
                     got = ev.argmin(k_const, complexity).model_id
                     assert got == want, (n, seed, k_const, complexity)
+
+
+def test_argmin_is_the_path_at_every_breakpoint():
+    """On both histogram labs and under dim and dmw, the path's segment at
+    every exact breakpoint, and ``argmin`` at K = 0, 0.5, 1, 2, 3 and at
+    the float of every breakpoint's K, is the model of the Fraction
+    oracle: the least criterion, then complexity, then the earliest."""
+    for kind in ("regular-hist", "two-block"):
+        for n in (3, 5, 7, 10, 13):
+            for density in (PowerLaw(), Uniform(), STEP):
+                lab = make_lab(kind, n, density)
+                for seed in range(3):
+                    sample = density.sample(n, RngStream(seed, n, "scan"))
+                    ev = lab.evaluate(sample)
+                    for complexity in ("dim", "dmw"):
+                        path = ev.path(complexity)
+                        for k in path.breakpoints:
+                            assert path.segment_at(k).model_id == exact_argmin(
+                                kind, sample, k * n, complexity), (n, k)
+                        for k_const in (0.0, 0.5, 1.0, 2.0, 3.0,
+                                        *(float(k * n)
+                                          for k in path.breakpoints)):
+                            got = ev.argmin(k_const, complexity).model_id
+                            assert got == exact_argmin(
+                                kind, sample, k_const, complexity), (
+                                    kind, n, seed, complexity, k_const)
+
+
+def test_a_replication_builds_each_path_once(monkeypatch):
+    """resampling reads the dmw path that resampling-slope picks from, so
+    a replication of every method builds one dim and one dmw path."""
+    built = []
+    for cls in (labs._Evaluation, twoblock._TwoBlockEvaluation):
+        monkeypatch.setattr(cls, "_build_path",
+                            lambda ev, c, _build=cls._build_path:
+                            built.append((ev, c)) or _build(ev, c))
+    for example, n in ((1, 12), (2, 8)):
+        built.clear()
+        run_example(example, n, 3, methods=ALL_METHODS, seed=4)
+        evs = {id(ev) for ev, _ in built}
+        assert len(evs) == 3
+        assert sorted((id(ev), c) for ev, c in built) == sorted(
+            (ev, c) for ev in evs for c in ("dim", "dmw"))
 
 
 def test_two_block_dim_penalties_match_spec_dims():
