@@ -10,9 +10,18 @@ the random streams and the models, since deferring them saves no command
 anything.  The names of the labs and the slope paths load their module
 on first access (PEP 562), so that a command that does not run them
 never compiles them.
+
+BLAS and OpenMP run on one thread unless the environment says otherwise:
+the products are small, and the worker processes of ``--threads`` would
+otherwise each spin a pool of BLAS threads.  This has to happen before
+numpy loads, hence here.
 """
 
 import importlib
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .densities import (Density, PiecewiseConstant, PowerLaw, Sample,
                         Uniform, UnboundedPointError, density_from_config)

@@ -87,8 +87,10 @@ def _density_from_args(args) -> object:
         return density_from_config(args.density, breaks=breaks,
                                    heights=heights)
     except ValueError as exc:
-        raise UsageError(f"--breaks {args.breaks!r} --heights "
-                         f"{args.heights!r}: {exc}") from None
+        given = " ".join(f"{flag} {value!r}" for flag, value in (
+            ("--breaks", args.breaks), ("--heights", args.heights))
+            if value is not None)
+        raise UsageError(f"{given or '--density piecewise'}: {exc}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -12,17 +12,17 @@ then the model selected at twice that constant.  The experiment labs feed
 their arrays to ``envelope_path``.
 
 Every path runs on one hull, ``lower_envelope``: it sorts and filters
-a set of lines with arrays, then runs one monotone chain over the lines
-left.  Only float lines (the Fourier collection's) keep a relative tie
-tolerance.  Histogram contrasts and complexities are rationals built from
-integer counts, so both histogram labs hand in integer lines with exact
-units; the chain decides them exactly (correctly rounded float crossings,
-and integer cross-multiplication where two crossings round alike), their
-breakpoints are ``Fraction``s, and the jump argmax compares exact numbers.
-A batch of integer rows (the two-block lab's blocks) is filtered row by
-row and then pruned with arrays, its breakpoints integer pairs.  Under
-either jump rule K_min is the exact start of a segment, and the pick
-bisects the path at exact 2 * K_min.
+a set of lines with arrays, then prunes the lines left, pass after pass,
+also with arrays (``_prune``).  Only float lines (the Fourier
+collection's) keep a relative tie tolerance.  Histogram contrasts and
+complexities are rationals built from integer counts, so both histogram
+labs hand in integer lines with exact units; the hull decides them by
+integer cross-products alone, their breakpoints are ``Fraction``s, and the
+jump argmax compares exact numbers.  A batch of integer rows (the
+two-block lab's blocks) is filtered row by row and pruned in the same
+passes, its breakpoints integer pairs.  Under either jump rule K_min is
+the exact start of a segment, and the pick bisects the path at exact
+2 * K_min.
 """
 
 from __future__ import annotations
@@ -115,20 +115,20 @@ def lower_envelope(slopes: np.ndarray, intercepts: np.ndarray, sizes=None):
     right-continuous in K.
 
     One row of lines is sorted and filtered with arrays (a line is dropped
-    when a flatter line is at least as cheap at K = 0), then one monotone
-    chain runs over the lines left.  Integer lines (integer dtypes, or
-    Python ints in an object array) are decided exactly and their
-    breakpoints are ``Fraction``s.  Float lines (the Fourier collection's)
-    count intercepts within one part in 1e12 as tied: float noise on an
-    exact tie would otherwise open a sliver segment of width ~1e-16 that
-    the jump detectors would see as a genuine complexity jump.
+    when a flatter line is at least as cheap at K = 0), then ``_prune``
+    prunes the lines left.  Integer lines (integer dtypes, or Python ints
+    in an object array) are decided by integer cross-products alone and
+    their breakpoints are ``Fraction``s.  Float lines (the Fourier
+    collection's) count intercepts within one part in 1e12 as tied: float
+    noise on an exact tie would otherwise open a sliver segment of width
+    ~1e-16 that the jump detectors would see as a genuine complexity jump.
 
     A 2-D batch of integer rows, row r holding its lines in its first
     ``sizes[r]`` entries in increasing slope order (as cell counts rise),
-    is pruned with arrays instead of a chain (see ``_pruned_envelopes``).
-    Indices are then positions in the flattened batch, row after row, and
-    start_ks is a pair (numerators, denominators) of integer arrays, 0 / 1
-    at each row's first piece.
+    is filtered row by row and pruned in the same passes (see
+    ``_pruned_envelopes``).  Indices are then positions in the flattened
+    batch, row after row, and start_ks is a pair (numerators,
+    denominators) of integer arrays, 0 / 1 at each row's first piece.
     """
     slopes, intercepts = np.asarray(slopes), np.asarray(intercepts)
     if slopes.size == 0:
@@ -160,91 +160,77 @@ def lower_envelope(slopes: np.ndarray, intercepts: np.ndarray, sizes=None):
         tie += c[:-1]
     keep = np.ones(s.size, dtype=bool)
     keep[:-1] = ~(np.minimum.accumulate(c[:0:-1])[::-1] <= tie)
-    order, s, c = order[keep], s[keep].tolist(), c[keep].tolist()
-    hull, starts = _chain(s, c, exact)
-    if exact:
-        # a start k > 0 is the crossing with the previous kept line
-        starts = [Fraction(c[q] - c[p], s[p] - s[q]) if k else 0.0
-                  for p, q, k in zip([0] + hull, hull, starts)]
-    return order[hull], np.array(starts, dtype=object if exact else float)
+    order, s, c = order[keep], s[keep], c[keep]
+    pos, num, den = _prune(s, c, np.ones(max(s.size - 2, 0), dtype=bool))
+    if not exact:
+        return order[pos], num / den
+    starts = [Fraction(p, q) for p, q in zip(num.tolist(), den.tolist())]
+    starts[0] = 0.0
+    return order[pos], np.array(starts, dtype=object)
 
 
-def _chain(s: list, c: list, exact: bool):
-    """Monotone chain over lines in slope-decreasing order, none at least
-    as cheap at K = 0 as a later line.  A top line is popped when the new
-    line crosses it no later than it starts.
+def _prune(s: np.ndarray, c: np.ndarray, inner: np.ndarray):
+    """The lower envelope of lines in slope-decreasing order with strictly
+    rising intercepts, the lines not marked ``inner`` staying.  Each pass
+    drops every marked line that is not strictly convex with its two
+    neighbours (its crossing with the previous line is not before its
+    crossing with the next), until none drops: no line of the envelope
+    ever drops, and a sequence strictly convex at every line is the
+    envelope itself.
 
-    Crossings are float divisions.  On integer lines (``exact``) they are
-    correctly rounded, hence monotone in the exact crossing, so only two
-    crossings that round to the same float need deciding exactly, by
-    cross-multiplying the lines.  Such a tie is never with the first line,
-    which starts at 0: integer intercepts rise strictly, so every crossing
-    is > 0."""
-    hull, starts = [0], [0.0]
-    for q in range(1, len(s)):
-        sq, cq = s[q], c[q]
-        while True:
-            top = hull[-1]
-            k_cross = (cq - c[top]) / (s[top] - sq)
-            if k_cross > starts[-1] or (
-                    exact and k_cross == starts[-1]
-                    and (cq - c[top]) * (s[hull[-2]] - s[top])
-                    > (c[top] - c[hull[-2]]) * (s[top] - sq)):
-                break
-            hull.pop()
-            starts.pop()
-            if not hull:
-                k_cross = 0.0
-                break
-        hull.append(q)
-        starts.append(k_cross)
-    return hull, starts
+    Returns (positions, num, den): the lines left, each starting at its
+    crossing with the line before it, num / den (0 / 1 at the first).
+    Float lines compare crossings as quotients, as a chain would; where
+    many crossings agree to rounding (long collinear runs), which sliver
+    survives can differ from a chain's.  Integer lines compare only by
+    cross-multiplying.  With B the largest |slope| or |intercept|, the
+    cross-products stay within (2 B)^2: int64 holds them while
+    (2 B + 1)^2 < 2^63 (for the two-block lab's lines, B <= n^3, up to
+    n = 1,149), and past that the lines turn into Python ints."""
+    if s.dtype.kind in "iu" or c.dtype.kind in "iu":
+        bound = max(max(int(x.max(initial=0)), -int(x.min(initial=0)))
+                    for x in (s, c))
+        if (2 * bound + 1) ** 2 >= 2 ** 63:
+            s, c = s.astype(object), c.astype(object)
+    pos = np.arange(s.size)
+    while True:
+        ds, dc = s[:-1] - s[1:], c[1:] - c[:-1]
+        if s.dtype.kind == "f":
+            k = dc / ds
+            drop = k[:-1] >= k[1:]
+        else:
+            drop = dc[:-1] * ds[1:] >= dc[1:] * ds[:-1]
+        drop &= inner
+        if not drop.any():
+            break
+        keep = np.concatenate(([True], ~drop, [True]))
+        pos, s, c, inner = pos[keep], s[keep], c[keep], inner[~drop]
+    num, den = np.zeros_like(c), np.ones_like(s)
+    num[1:], den[1:] = dc, ds
+    return pos, num, den
 
 
 def _pruned_envelopes(slopes: np.ndarray, intercepts: np.ndarray,
                       sizes: np.ndarray):
-    """``lower_envelope`` of a batch of integer rows, without a chain.
-
-    Each row is filtered as one row is, in blocks of rows of
-    ``_HULL_CHUNK`` entries.  The lines left then lose, all rows at once,
-    every line that is not strictly convex with its two neighbours (in the
-    dual: not strictly below the segment joining them), pass after pass
-    until none drops; no line of the envelope ever drops, and a sequence
-    strictly convex at every line is the envelope itself.  Breakpoints are
-    the neighbours' crossings as integer (numerator, denominator) pairs.
-
-    With B the largest |slope| or |intercept| of the batch, padding
-    included, the cross-products stay within (2 B)^2: int64 holds them
-    while (2 B + 1)^2 < 2^63 (for the two-block lab's lines, B <= n^3, up
-    to n = 1,149), and past that every step runs on Python ints."""
+    """``lower_envelope`` of a batch of integer rows: each row is filtered
+    as one row is, in blocks of rows of ``_HULL_CHUNK`` entries, and the
+    lines left are pruned all rows at once, each row's first and last
+    lines staying.  Breakpoints are integer (numerator, denominator)
+    pairs."""
     rows, width = slopes.shape
-    bound = max(max(int(x.max()), -int(x.min())) for x in (slopes, intercepts))
-    if (2 * bound + 1) ** 2 >= 2 ** 63:
-        slopes, intercepts = slopes.astype(object), intercepts.astype(object)
     step = max(1, _HULL_CHUNK // width)
     parts = [_row_filter(slopes[r:r + step], intercepts[r:r + step],
                          sizes[r:r + step], r)
              for r in range(0, rows, step)]
     idx, row, s, c = (np.concatenate(part) for part in zip(*parts))
-    # each row's first and last lines stay
     head = np.ones(idx.size + 1, dtype=bool)
     head[1:-1] = row[1:] != row[:-1]
-    inner = ~(head[1:-2] | head[2:-1])
-    while True:
-        ds, dc = s[:-1] - s[1:], c[1:] - c[:-1]
-        drop = dc[:-1] * ds[1:] >= dc[1:] * ds[:-1]
-        drop &= inner
-        if not drop.any():
-            break
-        keep = np.concatenate(([True], ~drop, [True]))
-        idx, s, c, inner = idx[keep], s[keep], c[keep], inner[~drop]
-    row = idx // width
-    head = np.ones(idx.size, dtype=bool)
+    pos, num, den = _prune(s, c, ~(head[1:-2] | head[2:-1]))
+    row = row[pos]
+    head = np.ones(pos.size, dtype=bool)
     head[1:] = row[1:] != row[:-1]
-    num, den = np.zeros_like(c), np.ones_like(s)
-    num[1:], den[1:] = c[1:] - c[:-1], s[:-1] - s[1:]
     num[head], den[head] = 0, 1
-    return idx, (num, den)
+    return idx[pos], (num, den)
 
 
 def _row_filter(slopes, intercepts, sizes, row0: int):

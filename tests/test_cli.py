@@ -239,11 +239,14 @@ def test_select_bad_penalty_exits_2():
     ["select", "--density", "piecewise", "--breaks", "0,x,1",
      "--heights", "1,1"],
     ["select", "--density", "piecewise", "--breaks", "0,1", "--heights", "y"],
+    ["select", "--density", "piecewise"],
+    ["select", "--density", "piecewise", "--breaks", "0,0.5,1"],
 ])
 def test_bad_counts_and_grids_exit_2_before_work(argv, capsys):
     assert main(argv if "--n" in argv else argv + ["--n", "10"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert "None" not in err[0]
     # the error names each flag given; --breaks and --heights define one
     # density, whose errors name at least one of them
     for group in (("--k-grid",), ("--dim",), ("--x",),

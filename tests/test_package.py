@@ -2,6 +2,7 @@
 their home module lazily; no module is costly to compile."""
 
 import importlib
+import os
 import subprocess
 import sys
 import textwrap
@@ -74,6 +75,25 @@ def test_import_loads_only_the_shared_modules():
     assert out == ["['densel.densities', 'densel.models', 'densel.rng']",
                    "['densel.densities', 'densel.models', 'densel.rng', "
                    "'densel.slope']"]
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_import_sets_one_blas_thread_unless_set():
+    """``import densel`` sets every BLAS and OpenMP thread count to 1 before
+    numpy loads; a count the environment already sets stays."""
+    code = ("import os, densel; "
+            f"print(*(os.environ[v] for v in {BLAS_VARS!r}))")
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+
+    def counts(**extra):
+        return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True,
+                              env={**env, **extra}).stdout.split()
+
+    assert counts() == ["1", "1", "1"]
+    assert counts(OPENBLAS_NUM_THREADS="3") == ["3", "1", "1"]
 
 
 COMPILE_BUDGET = 1.5 * 2 ** 20

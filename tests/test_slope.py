@@ -225,6 +225,9 @@ def _settle_lines():
 
 
 def test_integer_hull_matches_fraction_chain():
+    """Small integer lines with ties, the settle lines, and rows whose
+    cross-products pass 2^63: int64 rows, and the same rows times 2^40 as
+    Python ints, as the two-block lab's merged cut lines come."""
     gen = np.random.default_rng(6)
     inputs = [_settle_lines()]
     for _ in range(200):
@@ -232,6 +235,13 @@ def test_integer_hull_matches_fraction_chain():
         inputs.append((gen.integers(0, 12, size=m),
                        gen.integers(-40, 40, size=m)
                        * gen.integers(1, 4, size=m)))
+    for _ in range(100):
+        m = int(gen.integers(2, 60))
+        slopes = np.cumsum(gen.integers(1, 2 ** 31, size=m))
+        intercepts = -np.sort(gen.integers(0, 2 ** 34, size=m))
+        inputs.append((slopes, intercepts))
+        inputs.append((slopes.astype(object) * 2 ** 40,
+                       intercepts.astype(object) * 2 ** 40))
     for slopes, intercepts in inputs:
         hull, starts = lower_envelope(slopes, intercepts)
         assert (hull.tolist(), starts.tolist()) == lower_envelope_chain(
