@@ -27,9 +27,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .densities import Density, PowerLaw
-from .labs import (CHUNK_BYTES, DEFAULT_METHODS, ORACLE_EPS, CollectionLab,
-                   Method, MethodOutcome, ModelRow, _block_tables,
-                   _Evaluation, parse_method, penalty_constant)
+from .labs import (CHUNK_BYTES, ORACLE_EPS, CollectionLab, ModelRow,
+                   _block_tables, _Evaluation)
+from .methods import (DEFAULT_METHODS, Method, MethodOutcome, parse_method,
+                      penalty_constant)
 from .rng import RngStream, uniforms
 from .twoblock import (TwoBlockLab, _breakpoint_order, _two_block_id,
                        _TwoBlockEvaluation, _undominated)

@@ -30,76 +30,22 @@ checked against are in ``tests/oracles.py``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .densities import Density, Sample
+from .methods import Method, MethodOutcome
 from .models import fourier_means, fourier_pop_coeffs
 from .slope import SlopePath, envelope_path, slope_pick
 
 __all__ = [
-    "Method",
-    "penalty_constant",
-    "parse_method",
-    "MethodOutcome",
     "ModelRow",
     "CollectionLab",
 ]
 
 ORACLE_EPS = 1e-15
-
-
-# ---------------------------------------------------------------------------
-# Methods
-# ---------------------------------------------------------------------------
-
-class Method(NamedTuple):
-    """A selection method: slope on dims, resampling, slope on dmw, or the
-    deterministic K * D / n penalty (needs the true density)."""
-
-    kind: str                  # slope-dim | resampling | resampling-slope | ideal
-    k_const: float | None = None
-
-    @property
-    def name(self) -> str:
-        if self.kind == "ideal":
-            return f"ideal:{self.k_const:g}"
-        return self.kind
-
-
-def penalty_constant(text: str | float) -> float:
-    """The constant K of a K * complexity / n penalty: finite and >= 0."""
-    k_const = float(text)
-    if not 0.0 <= k_const < float("inf"):
-        raise ValueError(f"penalty constant must be >= 0 and finite, "
-                         f"got {str(text).strip()!r}")
-    return k_const
-
-
-def parse_method(spec: str) -> Method:
-    spec = spec.strip().lower()
-    if spec in ("slope-dim", "resampling", "resampling-slope"):
-        return Method(kind=spec)
-    if spec.startswith("ideal:"):
-        return Method(kind="ideal",
-                      k_const=penalty_constant(spec.split(":", 1)[1]))
-    if spec == "ideal":
-        return Method(kind="ideal", k_const=2.0)
-    raise ValueError(f"unknown method {spec!r}")
-
-
-DEFAULT_METHODS = (Method("slope-dim"), Method("resampling"),
-                   Method("resampling-slope"))
-
-
-class MethodOutcome(NamedTuple):
-    """One method's result on one replication."""
-
-    method: str
-    ratio: float
-    selected: str
-    flag: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +103,11 @@ class _LabEvaluation:
         path, keys = self._path(complexity)
         return keys[path._position(Fraction(k_const) / self.n)]
 
+    @cached_property
+    def _oracle(self) -> float:
+        """``oracle_loss()``, once per evaluation for all its methods."""
+        return self.oracle_loss()
+
     def apply(self, method: Method) -> MethodOutcome:
         if method.kind in _SLOPE_COMPLEXITY:
             path, keys = self._path(_SLOPE_COMPLEXITY[method.kind])
@@ -168,7 +119,7 @@ class _LabEvaluation:
             row, flag = self.argmin(method.k_const, "d_exact"), None
         else:
             raise ValueError(f"unknown method {method.kind!r}")
-        oracle = self.oracle_loss()
+        oracle = self._oracle
         if oracle <= ORACLE_EPS:
             return MethodOutcome(method=method.name, ratio=float("nan"),
                                  selected=row.model_id, flag="degenerate-oracle")
@@ -209,15 +160,70 @@ CHUNK_BYTES = 256 * 1024
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
+class _Chunk(NamedTuple):
+    """Consecutive blocks b0..b1 - 1, each padded to J cells for every
+    j = 1..J, their cell tables at ``offset`` in the row's ``pop``.
+
+    The j fall into levels (J / 2^(L+1), J / 2^L] (in integers), and the
+    even j of level L are twice the j of level L + 1.  The tables hold the
+    levels one after the other; a level holds the segments of its even j
+    first, in the order of level L + 1's segments, each j as one segment of
+    j cells per block, block after block.  Level L + 1 is then one pair sum
+    of the front of level L: ``steps`` holds (level L's start, level
+    L + 1's start, its cells).  ``js`` are level 0's j, the binned ones,
+    and ``at`` (block, binned j) their segments' starts; ``cols`` and
+    ``starts`` are every j - 1 and (j, block) segment start in table
+    order."""
+
+    b0: int
+    b1: int
+    jmax: int
+    offset: int
+    js: np.ndarray
+    at: np.ndarray
+    steps: tuple
+    cols: np.ndarray
+    starts: np.ndarray
+
+
+def _chunk(b0: int, b1: int, jmax: int, offset: int):
+    """The layout of a chunk, and the position in its plain tables (block
+    after block, segment j at j (j - 1) / 2) of each of its entries."""
+    nb = b1 - b0
+    levels, hi = [], jmax
+    while hi:
+        levels.append(range(hi // 2 + 1, hi + 1))
+        hi //= 2
+    order = [[]]
+    for level in reversed(levels):
+        order.append([2 * j for j in order[-1]] + [j for j in level if j % 2])
+    order = order[:0:-1]                              # level 0 first
+    cells = np.cumsum([0] + [nb * sum(level) for level in order])
+    steps = tuple((int(cells[lv]), int(cells[lv + 1]),
+                   int(cells[lv + 2] - cells[lv + 1]))
+                  for lv in range(len(order) - 1))
+    js = np.array([j for level in order for j in level])
+    starts = (nb * np.concatenate(([0], np.cumsum(js)[:-1])))[:, None] \
+        + js[:, None] * np.arange(nb)
+    plain = (np.arange(nb) * (jmax * (jmax + 1) // 2)
+             + (js * (js - 1) // 2)[:, None])
+    perm = np.arange(cells[-1]) + np.repeat((plain - starts).ravel(),
+                                            np.repeat(js, nb))
+    binned = len(order[0])
+    return _Chunk(b0=b0, b1=b1, jmax=jmax, offset=offset,
+                  js=js[:binned].astype(float),
+                  at=np.ascontiguousarray(starts[:binned].T), steps=steps,
+                  cols=js - 1, starts=starts.ravel()), perm
+
+
 class _BlockRow(NamedTuple):
     """A row of blocks [lo_b, lo_b + width_b), each cut into j = 1..cells_b
     equal cells for every j, with the cell probabilities of all of them.
 
-    The tables come in chunks of consecutive blocks.  A chunk pads each of
-    its blocks to its largest cell count J with probability 0, so a block
-    holds J (J + 1) / 2 cells there, segment j starting at j (j - 1) / 2;
-    ``chunks`` holds (first block, end block, J, offset into ``pop``).
-    ``d`` is D per (block, j - 1), 0 past a block's cells.
+    The tables come in chunks of consecutive blocks (``_Chunk``).  A chunk
+    pads each of its blocks to its largest cell count J with probability
+    0, so a block holds J (J + 1) / 2 cells there.  ``d`` is D per (block,
+    j - 1), 0 past a block's cells.
     """
 
     lo: np.ndarray
@@ -229,41 +235,48 @@ class _BlockRow(NamedTuple):
 
 def _block_row(density: Density, lo, hi, mass, cells, n: int) -> _BlockRow:
     """The tables of blocks [lo_b, hi_b) of mass mass_b with j = 1..cells_b
-    cells, chunked so that n points per block stay within CHUNK_BYTES."""
+    cells, chunked so that n points per block binned for the j in
+    (J/2, J] stay within CHUNK_BYTES."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     cells = np.asarray(cells, dtype=np.int64)
     bounds, b0, jmax = [], 0, 0
     for b, j in enumerate(cells.tolist()):
-        if b > b0 and (b + 1 - b0) * n * max(jmax, j) * 8 > CHUNK_BYTES:
+        top = max(jmax, j)
+        if b > b0 and (b + 1 - b0) * n * (top - top // 2) * 8 > CHUNK_BYTES:
             bounds.append((b0, b, jmax))
             b0, jmax = b, 0
         jmax = max(jmax, j)
     bounds.append((b0, cells.size, jmax))
     chunks, offset = [], 0
     for b0, b1, jmax in bounds:
-        chunks.append((b0, b1, jmax, offset))
+        chunks.append(_chunk(b0, b1, jmax, offset))
         offset += (b1 - b0) * (jmax * (jmax + 1) // 2)
-    pop = np.zeros(offset)
+    pop = np.empty(offset)
     d = np.zeros((cells.size, int(cells.max())))
-    for b0, b1, jmax, offset in chunks:
-        size = jmax * (jmax + 1) // 2
-        for b in range(b0, b1):
-            at = offset + (b - b0) * size
+    for chunk, perm in chunks:
+        size = chunk.jmax * (chunk.jmax + 1) // 2
+        plain = np.zeros((chunk.b1 - chunk.b0, size))
+        for b in range(chunk.b0, chunk.b1):
             d[b, :cells[b]] = _block_tables(
                 density, lo[b], hi[b], cells[b], mass[b],
-                pop[at:at + cells[b] * (cells[b] + 1) // 2])[3]
-    return _BlockRow(lo=lo, width=hi - lo, pop=pop, chunks=tuple(chunks),
-                     d=d)
+                plain[b - chunk.b0, :cells[b] * (cells[b] + 1) // 2])[3]
+        np.take(plain.ravel(), perm, out=pop[chunk.offset:][:perm.size])
+    return _BlockRow(lo=lo, width=hi - lo, pop=pop,
+                     chunks=tuple(chunk for chunk, _ in chunks), d=d)
 
 
 def _bin_counts(row: _BlockRow, pts: np.ndarray, first: np.ndarray,
                 count: np.ndarray):
-    """T = sum c^2 and W = sum c pop over the cells, per (block, j - 1), of
-    the points pts[first_b:first_b + count_b] in each block b (T holds
-    integers).  Entries past a block's cells hold no sum.
+    """T = sum c^2 (int64) and W = sum c pop over the cells, per (block,
+    j - 1), of the points pts[first_b:first_b + count_b] in each block b.
+    Entries past a block's cells hold no sum.
 
-    One pass per chunk bins all its (block, point) pairs for every j at
-    once.  The sums run over the same (block, j) segments of cells as a
+    One pass per chunk bins all its (block, point) pairs for the j in
+    (J/2, J] at once, half the cell counts; every smaller j's counts are
+    pair sums of those of 2j, one level at a time (see ``_Chunk``).  That
+    is exact: doubling is exact in floats, so floor(fl(2 j y)) is
+    2 floor(fl(j y)) or one more, and cell i of j holds cells 2i and 2i + 1
+    of 2j.  The sums run over the same (block, j) segments of cells as a
     block-by-block loop would, so they are the same floats.
 
     A point x goes to cell floor(j (x - lo) / w) of its block, in floats.
@@ -286,53 +299,60 @@ def _bin_counts(row: _BlockRow, pts: np.ndarray, first: np.ndarray,
     y /= row.width[block]
     del block
     np.minimum(y, _BELOW_ONE, out=y)
-    t = np.zeros(row.d.shape)
+    t = np.zeros(row.d.shape, dtype=np.int64)
     w = np.zeros(row.d.shape)
-    js = np.arange(1, row.d.shape[1] + 1)
-    seg = js * (js - 1) // 2
-    js = js.astype(float)
-    buf = np.empty(max((end[b1 - 1] - end[b0] + count[b0]) * jmax
-                       for b0, b1, jmax, _ in row.chunks), dtype=np.int64)
-    for b0, b1, jmax, offset in row.chunks:
-        p0, p1 = end[b0] - count[b0], end[b1 - 1]
+    buf = np.empty(max((end[ch.b1 - 1] - end[ch.b0] + count[ch.b0])
+                       * ch.js.size for ch in row.chunks), dtype=np.int64)
+    for ch in row.chunks:
+        p0, p1 = end[ch.b0] - count[ch.b0], end[ch.b1 - 1]
         if p0 == p1:
             continue
-        size = jmax * (jmax + 1) // 2
-        base = np.arange(0, (b1 - b0) * size, size)   # each block's table
-        idx = buf[:(p1 - p0) * jmax].reshape(p1 - p0, jmax)
-        np.multiply(y[p0:p1, None], js[:jmax], out=idx, casting="unsafe")
-        idx += seg[:jmax]
-        idx += np.repeat(base, count[b0:b1])[:, None]
-        c = np.bincount(idx.ravel(), minlength=base.size * size)
-        starts = (base[:, None] + seg[:jmax]).ravel()
-        t[b0:b1, :jmax] = np.add.reduceat(c * c, starts).reshape(-1, jmax)
-        w[b0:b1, :jmax] = np.add.reduceat(
-            c * row.pop[offset:offset + base.size * size],
-            starts).reshape(-1, jmax)
+        size = (ch.b1 - ch.b0) * (ch.jmax * (ch.jmax + 1) // 2)
+        idx = buf[:(p1 - p0) * ch.js.size].reshape(p1 - p0, ch.js.size)
+        np.multiply(y[p0:p1, None], ch.js, out=idx, casting="unsafe")
+        idx += np.repeat(ch.at, count[ch.b0:ch.b1], axis=0)
+        c = np.bincount(idx.ravel(), minlength=size)
+        for src, dst, cells in ch.steps:
+            np.add(c[src:src + 2 * cells:2], c[src + 1:src + 2 * cells:2],
+                   out=c[dst:dst + cells])
+        t[ch.b0:ch.b1, ch.cols] = np.add.reduceat(
+            c * c, ch.starts).reshape(ch.jmax, -1).T
+        w[ch.b0:ch.b1, ch.cols] = np.add.reduceat(
+            c * row.pop[ch.offset:ch.offset + size],
+            ch.starts).reshape(ch.jmax, -1).T
     return t, w
 
 
-def _row_stats(row: _BlockRow, t: np.ndarray, w: np.ndarray,
-               count: np.ndarray, n: int):
-    """A (sum sq coeffs), V (variance part of dmw) and L (loss part) per
-    (block, j - 1) from the sums of ``_bin_counts``, for a sample of size
-    n; V and L are built in the arrays of T and W.
-
-    V = sum c (n - c) / (n^2 w) over the cells, never negative."""
+def _row_stats(row: _BlockRow, t: np.ndarray, w: np.ndarray, n: int):
+    """A (sum sq coeffs) and L (loss part) per (block, j - 1) from the sums
+    of ``_bin_counts``, for a sample of size n; L is built in the array of
+    W."""
     width_inv = np.arange(1, row.d.shape[1] + 1) / row.width[:, None]
-    a = width_inv * t
-    a /= n * n
+    a = _contrast_part(width_inv, t, n)
     # L = A - 2 (1/w) W / n, doubling being exact
     w *= 2.0
     w *= width_inv
     w /= n
     np.subtract(a, w, out=w)
-    # V = (1/w) (count - T / n) / n
-    t /= n
-    np.subtract(count[:, None], t, out=t)
-    t *= width_inv
-    t /= n
-    return a, t, w
+    return a, w
+
+
+def _contrast_part(width_inv, t, n: int) -> np.ndarray:
+    """A = (1/w) T / n^2, elementwise: gathered entries get the floats of
+    the whole array."""
+    a = width_inv * t
+    a /= n * n
+    return a
+
+
+def _variance_part(width_inv, t, count, n: int) -> np.ndarray:
+    """V = (1/w) (count - T / n) / n = sum c (n - c) / (n^2 w) over the
+    cells, never negative; elementwise, as ``_contrast_part``."""
+    v = t / n
+    np.subtract(count, v, out=v)
+    v *= width_inv
+    v /= n
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +404,14 @@ class CollectionLab:
             count = np.array([n])
             t, w = _bin_counts(self.block, sample.points,
                                np.zeros(1, dtype=np.int64), count)
-            t_sq = t[0].astype(np.int64)
-            a, v, loss_part = (s[0] for s in _row_stats(self.block, t, w,
-                                                         count, n))
-            dmws = v * n / (n - 1.0) if n >= 2 else np.full(a.size, np.nan)
+            a, loss_part = _row_stats(self.block, t, w, n)
+            dmws = (_variance_part(self.dims / self.block.width, t[0],
+                                   count, n) * n / (n - 1.0)
+                    if n >= 2 else np.full(a.shape[1], np.nan))
             return _HistogramEvaluation(
-                ids=self.ids, dims=self.dims, contrasts=-a, dmws=dmws,
-                losses=self.s_norm + loss_part, d_exact=self.d_exact,
-                n=self.n, t_sq=t_sq)
+                ids=self.ids, dims=self.dims, contrasts=-a[0], dmws=dmws,
+                losses=self.s_norm + loss_part[0], d_exact=self.d_exact,
+                n=self.n, t_sq=t[0])
         coeffs = fourier_means(self.pop.size // 2, sample.points)
         contrasts = -np.cumsum(coeffs ** 2)[self._last]
         # squared basis values sum to dim at every point; the clamp guards

@@ -24,7 +24,7 @@ import numpy as np
 from . import slope
 from .densities import Density, Sample
 from .labs import (ModelRow, _LabEvaluation, _bin_counts, _block_row,
-                   _row_stats)
+                   _contrast_part, _row_stats, _variance_part)
 
 __all__ = ["TwoBlockLab"]
 
@@ -80,18 +80,10 @@ class TwoBlockLab:
         count = np.concatenate((n_left, n - n_left))
         first = np.concatenate((np.zeros(m, dtype=np.int64), n_left))
         t, w = _bin_counts(self.blocks, pts, first, count)
-        t_sq = t.astype(np.int64).reshape(2, m, m)
-        a, v, loss_part = _row_stats(self.blocks, t, w, count, n)
-        invalid = ~self.valid
-        contrast = np.negative(a, out=a).reshape(2, m, m)
-        contrast[invalid] = np.inf
-        var = v.reshape(2, m, m)
-        var[invalid] = 0.0
-        loss = loss_part.reshape(2, m, m)
-        loss[invalid] = np.inf
-        return _TwoBlockEvaluation(lab=self, contrast=contrast, var=var,
-                                   loss=loss, t_sq=t_sq,
-                                   count=count.reshape(2, m))
+        loss = _row_stats(self.blocks, t, w, n)[1].reshape(2, m, m)
+        loss[~self.valid] = np.inf
+        return _TwoBlockEvaluation(lab=self, t_sq=t.reshape(2, m, m),
+                                   count=count.reshape(2, m), loss=loss)
 
 
 def _two_block_id(kk: int, i1: int, i2: int) -> str:
@@ -151,11 +143,16 @@ def _undominated(slopes: np.ndarray, intercepts: np.ndarray,
 
 class _TwoBlockEvaluation(_LabEvaluation):
     """Block statistics of one replication as (side, cut, cells) arrays: the
-    block's share -A of the contrast (+inf where no model is), V of the
-    variance part of dmw (0 there), L of the loss (+inf there) and the
-    integer T = sum c^2 over the cells (0 there), with each block's count
-    c as a (side, cut) array.  A model's key is (cut index, left cell
-    index, right cell index).
+    integer T = sum c^2 over the cells (no sum where no model is) and L of
+    the loss (+inf there), with each block's count c as a (side, cut)
+    array.  A model's key is (cut index, left cell index, right cell index).
+
+    The block's share -A of the contrast and V of the variance part of dmw
+    are made from T and c with the float operations of the block engine
+    (``labs._contrast_part`` and ``labs._variance_part``): as whole arrays
+    (``contrast``, +inf where no model is, and ``var``, 0 there) once a
+    caller reads them, and at the two blocks of a selected model alone for
+    its row.
 
     The slope paths run on integer lines.  A block of s / n (s = k left
     of cut k / n, n - k right of it) with j cells has contrast share
@@ -166,25 +163,48 @@ class _TwoBlockEvaluation(_LabEvaluation):
     Both paths of an evaluation share the blocks' envelopes: a block's
     ``dmw`` envelope is the start of its ``dim`` one."""
 
-    def __init__(self, lab, contrast, var, loss, t_sq, count):
-        self.lab, self.contrast, self.var, self.loss = lab, contrast, var, loss
-        self.t_sq, self.count = t_sq, count
+    def __init__(self, lab, t_sq, count, loss):
+        self.lab, self.t_sq, self.count, self.loss = lab, t_sq, count, loss
         self.n, self._paths = lab.n, {}
 
-    def _part(self, complexity: str) -> np.ndarray:
-        """Each block's share of a complexity: its cell count, V or D."""
-        if complexity == "dim":
-            return np.arange(1.0, self.n)
-        return {"dmw": self.var, "d_exact": self.lab.d_exact}[complexity]
+    @cached_property
+    def contrast(self) -> np.ndarray:
+        width_inv = np.arange(1, self.n) / self.lab.blocks.width.reshape(
+            self.t_sq.shape[:2] + (1,))
+        contrast = np.negative(_contrast_part(width_inv, self.t_sq, self.n))
+        contrast[~self.lab.valid] = np.inf
+        return contrast
+
+    @cached_property
+    def var(self) -> np.ndarray:
+        width_inv = np.arange(1, self.n) / self.lab.blocks.width.reshape(
+            self.t_sq.shape[:2] + (1,))
+        var = _variance_part(width_inv, self.t_sq, self.count[:, :, None],
+                             self.n)
+        var[~self.lab.valid] = 0.0
+        return var
+
+    def _shares(self, kk: int, i1: int, i2: int):
+        """(-A, V) of the left block (kk, i1) and the right block (kk, i2),
+        the floats of ``contrast`` and ``var`` there."""
+        i = np.array([i1, i2])
+        width_inv = (i + 1) / self.lab.blocks.width[[kk, self.n - 1 + kk]]
+        t = self.t_sq[(0, 1), kk, i]
+        return (-_contrast_part(width_inv, t, self.n),
+                _variance_part(width_inv, t, self.count[:, kk], self.n))
 
     def _argmin(self, k_const: float, complexity: str):
         n = self.n
         # k dmw / n with dmw = n/(n-1) (V_left + V_right)
         scale = k_const / (n - 1.0) if complexity == "dmw" else k_const / n
-        part = np.broadcast_to(self._part(complexity), self.contrast.shape)
-        if complexity != "d_exact":
+        if complexity == "dim":
             kk, i1, i2 = self._path_key(k_const, complexity)
+            parts = (i1 + 1.0, i2 + 1.0)
+        elif complexity == "dmw":
+            kk, i1, i2 = self._path_key(k_const, complexity)
+            parts = self._shares(kk, i1, i2)[1]
         else:
+            part = self.lab.d_exact
             g = scale * part + self.contrast
             mins = g.min(axis=2)
             crits = mins[0] + mins[1]
@@ -197,7 +217,8 @@ class _TwoBlockEvaluation(_LabEvaluation):
                 for i1 in np.flatnonzero(g[0, kk] + mins[1, kk] == crit).tolist()
                 for i2 in np.flatnonzero(mins[0, kk] + g[1, kk] == crit).tolist()
                 if g[0, kk, i1] + g[1, kk, i2] == crit)
-        return (kk, i1, i2), scale * part[0, kk, i1] + scale * part[1, kk, i2]
+            parts = (part[0, kk, i1], part[1, kk, i2])
+        return (kk, i1, i2), scale * parts[0] + scale * parts[1]
 
     @cached_property
     def _block_envelopes(self):
@@ -293,13 +314,12 @@ class _TwoBlockEvaluation(_LabEvaluation):
     def _row(self, key: tuple[int, int, int], penalty: float) -> ModelRow:
         kk, i1, i2 = key
         n = self.n
+        contrast, var = self._shares(kk, i1, i2)
         return ModelRow(
             model_id=_two_block_id(kk, i1, i2),
-            criterion=float(penalty + self.contrast[0, kk, i1]
-                            + self.contrast[1, kk, i2]),
+            criterion=float(penalty + contrast[0] + contrast[1]),
             penalty=float(penalty), dim=i1 + i2 + 2,
-            dmw=float((self.var[0, kk, i1] + self.var[1, kk, i2])
-                      * n / (n - 1.0)),
+            dmw=float((var[0] + var[1]) * n / (n - 1.0)),
             d_exact=float(self.lab.d_exact[0, kk, i1]
                           + self.lab.d_exact[1, kk, i2]),
             loss=float(self.lab.s_norm + self.loss[0, kk, i1]

@@ -494,22 +494,27 @@ def _two_block_eval(left_a, right_a, d_exact=None):
     ``d_exact`` (0 by default)."""
     n = 4
     cells = np.array([[1, 2, 3], [3, 2, 1]])
-    contrast = np.full((2, 3, 3), np.inf)
     t_sq = np.zeros((2, 3, 3), dtype=np.int64)
     for side, blocks in enumerate((left_a, right_a)):
         for kk, a in enumerate(blocks):
-            contrast[side, kk, :len(a)] = -np.asarray(a, dtype=float)
             for j, share in enumerate(a, start=1):
                 t = Fraction(share) * int(cells[side, kk]) * n / j
                 assert t.denominator == 1
                 t_sq[side, kk, j - 1] = int(t)
+    cuts = np.arange(1, n) / n
     lab = SimpleNamespace(n=n, s_norm=0.0, cells=cells,
+                          valid=np.arange(n - 1) < cells[:, :, None],
+                          blocks=SimpleNamespace(
+                              width=np.concatenate((cuts, 1.0 - cuts))),
                           d_exact=(np.zeros((2, 3, 3)) if d_exact is None
                                    else d_exact))
-    return _TwoBlockEvaluation(lab=lab, contrast=contrast,
-                               var=np.zeros((2, 3, 3)), loss=np.zeros((2, 3, 3)),
-                               t_sq=t_sq,
-                               count=np.zeros((2, 3), dtype=np.int64))
+    ev = _TwoBlockEvaluation(lab=lab, t_sq=t_sq,
+                             count=np.zeros((2, 3), dtype=np.int64),
+                             loss=np.zeros((2, 3, 3)))
+    for side, blocks in enumerate((left_a, right_a)):
+        for kk, a in enumerate(blocks):
+            assert ev.contrast[side, kk, :len(a)].tolist() == [-x for x in a]
+    return ev
 
 
 def test_ties_go_to_criterion_then_complexity_then_order():
