@@ -112,7 +112,7 @@ class _LabEvaluation:
         if method.kind in _SLOPE_COMPLEXITY:
             path, keys = self._path(_SLOPE_COMPLEXITY[method.kind])
             pos, k_min, flag = slope_pick(path)
-            row = self._row(keys[pos], 2.0 * k_min * path.segments[pos].delta)
+            row = self._row(keys[pos], 2.0 * k_min * path._delta(pos))
         elif method.kind == "resampling":
             row, flag = self.argmin(2.0, "dmw"), None
         elif method.kind == "ideal":

@@ -69,14 +69,28 @@ class SlopePath(_Frozen):
     ``delta_max`` is the largest complexity in the whole collection, not
     only on the path; the log-threshold rule is scaled by it.  On an exact
     path the segments' K, delta and contrast are ``Fraction``s or ints.
+    An exact path from ``envelope_path`` keeps its segments as integers
+    (``_ExactLines``), on which the slope pick and the argmin compare K
+    exactly, and makes the ``Fraction``s of ``segments`` when they are
+    first read.
     """
 
     _fields = ("segments", "delta_max")
 
-    def __init__(self, segments: tuple[PathSegment, ...], delta_max: float):
-        if not segments:
+    def __init__(self, segments: tuple[PathSegment, ...], delta_max: float,
+                 exact: _ExactLines | None = None):
+        if not segments and exact is None:
             raise ValueError("a path needs at least one segment")
-        self._set(segments, delta_max)
+        object.__setattr__(self, "_segments",
+                           tuple(segments) if exact is None else None)
+        object.__setattr__(self, "delta_max", delta_max)
+        object.__setattr__(self, "_exact", exact)
+
+    @property
+    def segments(self) -> tuple[PathSegment, ...]:
+        if self._segments is None:
+            object.__setattr__(self, "_segments", self._exact.segments())
+        return self._segments
 
     @property
     def breakpoints(self) -> list[float]:
@@ -91,10 +105,100 @@ class SlopePath(_Frozen):
         segments' starts."""
         if k < 0.0:
             raise ValueError("the penalty constant is nonnegative")
+        if self._exact is not None:
+            return self._exact.position(k)
         return bisect_right([seg.k_lo for seg in self.segments], k) - 1
+
+    def _size(self) -> int:
+        return (len(self.segments) if self._exact is None
+                else len(self._exact.hull))
+
+    def _delta(self, pos: int) -> float:
+        """Segment pos's complexity, as a float."""
+        if self._exact is not None:
+            return self._exact.delta_float(pos)
+        return float(self.segments[pos].delta)
 
     def model_at(self, k: float) -> str:
         return self.segment_at(k).model_id
+
+
+class _ExactLines(NamedTuple):
+    """An exact path in integers.  Segment i selects line hull[i], whose
+    value is (contrast[i] + K' delta[i]) / scale[i], from K' = num[i] /
+    den[i] on (0 / 1 at the first); K' is the path's K over k_unit =
+    units[0] / units[1], and a segment's contrast and delta on the path's
+    scale are its line's times units[0] and units[1].  Only ``segments``
+    makes ``Fraction``s."""
+
+    hull: list
+    num: list
+    den: list
+    delta: list
+    contrast: list
+    scale: list
+    units: tuple
+    model_id: Callable[[int], str]
+
+    @property
+    def k_unit(self) -> Fraction:
+        return Fraction(self.units[0]) / self.units[1]
+
+    def segments(self) -> tuple[PathSegment, ...]:
+        c_unit, d_unit = self.units
+        k_unit = self.k_unit
+        ks = ([0.0] + [Fraction(p, q) * k_unit
+                       for p, q in zip(self.num[1:], self.den[1:])]
+              + [np.inf])
+        return tuple(
+            PathSegment(k_lo=ks[pos], k_hi=ks[pos + 1], model_id=self.model_id(i),
+                        delta=_over(d, s) * d_unit,
+                        contrast=_over(c, s) * c_unit)
+            for pos, (i, d, c, s) in enumerate(zip(
+                self.hull, self.delta, self.contrast, self.scale)))
+
+    def position(self, k) -> int:
+        """Position of the segment active at the path's K = k."""
+        k = Fraction(k) / self.k_unit
+        p, q = k.numerator, k.denominator
+        return sum(a * q <= p * b for a, b in zip(self.num[1:], self.den[1:]))
+
+    def twice(self, pos: int) -> tuple[int, float]:
+        """(position of the segment active at twice segment pos's start K,
+        that K as a float)."""
+        p, q = self.num[pos], self.den[pos]
+        k_unit = self.k_unit
+        return (sum(a * q <= 2 * p * b
+                    for a, b in zip(self.num[1:], self.den[1:])),
+                p * k_unit.numerator / (q * k_unit.denominator))
+
+    def largest_drop(self) -> int:
+        """Position of the segment after the largest complexity drop, the
+        earliest on ties."""
+        best, top = 0, None
+        for i in range(len(self.hull) - 1):
+            (d0, d1), (s0, s1) = self.delta[i:i + 2], self.scale[i:i + 2]
+            drop = (d0 * s1 - d1 * s0, s0 * s1)
+            if top is None or drop[0] * top[1] > top[0] * drop[1]:
+                best, top = i, drop
+        return best + 1
+
+    def first_at_most(self, thresh: float) -> int:
+        """Position of the first segment whose complexity is at most thresh,
+        the last one if none is."""
+        t = Fraction(thresh) / self.units[1]
+        return next((i for i, (d, s) in enumerate(zip(self.delta, self.scale))
+                     if d * t.denominator <= t.numerator * s),
+                    len(self.hull) - 1)
+
+    def delta_float(self, pos: int) -> float:
+        d_unit = Fraction(self.units[1])
+        return (self.delta[pos] * d_unit.numerator
+                / (self.scale[pos] * d_unit.denominator))
+
+
+def _over(a: int, b: int):
+    return a if b == 1 else Fraction(a, b)
 
 
 _TIE_RTOL = 1e-12
@@ -141,6 +245,18 @@ def lower_envelope(slopes: np.ndarray, intercepts: np.ndarray, sizes=None):
     if not exact:
         slopes = slopes.astype(float, copy=False)
         intercepts = intercepts.astype(float, copy=False)
+    order, num, den = _filtered_envelope(slopes, intercepts)
+    if not exact:
+        return order, num / den
+    starts = [Fraction(p, q) for p, q in zip(num.tolist(), den.tolist())]
+    starts[0] = 0.0
+    return order, np.array(starts, dtype=object)
+
+
+def _filtered_envelope(slopes: np.ndarray, intercepts: np.ndarray):
+    """(indices, num, den) of ``lower_envelope`` on one row of lines, float
+    or integer: sorted and filtered with arrays, then pruned."""
+    exact = slopes.dtype.kind != "f"
     # sort by (-slope, intercept, index); lines already in increasing slope
     # order (dimensions) are simply reversed
     if np.all(slopes[1:] > slopes[:-1]):
@@ -162,21 +278,51 @@ def lower_envelope(slopes: np.ndarray, intercepts: np.ndarray, sizes=None):
     keep[:-1] = ~(np.minimum.accumulate(c[:0:-1])[::-1] <= tie)
     order, s, c = order[keep], s[keep], c[keep]
     pos, num, den = _prune(s, c, np.ones(max(s.size - 2, 0), dtype=bool))
-    if not exact:
-        return order[pos], num / den
-    starts = [Fraction(p, q) for p, q in zip(num.tolist(), den.tolist())]
-    starts[0] = 0.0
-    return order[pos], np.array(starts, dtype=object)
+    return order[pos], num, den
 
 
-def _prune(s: np.ndarray, c: np.ndarray, inner: np.ndarray):
+def _rational_envelope(slopes, intercepts, dens):
+    """(indices, num, den) of the lower envelope on [0, inf) of the lines
+    K -> (intercept + K * slope) / den, all three integers and den > 0,
+    ties as in ``lower_envelope``, in Python ints.
+
+    The lines are sorted by their float slopes and intercepts, correctly
+    rounded, so unequal floats order them; adjacent lines are checked by
+    cross-products, and if a float tie hides an order they are sorted as
+    ``Fraction``s.  The first of each run of equal slopes is pruned with
+    the others over all K, and the pieces that end at K <= 0 go."""
+    s, c, d = (np.asarray(x).astype(object)
+               for x in (slopes, intercepts, dens))
+
+    def steps(order):
+        a, b = order[:-1], order[1:]
+        return s[a] * d[b] - s[b] * d[a], c[b] * d[a] - c[a] * d[b]
+
+    order = np.lexsort(((c / d).astype(float), -(s / d).astype(float)))
+    flatter, dearer = steps(order)
+    if np.any((flatter < 0) | ((flatter == 0) & (dearer < 0))):
+        order = np.array(sorted(range(s.size), key=lambda i: (
+            Fraction(-s[i], d[i]), Fraction(c[i], d[i]), i)), dtype=np.int64)
+        flatter, _ = steps(order)
+    order = order[np.concatenate(([True], flatter != 0))]
+    pos, num, den = _prune(s[order], c[order],
+                           np.ones(max(order.size - 2, 0), dtype=bool),
+                           d[order])
+    first = int(np.count_nonzero(num[1:] <= 0))
+    pos, num, den = pos[first:], num[first:], den[first:]
+    num[0], den[0] = 0, 1
+    return order[pos], num, den
+
+
+def _prune(s: np.ndarray, c: np.ndarray, inner: np.ndarray, d=None):
     """The lower envelope of lines in slope-decreasing order with strictly
     rising intercepts, the lines not marked ``inner`` staying.  Each pass
     drops every marked line that is not strictly convex with its two
     neighbours (its crossing with the previous line is not before its
     crossing with the next), until none drops: no line of the envelope
     ever drops, and a sequence strictly convex at every line is the
-    envelope itself.
+    envelope itself.  With denominators ``d`` (Python ints, as ``s`` and
+    ``c``) the lines are (c + K s) / d.
 
     Returns (positions, num, den): the lines left, each starting at its
     crossing with the line before it, num / den (0 / 1 at the first).
@@ -194,7 +340,11 @@ def _prune(s: np.ndarray, c: np.ndarray, inner: np.ndarray):
             s, c = s.astype(object), c.astype(object)
     pos = np.arange(s.size)
     while True:
-        ds, dc = s[:-1] - s[1:], c[1:] - c[:-1]
+        if d is None:
+            ds, dc = s[:-1] - s[1:], c[1:] - c[:-1]
+        else:
+            ds = s[:-1] * d[1:] - s[1:] * d[:-1]
+            dc = c[1:] * d[:-1] - c[:-1] * d[1:]
         if s.dtype.kind == "f":
             k = dc / ds
             drop = k[:-1] >= k[1:]
@@ -205,6 +355,8 @@ def _prune(s: np.ndarray, c: np.ndarray, inner: np.ndarray):
             break
         keep = np.concatenate(([True], ~drop, [True]))
         pos, s, c, inner = pos[keep], s[keep], c[keep], inner[~drop]
+        if d is not None:
+            d = d[keep]
     num, den = np.zeros_like(c), np.ones_like(s)
     num[1:], den[1:] = dc, ds
     return pos, num, den
@@ -254,21 +406,33 @@ def _row_filter(slopes, intercepts, sizes, row0: int):
 
 def envelope_path(contrasts: np.ndarray, deltas: np.ndarray,
                   model_id: Callable[[int], str], delta_max: float,
-                  units: tuple) -> tuple[SlopePath, list[int]]:
-    """Exact path of the lines contrasts[i] + K * deltas[i].
+                  units: tuple, dens=None) -> tuple[SlopePath, list[int]]:
+    """Exact path of the lines contrasts[i] + K * deltas[i], or of
+    (contrasts[i] + K * deltas[i]) / dens[i] with integer dens.
 
     ``units`` = (contrast unit, complexity unit) carries the lines to the
     path's scale: a segment's contrast is contrasts[i] * units[0], its
     delta deltas[i] * units[1], and its K the hull's K times
     units[0] / units[1].  Integer lines with ``Fraction`` units give an
-    exact path; float lines already on the path's scale come with units
-    (1, 1).  Returns the path and, per segment, the index of its line;
-    only the lines on the envelope get an id, through ``model_id(index)``.
-    Ties follow ``lower_envelope``.
+    exact path, kept in integers (``_ExactLines``); float lines already
+    on the path's scale come with units (1, 1).  Returns the path and, per
+    segment, the index of its line; only the lines on the envelope get an
+    id, through ``model_id(index)``.  Ties follow ``lower_envelope``.
     """
     deltas, contrasts = np.asarray(deltas), np.asarray(contrasts)
     if np.any(deltas < 0):
         raise ValueError("complexities must be >= 0")
+    if deltas.dtype.kind in "iuO" and contrasts.dtype.kind in "iuO":
+        hull, num, den = (_filtered_envelope(deltas, contrasts) if dens is None
+                          else _rational_envelope(deltas, contrasts, dens))
+        hull = hull.tolist()
+        exact = _ExactLines(
+            hull=hull, num=num.tolist(), den=den.tolist(),
+            delta=deltas[hull].tolist(), contrast=contrasts[hull].tolist(),
+            scale=([1] * len(hull) if dens is None
+                   else np.asarray(dens)[hull].tolist()),
+            units=units, model_id=model_id)
+        return SlopePath((), float(delta_max), exact=exact), hull
     hull, starts = lower_envelope(deltas, contrasts)
     hull, starts = hull.tolist(), starts.tolist()
     c_unit, d_unit = units
@@ -285,8 +449,11 @@ def envelope_path(contrasts: np.ndarray, deltas: np.ndarray,
 def _kmin_position(path: SlopePath, rule: str, n: int,
                    delta_max: float | None = None) -> int:
     """Position of the segment whose start is K_min under a jump rule."""
-    segs = path.segments
+    exact = path._exact
     if rule == MAX_JUMP:
+        if exact is not None:
+            return exact.largest_drop()
+        segs = path.segments
         drops = [segs[i].delta - segs[i + 1].delta
                  for i in range(len(segs) - 1)]
         return int(np.argmax(drops)) + 1
@@ -296,6 +463,9 @@ def _kmin_position(path: SlopePath, rule: str, n: int,
         if delta_max is None:
             delta_max = path.delta_max
         thresh = delta_max / np.log(n)
+        if exact is not None:
+            return exact.first_at_most(thresh)
+        segs = path.segments
         return next((i for i, seg in enumerate(segs) if seg.delta <= thresh),
                     len(segs) - 1)
     raise ValueError(f"unknown jump rule {rule!r}")
@@ -327,7 +497,10 @@ def slope_pick(path: SlopePath, rule: str = MAX_JUMP,
     no jump: its only model is picked at K_min = 0 and flagged
     ``no-jump-fallback``.
     """
-    if rule == MAX_JUMP and len(path.segments) == 1:
+    if rule == MAX_JUMP and path._size() == 1:
         return 0, 0.0, "no-jump-fallback"
-    k_min = path.segments[_kmin_position(path, rule, n)].k_lo
+    pos = _kmin_position(path, rule, n)
+    if path._exact is not None:
+        return (*path._exact.twice(pos), None)
+    k_min = path.segments[pos].k_lo
     return path._position(2 * k_min), float(k_min), None

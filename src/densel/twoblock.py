@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 import numpy as np
 
@@ -296,19 +295,15 @@ class _TwoBlockEvaluation(_LabEvaluation):
         else:
             s_cut = ((i1 + 1) * (n * self.count[0, lcut] - t1) * (n - k)
                      + (i2 + 1) * (n * self.count[1, lcut] - t2) * k)
-        # the hull takes the lines that may be on it, as Python ints over
-        # one common denominator; a full tie keeps the earliest cut
+        # the hull takes the lines that may be on it, over their own
+        # denominators; a full tie keeps the earliest cut
         kept = _undominated(s_cut, c_cut, d_cut)
-        common = lcm(*set(d_cut[kept].tolist()))
-        scale = common // d_cut[kept].astype(object)
-        units = (Fraction(1, common),
-                 Fraction(1, common) if complexity == "dim"
-                 else Fraction(n, (n - 1) * common))
         tags = list(zip(lcut[kept].tolist(), i1[kept].tolist(),
                         i2[kept].tolist()))
         path, hull = slope.envelope_path(
-            c_cut[kept] * scale, s_cut[kept] * scale,
-            lambda i: _two_block_id(*tags[i]), delta_max, units)
+            c_cut[kept], s_cut[kept], lambda i: _two_block_id(*tags[i]),
+            delta_max, (Fraction(1), Fraction(1) if complexity == "dim"
+                        else Fraction(n, n - 1)), dens=d_cut[kept])
         return path, [tags[i] for i in hull]
 
     def _row(self, key: tuple[int, int, int], penalty: float) -> ModelRow:

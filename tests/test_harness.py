@@ -255,11 +255,29 @@ def test_cell_clamp_on_points():
     assert np.all((below * js).astype(np.int64) == js - 1)
 
 
+def test_doubling_halves_the_cell_index():
+    """floor(fl(2 j y)) >> 1 = floor(fl(j y)) for every y in [0, 1), the
+    identity by which the block engine gets the counts of every j <= J/2
+    as pair sums of those of 2j: tried for j up to 2,000 at the cell edges
+    y = i/j, one ulp either side of them, fl(15/22), 0, the smallest
+    subnormal and the largest double below one."""
+    below = labs._BELOW_ONE
+    for j in range(1, 2001):
+        edges = np.arange(j) / j
+        y = np.concatenate((edges, np.nextafter(edges, 1.0),
+                            np.nextafter(edges[1:], 0.0),
+                            [15 / 22, 0.0, 5e-324, below]))
+        assert y.max() < 1.0 and y.min() >= 0.0
+        cell = (y * j).astype(np.int64)
+        assert np.array_equal((y * (2 * j)).astype(np.int64) >> 1, cell), j
+
+
 @pytest.mark.parametrize("n", [100, 200])
 def test_two_block_evaluate_memory_bounded(n):
-    """Above its three (2, n-1, n-1) outputs, an evaluation holds at its
-    peak no more than one chunk of the binning pass and a few arrays of
-    n^2 floats; the cell tables themselves grow like n^3."""
+    """Above what it keeps (T, the loss and the block counts), an
+    evaluation holds at its peak no more than one chunk of the binning
+    pass and a few arrays of n^2 floats; the cell tables themselves grow
+    like n^3."""
     lab = TwoBlockLab(n, PowerLaw())
     sample = PowerLaw().sample(n, RngStream(32, 0, "data"))
     tracemalloc.start()
@@ -269,7 +287,7 @@ def test_two_block_evaluate_memory_bounded(n):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    outputs = ev.contrast.nbytes + ev.var.nbytes + ev.loss.nbytes
+    outputs = ev.t_sq.nbytes + ev.loss.nbytes + ev.count.nbytes
     assert peak - outputs <= harness.CHUNK_BYTES + 8 * 8 * n * n
     assert lab.blocks.pop.nbytes > 8 * 8 * n * n
 

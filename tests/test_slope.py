@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from densel import slope
 from densel.slope import (LOG_THRESHOLD, MAX_JUMP, NoJumpError, detect_kmin,
                           envelope_path, lower_envelope, slope_pick)
 from oracles import PenaltyValue, lower_envelope_chain, select, slope_path
@@ -214,6 +215,31 @@ def test_float_hull_matches_chain_row_by_row():
             assert starts.tolist() == ks
 
 
+def test_float_hull_on_long_collinear_rows():
+    """Exactly collinear float rows of 40-80 lines, where which rounding
+    sliver survives may differ from the chain's: the pieces still form
+    the lower envelope under the 1e-12 tie rule.  Each kept line is lowest
+    at its piece's midpoint, and no line lies below the envelope at any
+    piece's start."""
+    gen = np.random.default_rng(8)
+    for _ in range(60):
+        m = int(gen.integers(40, 81))
+        slopes = gen.permutation(m).astype(float) + 1.0
+        intercepts = -slopes * 0.1 / 97.0
+        idx, starts = lower_envelope(slopes, intercepts)
+        ends = np.append(starts[1:], 2.0 * starts[-1] + 1.0)
+
+        def below(k, value):
+            """Lines lower than ``value`` at K = k beyond the tie rule."""
+            lines = intercepts + k * slopes
+            return lines < value - 1e-12 * np.maximum(np.abs(value), 1.0)
+
+        for i, k0, k1 in zip(idx, starts, ends):
+            mid = 0.5 * (k0 + k1)
+            assert not below(mid, intercepts[i] + mid * slopes[i]).any()
+            assert not below(k0, intercepts[i] + k0 * slopes[i]).any()
+
+
 def _settle_lines():
     """Three lines whose crossings a/b < c/d = a/b + 1/(b d) round to the
     same double: the middle line is on the hull by a margin that only an
@@ -247,6 +273,33 @@ def test_integer_hull_matches_fraction_chain():
         assert (hull.tolist(), starts.tolist()) == lower_envelope_chain(
             slopes, intercepts)
     assert lower_envelope(*inputs[0])[0].tolist() == [0, 1, 2]
+
+
+def test_rational_hull_matches_fraction_chain():
+    """Lines over integer denominators, as the two-block lab's merged cut
+    lines come: small lines with equal slopes over unequal denominators
+    and full ties, and lines whose slopes and intercepts differ by less
+    than their floats show.  Pieces and exact starts are those of the
+    chain on the ``Fraction`` lines."""
+    gen = np.random.default_rng(9)
+    big = 10 ** 17
+    cases = [(np.array([big + 1, big + 2, big + 3]), np.array([-2, 1, 5]),
+              np.array([big, big, big])),
+             (np.array([big + 2, big + 1, 1]), np.array([-big, -big - 1, 0]),
+              np.array([big, big, 1]))]
+    for _ in range(300):
+        m = int(gen.integers(1, 40))
+        d = gen.integers(1, 7, size=m)
+        cases.append((gen.integers(0, 6, size=m) * d,
+                      gen.integers(-5, 5, size=m) * gen.integers(1, 4, size=m),
+                      d))
+    for s, c, d in cases:
+        hull, num, den = slope._rational_envelope(s, c, d)
+        lines = [np.array([Fraction(int(a), int(b)) for a, b in zip(x, d)],
+                         dtype=object) for x in (s, c)]
+        want, starts = lower_envelope_chain(*lines)
+        assert hull.tolist() == want
+        assert [Fraction(p, q) for p, q in zip(num, den)] == starts
 
 
 def test_pruned_integer_batch_matches_fraction_chain():

@@ -44,5 +44,6 @@ def test_tracer_runs_and_finds_its_spans(cli_args, spans, tmp_path):
         assert record["counts"]["conclab.gram_bytes_computed"] > 0
     if "simulate" in cli_args:
         # per replication (all in this process at --threads 1, as in the
-        # benchmark), the blocks' batched hull and one hull per path
-        assert record["counts"]["slope.lower_envelope.calls"] == 3 * 2
+        # benchmark), the blocks' batched hull; the merged paths' exact
+        # hulls run on integer breakpoints below ``lower_envelope``
+        assert record["counts"]["slope.lower_envelope.calls"] == 1 * 2
