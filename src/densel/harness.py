@@ -8,11 +8,12 @@ and 0.95-quantile (nearest-rank) over replications.
 
 ``make_lab`` picks the lab of a collection kind: ``labs.CollectionLab``
 for the regular histograms and the Fourier models, ``twoblock.TwoBlockLab``
-for the two-block family.  The labs, their evaluations and the selection
-methods live in those two modules, each of which compiles in about a
-megabyte of heap: without cached bytecode a command compiles every
-module it loads, and one module holding all of them set the peak memory
-of every command that loads it.  This module imports both eagerly and
+for the two-block family.  The labs and their evaluations live in those
+two modules and the selection methods' records in ``methods``, each of
+which compiles in at most about a megabyte of heap: without cached
+bytecode a command compiles every module it loads, and one module
+holding all of them set the peak memory of every command that loads it.
+This module imports them eagerly and
 re-exports only the names that callers, tests and the benchmark tracer
 reach through it: the labs, the method records, ``CHUNK_BYTES``, and the
 evaluation classes and helpers that the tests check (the tracer wraps

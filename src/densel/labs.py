@@ -16,9 +16,10 @@ and ``dmw`` argmin is the path's segment at the penalty constant.
 Both histogram families run on one block engine over a row of blocks
 [lo, hi): ``_block_row`` holds the cell probabilities of j = 1..J equal
 cells of every block, ``_bin_counts`` bins one sample's points in every
-block for every j, one pass per chunk of blocks whose (points x cells)
-index array fits ``CHUNK_BYTES``, and ``_row_stats`` turns the sums into
-each j's statistics.  ``CollectionLab`` runs it on the single block
+block for the j in (J/2, J], one pass per chunk of blocks whose (points
+x J) size fits ``CHUNK_BYTES``, and gets the counts of every smaller j
+as pair sums of those of 2j; ``_row_stats`` turns the sums into each j's
+statistics.  ``CollectionLab`` runs it on the single block
 [0, 1] for the regular histograms, whose slope paths are integer lines
 decided exactly, and keeps the nested Fourier models as arrays.  The
 two-block family's lab runs it on a row of all cuts' blocks (module
@@ -186,9 +187,8 @@ class _Chunk(NamedTuple):
     starts: np.ndarray
 
 
-def _chunk(b0: int, b1: int, jmax: int, offset: int):
-    """The layout of a chunk, and the position in its plain tables (block
-    after block, segment j at j (j - 1) / 2) of each of its entries."""
+def _chunk(b0: int, b1: int, jmax: int, offset: int) -> _Chunk:
+    """The layout of a chunk."""
     nb = b1 - b0
     levels, hi = [], jmax
     while hi:
@@ -205,15 +205,21 @@ def _chunk(b0: int, b1: int, jmax: int, offset: int):
     js = np.array([j for level in order for j in level])
     starts = (nb * np.concatenate(([0], np.cumsum(js)[:-1])))[:, None] \
         + js[:, None] * np.arange(nb)
-    plain = (np.arange(nb) * (jmax * (jmax + 1) // 2)
-             + (js * (js - 1) // 2)[:, None])
-    perm = np.arange(cells[-1]) + np.repeat((plain - starts).ravel(),
-                                            np.repeat(js, nb))
     binned = len(order[0])
     return _Chunk(b0=b0, b1=b1, jmax=jmax, offset=offset,
                   js=js[:binned].astype(float),
                   at=np.ascontiguousarray(starts[:binned].T), steps=steps,
-                  cols=js - 1, starts=starts.ravel()), perm
+                  cols=js - 1, starts=starts.ravel())
+
+
+def _plain_positions(ch: _Chunk) -> np.ndarray:
+    """The position of each entry of a chunk's tables in its plain tables:
+    block after block, segment j at j (j - 1) / 2."""
+    nb, js = ch.b1 - ch.b0, ch.cols + 1
+    plain = (np.arange(nb) * (ch.jmax * (ch.jmax + 1) // 2)
+             + (js * (js - 1) // 2)[:, None]).ravel()
+    return np.arange(nb * js.sum()) + np.repeat(plain - ch.starts,
+                                                np.repeat(js, nb))
 
 
 class _BlockRow(NamedTuple):
@@ -235,34 +241,33 @@ class _BlockRow(NamedTuple):
 
 def _block_row(density: Density, lo, hi, mass, cells, n: int) -> _BlockRow:
     """The tables of blocks [lo_b, hi_b) of mass mass_b with j = 1..cells_b
-    cells, chunked so that n points per block binned for the j in
-    (J/2, J] stay within CHUNK_BYTES."""
+    cells, chunked so that n points per block times J cells stay within
+    CHUNK_BYTES (the binning pass's index array takes half of that)."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     cells = np.asarray(cells, dtype=np.int64)
     bounds, b0, jmax = [], 0, 0
     for b, j in enumerate(cells.tolist()):
-        top = max(jmax, j)
-        if b > b0 and (b + 1 - b0) * n * (top - top // 2) * 8 > CHUNK_BYTES:
+        if b > b0 and (b + 1 - b0) * n * max(jmax, j) * 8 > CHUNK_BYTES:
             bounds.append((b0, b, jmax))
             b0, jmax = b, 0
         jmax = max(jmax, j)
     bounds.append((b0, cells.size, jmax))
-    chunks, offset = [], 0
-    for b0, b1, jmax in bounds:
-        chunks.append(_chunk(b0, b1, jmax, offset))
-        offset += (b1 - b0) * (jmax * (jmax + 1) // 2)
-    pop = np.empty(offset)
+    offsets = np.cumsum([0] + [(b1 - b0) * (jmax * (jmax + 1) // 2)
+                               for b0, b1, jmax in bounds]).tolist()
+    pop = np.empty(offsets[-1])
     d = np.zeros((cells.size, int(cells.max())))
-    for chunk, perm in chunks:
-        size = chunk.jmax * (chunk.jmax + 1) // 2
-        plain = np.zeros((chunk.b1 - chunk.b0, size))
-        for b in range(chunk.b0, chunk.b1):
+    chunks = []
+    for (b0, b1, jmax), offset in zip(bounds, offsets):
+        chunks.append(_chunk(b0, b1, jmax, offset))
+        plain = np.zeros((b1 - b0, jmax * (jmax + 1) // 2))
+        for b in range(b0, b1):
             d[b, :cells[b]] = _block_tables(
                 density, lo[b], hi[b], cells[b], mass[b],
-                plain[b - chunk.b0, :cells[b] * (cells[b] + 1) // 2])[3]
-        np.take(plain.ravel(), perm, out=pop[chunk.offset:][:perm.size])
-    return _BlockRow(lo=lo, width=hi - lo, pop=pop,
-                     chunks=tuple(chunk for chunk, _ in chunks), d=d)
+                plain[b - b0, :cells[b] * (cells[b] + 1) // 2])[3]
+        np.take(plain.ravel(), _plain_positions(chunks[-1]),
+                out=pop[offset:offset + plain.size])
+    return _BlockRow(lo=lo, width=hi - lo, pop=pop, chunks=tuple(chunks),
+                     d=d)
 
 
 def _bin_counts(row: _BlockRow, pts: np.ndarray, first: np.ndarray,

@@ -4,12 +4,16 @@ A model (k, j1, j2) has j1 equal cells on [0, k/n) and j2 on [k/n, 1].
 Each of its statistics is a left term depending on (k, j1) plus a right
 term depending on (k, j2), held as (side, cut, cells) arrays, so the
 float argmin under ``d_exact`` over roughly n^3/6 models costs O(n^2)
-array work per replication.  Its slope paths run on integer lines, as
-the regular histograms' do: the path prunes the lower envelopes of all
-blocks in one integer batch, merges each cut's two envelopes by their
-exact breakpoints, and runs the exact hull once more on the merged lines
-that no other line beats at K = 0; the ``dim`` and ``dmw`` argmin is a
-segment of that path.  The block-by-block evaluation and
+array work per replication.  An evaluation keeps the integer T = sum c^2,
+the block counts and the loss, and makes the contrast and dmw shares
+from them where a caller reads them.  Its slope paths run on integer
+lines, as the regular histograms' do: the path prunes the lower
+envelopes of all blocks in one integer batch, merges each cut's two
+envelopes by their exact breakpoints, and runs the exact hull once more
+on the merged lines that no other line beats at K = 0, each over its own
+denominator; the breakpoints stay integer pairs, and ``Fraction``s are
+made only when the path's segments are read.  The ``dim`` and ``dmw``
+argmin is a segment of that path.  The block-by-block evaluation and
 selections (the path in ``Fraction``s) are in ``tests/oracles.py``.
 """
 
@@ -36,18 +40,20 @@ class TwoBlockLab:
     all of them at once from one row of blocks, the left blocks of every
     cut and then the right ones: its binning pass runs over chunks of
     consecutive blocks, and its tables are one padded array for the whole
-    row rather than one table per block.  An evaluation keeps them
-    as (2, n-1, n-1) arrays indexed by (side, cut k - 1, cells j - 1), side
-    0 the left block [0, k/n) with j <= k cells and side 1 the right block
-    with j <= n - k; ``valid`` marks the existing entries, ``d_exact``
-    holds D (0 elsewhere).  Each evaluation also keeps the integer
-    T = sum c^2 per (side, cut, cells) and the block counts, from which
-    the slope paths build integer lines.  Selections are array operations
+    row rather than one table per block.  They come as (2, n-1, n-1)
+    arrays indexed by (side, cut k - 1, cells j - 1), side 0 the left
+    block [0, k/n) with j <= k cells and side 1 the right block with
+    j <= n - k; ``valid`` marks the existing entries, ``d_exact`` holds D
+    (0 elsewhere).  An evaluation keeps only the integer T = sum c^2 per
+    (side, cut, cells), the block counts and the loss: the slope paths
+    build integer lines from T and the counts, and the contrast and V are
+    made from them when read.  Selections are array operations
     over all cuts: the ``d_exact`` argmin reduces per (side, cut), and the
     slope path, whose segments are also the ``dim`` and ``dmw`` argmin,
     prunes the lower envelopes of all 2(n-1) blocks in one integer batch,
     merges each cut's two envelopes by their exact breakpoints and runs
-    the exact hull once more on the merged lines that may be on it.
+    the exact hull once more on the merged lines that may be on it, over
+    their own denominators.
     """
 
     def __init__(self, n: int, density: Density):

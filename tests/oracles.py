@@ -49,7 +49,8 @@ from densel.models import (ExactModelQuantities, ModelSpec, exact_quantities,
                            regular_histogram)
 from densel.penalties import resampling_dmw
 from densel.rng import RngStream
-from densel.slope import _TIE_RTOL, PathSegment, SlopePath, envelope_path
+from densel.hull import _TIE_RTOL
+from densel.slope import PathSegment, SlopePath, envelope_path
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ def test_unknown_name_raises_attribute_error():
 def test_import_loads_only_the_shared_modules():
     """``import densel`` loads the modules every command runs and neither
     the labs nor the slope paths; the first access of one of their names
-    loads its module."""
+    loads its module (the slope paths' with the hull they run on)."""
     code = textwrap.dedent("""
         import sys
         import densel
@@ -73,8 +73,8 @@ def test_import_loads_only_the_shared_modules():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout.strip().splitlines()
     assert out == ["['densel.densities', 'densel.models', 'densel.rng']",
-                   "['densel.densities', 'densel.models', 'densel.rng', "
-                   "'densel.slope']"]
+                   "['densel.densities', 'densel.hull', 'densel.models', "
+                   "'densel.rng', 'densel.slope']"]
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

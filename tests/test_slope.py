@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from densel import slope
+from densel.hull import _rational_envelope
 from densel.slope import (LOG_THRESHOLD, MAX_JUMP, NoJumpError, detect_kmin,
                           envelope_path, lower_envelope, slope_pick)
 from oracles import PenaltyValue, lower_envelope_chain, select, slope_path
@@ -294,7 +294,7 @@ def test_rational_hull_matches_fraction_chain():
                       gen.integers(-5, 5, size=m) * gen.integers(1, 4, size=m),
                       d))
     for s, c, d in cases:
-        hull, num, den = slope._rational_envelope(s, c, d)
+        hull, num, den = _rational_envelope(s, c, d)
         lines = [np.array([Fraction(int(a), int(b)) for a, b in zip(x, d)],
                          dtype=object) for x in (s, c)]
         want, starts = lower_envelope_chain(*lines)
