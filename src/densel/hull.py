@@ -5,11 +5,10 @@ The lines are sorted and filtered with arrays, then pruned pass after
 pass, also with arrays: every line that is not strictly convex with its
 two neighbours drops, until none does.  Float lines (the Fourier
 collection's) keep a relative tie tolerance; integer lines are decided
-by integer cross-products alone, and lines over integer denominators
-(the two-block lab's merged cut lines) in Python ints.  A batch of
-integer rows (the two-block lab's blocks) is filtered row by row and
-pruned in the same passes.  The exact slope paths of ``slope`` run on
-these.
+exactly, and so are lines over integer denominators (the two-block lab's
+merged cut lines), in int64 wherever it holds them.  A batch of integer
+rows (the two-block lab's blocks) is filtered row by row and pruned in
+the same passes.  The exact slope paths of ``slope`` run on these.
 """
 
 from __future__ import annotations
@@ -40,11 +39,11 @@ def lower_envelope(slopes: np.ndarray, intercepts: np.ndarray, sizes=None):
     One row of lines is sorted and filtered with arrays (a line is dropped
     when a flatter line is at least as cheap at K = 0), then ``_prune``
     prunes the lines left.  Integer lines (integer dtypes, or Python ints
-    in an object array) are decided by integer cross-products alone and
-    their breakpoints are ``Fraction``s.  Float lines (the Fourier
-    collection's) count intercepts within one part in 1e12 as tied: float
-    noise on an exact tie would otherwise open a sliver segment of width
-    ~1e-16 that the jump detectors would see as a genuine complexity jump.
+    in an object array) are decided exactly and their breakpoints are
+    ``Fraction``s.  Float lines (the Fourier collection's) count
+    intercepts within one part in 1e12 as tied: float noise on an exact
+    tie would otherwise open a sliver segment of width ~1e-16 that the
+    jump detectors would see as a genuine complexity jump.
 
     A 2-D batch of integer rows, row r holding its lines in its first
     ``sizes[r]`` entries in increasing slope order (as cell counts rise),
@@ -103,15 +102,19 @@ def _filtered_envelope(slopes: np.ndarray, intercepts: np.ndarray):
 def _rational_envelope(slopes, intercepts, dens):
     """(indices, num, den) of the lower envelope on [0, inf) of the lines
     K -> (intercept + K * slope) / den, all three integers and den > 0,
-    ties as in ``lower_envelope``, in Python ints.
+    ties as in ``lower_envelope``.
 
     The lines are sorted by their float slopes and intercepts, correctly
     rounded, so unequal floats order them; adjacent lines are checked by
     cross-products, and if a float tie hides an order they are sorted as
     ``Fraction``s.  The first of each run of equal slopes is pruned with
-    the others over all K, and the pieces that end at K <= 0 go."""
-    s, c, d = (np.asarray(x).astype(object)
-               for x in (slopes, intercepts, dens))
+    the others over all K, and the pieces that end at K <= 0 go.  The
+    cross-products stay in int64 while every |slope| and |intercept| times
+    the largest den is below 2^62 (for the two-block lab's merged lines,
+    n^7 / 16, up to n = 513), and are Python ints past that."""
+    s, c, d = (np.asarray(x) for x in (slopes, intercepts, dens))
+    if max(_magnitude(s), _magnitude(c)) * int(d.max()) >= 2 ** 62:
+        s, c, d = (x.astype(object) for x in (s, c, d))
 
     def steps(order):
         a, b = order[:-1], order[1:]
@@ -121,7 +124,8 @@ def _rational_envelope(slopes, intercepts, dens):
     flatter, dearer = steps(order)
     if np.any((flatter < 0) | ((flatter == 0) & (dearer < 0))):
         order = np.array(sorted(range(s.size), key=lambda i: (
-            Fraction(-s[i], d[i]), Fraction(c[i], d[i]), i)), dtype=np.int64)
+            Fraction(-int(s[i]), int(d[i])), Fraction(int(c[i]), int(d[i])),
+            i)), dtype=np.int64)
         flatter, _ = steps(order)
     order = order[np.concatenate(([True], flatter != 0))]
     pos, num, den = _prune(s[order], c[order],
@@ -133,6 +137,11 @@ def _rational_envelope(slopes, intercepts, dens):
     return order[pos], num, den
 
 
+def _magnitude(x: np.ndarray) -> int:
+    """The largest |entry| of an integer array, as a Python int."""
+    return max(int(x.max(initial=0)), -int(x.min(initial=0)))
+
+
 def _prune(s: np.ndarray, c: np.ndarray, inner: np.ndarray, d=None):
     """The lower envelope of lines in slope-decreasing order with strictly
     rising intercepts, the lines not marked ``inner`` staying.  Each pass
@@ -140,23 +149,32 @@ def _prune(s: np.ndarray, c: np.ndarray, inner: np.ndarray, d=None):
     neighbours (its crossing with the previous line is not before its
     crossing with the next), until none drops: no line of the envelope
     ever drops, and a sequence strictly convex at every line is the
-    envelope itself.  With denominators ``d`` (Python ints, as ``s`` and
-    ``c``) the lines are (c + K s) / d.
+    envelope itself.  With integer denominators ``d`` the lines are
+    (c + K s) / d.
 
     Returns (positions, num, den): the lines left, each starting at its
     crossing with the line before it, num / den (0 / 1 at the first).
     Float lines compare crossings as quotients, as a chain would; where
     many crossings agree to rounding (long collinear runs), which sliver
-    survives can differ from a chain's.  Integer lines compare only by
-    cross-multiplying.  With B the largest |slope| or |intercept|, the
-    cross-products stay within (2 B)^2: int64 holds them while
-    (2 B + 1)^2 < 2^63 (for the two-block lab's lines, B <= n^3, up to
-    n = 1,149), and past that the lines turn into Python ints."""
-    if s.dtype.kind in "iu" or c.dtype.kind in "iu":
-        bound = max(max(int(x.max(initial=0)), -int(x.min(initial=0)))
-                    for x in (s, c))
-        if (2 * bound + 1) ** 2 >= 2 ** 63:
-            s, c = s.astype(object), c.astype(object)
+    survives can differ from a chain's.  Integer lines are decided
+    exactly.  With B the largest |num| or |den| of a crossing (2 |slope|
+    or 2 |intercept| times the largest d), their cross-products stay
+    within B^2, and int64 holds them while (B + 1)^2 < 2^63 (for the
+    two-block lab's block lines, B <= 2 n^3, up to n = 1,149).  Past that,
+    while B < 2^53 (the two-block lab's merged lines up to n = 265), the
+    crossings' floats are exact and their quotients correctly rounded, so
+    unequal quotients order the crossings and only equal ones are
+    cross-multiplied, in Python ints; past that the lines turn into
+    Python ints."""
+    quotients = s.dtype.kind == "f"
+    if not quotients and s.dtype != object:
+        bound = 2 * max(_magnitude(s), _magnitude(c)) * (
+            1 if d is None else int(d.max()))
+        if (bound + 1) ** 2 >= 2 ** 63:
+            quotients = bound < 2 ** 53
+            if not quotients:
+                s, c = s.astype(object), c.astype(object)
+                d = None if d is None else d.astype(object)
     pos = np.arange(s.size)
     while True:
         if d is None:
@@ -164,9 +182,13 @@ def _prune(s: np.ndarray, c: np.ndarray, inner: np.ndarray, d=None):
         else:
             ds = s[:-1] * d[1:] - s[1:] * d[:-1]
             dc = c[1:] * d[:-1] - c[:-1] * d[1:]
-        if s.dtype.kind == "f":
+        if quotients:
             k = dc / ds
             drop = k[:-1] >= k[1:]
+            if s.dtype.kind != "f":
+                for i in np.flatnonzero(k[:-1] == k[1:]).tolist():
+                    drop[i] = (int(dc[i]) * int(ds[i + 1])
+                               >= int(dc[i + 1]) * int(ds[i]))
         else:
             drop = dc[:-1] * ds[1:] >= dc[1:] * ds[:-1]
         drop &= inner

@@ -228,8 +228,9 @@ class _BlockRow(NamedTuple):
 
     The tables come in chunks of consecutive blocks (``_Chunk``).  A chunk
     pads each of its blocks to its largest cell count J with probability
-    0, so a block holds J (J + 1) / 2 cells there.  ``d`` is D per (block,
-    j - 1), 0 past a block's cells.
+    0, so a block holds J (J + 1) / 2 cells there.  ``d`` is D and
+    ``width_inv`` the inverse cell width j / width_b per (block, j - 1),
+    both 0 past a block's cells.
     """
 
     lo: np.ndarray
@@ -237,6 +238,7 @@ class _BlockRow(NamedTuple):
     pop: np.ndarray
     chunks: tuple
     d: np.ndarray
+    width_inv: np.ndarray
 
 
 def _block_row(density: Density, lo, hi, mass, cells, n: int) -> _BlockRow:
@@ -266,8 +268,10 @@ def _block_row(density: Density, lo, hi, mass, cells, n: int) -> _BlockRow:
                 plain[b - b0, :cells[b] * (cells[b] + 1) // 2])[3]
         np.take(plain.ravel(), _plain_positions(chunks[-1]),
                 out=pop[offset:offset + plain.size])
+    width_inv = np.arange(1, d.shape[1] + 1) / (hi - lo)[:, None]
+    width_inv[np.arange(d.shape[1]) >= cells[:, None]] = 0.0
     return _BlockRow(lo=lo, width=hi - lo, pop=pop, chunks=tuple(chunks),
-                     d=d)
+                     d=d, width_inv=width_inv)
 
 
 def _bin_counts(row: _BlockRow, pts: np.ndarray, first: np.ndarray,
@@ -331,12 +335,11 @@ def _bin_counts(row: _BlockRow, pts: np.ndarray, first: np.ndarray,
 def _row_stats(row: _BlockRow, t: np.ndarray, w: np.ndarray, n: int):
     """A (sum sq coeffs) and L (loss part) per (block, j - 1) from the sums
     of ``_bin_counts``, for a sample of size n; L is built in the array of
-    W."""
-    width_inv = np.arange(1, row.d.shape[1] + 1) / row.width[:, None]
-    a = _contrast_part(width_inv, t, n)
+    W.  Both are 0 past a block's cells."""
+    a = _contrast_part(row.width_inv, t, n)
     # L = A - 2 (1/w) W / n, doubling being exact
     w *= 2.0
-    w *= width_inv
+    w *= row.width_inv
     w /= n
     np.subtract(a, w, out=w)
     return a, w
@@ -410,8 +413,8 @@ class CollectionLab:
             t, w = _bin_counts(self.block, sample.points,
                                np.zeros(1, dtype=np.int64), count)
             a, loss_part = _row_stats(self.block, t, w, n)
-            dmws = (_variance_part(self.dims / self.block.width, t[0],
-                                   count, n) * n / (n - 1.0)
+            dmws = (_variance_part(self.block.width_inv[0], t[0], count, n)
+                    * n / (n - 1.0)
                     if n >= 2 else np.full(a.shape[1], np.nan))
             return _HistogramEvaluation(
                 ids=self.ids, dims=self.dims, contrasts=-a[0], dmws=dmws,

@@ -16,9 +16,9 @@ Every path runs on the one hull of module ``hull``.  Only float lines
 contrasts and complexities are rationals built from integer counts, so
 both histogram labs hand in integer lines with exact units, the
 two-block lab's merged lines each over its own integer denominator; the
-hull decides them by integer cross-products alone, and their breakpoints
-stay integer (numerator, denominator) pairs (``_ExactLines``), from
-which the jump argmax and the pick at 2 * K_min compare exact numbers by
+hull decides them exactly, and their breakpoints stay integer
+(numerator, denominator) pairs (``_ExactLines``), from which the jump
+argmax and the pick at 2 * K_min compare exact numbers by
 cross-multiplying.  A path makes ``Fraction``s only when its segments
 are read.  Under either jump rule K_min is the exact start of a
 segment.

@@ -77,6 +77,9 @@ class TwoBlockLab:
         self.d_exact = self.blocks.d.reshape(2, m, m)
         self.d_max = float(np.where(self.valid, self.d_exact, -np.inf)
                            .max(axis=2).sum(axis=0).max())
+        # the slopes j s n of the blocks' dim lines, one row per block
+        self.line_slopes = (np.arange(1, n) * (n * cells)[:, :, None]).reshape(
+            2 * m, m)
 
     def evaluate(self, sample: Sample):
         n, m = self.n, self.n - 1
@@ -174,26 +177,23 @@ class _TwoBlockEvaluation(_LabEvaluation):
 
     @cached_property
     def contrast(self) -> np.ndarray:
-        width_inv = np.arange(1, self.n) / self.lab.blocks.width.reshape(
-            self.t_sq.shape[:2] + (1,))
-        contrast = np.negative(_contrast_part(width_inv, self.t_sq, self.n))
+        contrast = np.negative(_contrast_part(
+            self.lab.blocks.width_inv.reshape(self.t_sq.shape), self.t_sq,
+            self.n))
         contrast[~self.lab.valid] = np.inf
         return contrast
 
     @cached_property
     def var(self) -> np.ndarray:
-        width_inv = np.arange(1, self.n) / self.lab.blocks.width.reshape(
-            self.t_sq.shape[:2] + (1,))
-        var = _variance_part(width_inv, self.t_sq, self.count[:, :, None],
-                             self.n)
-        var[~self.lab.valid] = 0.0
-        return var
+        """V, 0 where no model is: the inverse cell width is 0 there."""
+        return _variance_part(self.lab.blocks.width_inv.reshape(
+            self.t_sq.shape), self.t_sq, self.count[:, :, None], self.n)
 
     def _shares(self, kk: int, i1: int, i2: int):
         """(-A, V) of the left block (kk, i1) and the right block (kk, i2),
         the floats of ``contrast`` and ``var`` there."""
         i = np.array([i1, i2])
-        width_inv = (i + 1) / self.lab.blocks.width[[kk, self.n - 1 + kk]]
+        width_inv = self.lab.blocks.width_inv[[kk, self.n - 1 + kk], i]
         t = self.t_sq[(0, 1), kk, i]
         return (-_contrast_part(width_inv, t, self.n),
                 _variance_part(width_inv, t, self.count[:, kk], self.n))
@@ -232,13 +232,13 @@ class _TwoBlockEvaluation(_LabEvaluation):
         starting at K = num / den, 0 / 1 at a row's first piece.  The lines
         -j T + K j s n, at most n^3 in size, are the block's shares times
         s n."""
-        n, m, cells = self.n, self.n - 1, self.lab.cells
-        js = np.arange(1, n)
+        m = self.n - 1
         # looked up on ``slope`` at call time, so that a wrapper installed
         # there (benchmarks/tracer.py) sees the call
         idx, (num, den) = slope.lower_envelope(
-            (js * (n * cells)[:, :, None]).reshape(2 * m, m),
-            (-js * self.t_sq).reshape(2 * m, m), cells.ravel())
+            self.lab.line_slopes,
+            (-np.arange(1, self.n) * self.t_sq).reshape(2 * m, m),
+            self.lab.cells.ravel())
         return idx, num, den
 
     def _build_path(self, complexity: str):

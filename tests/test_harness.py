@@ -520,10 +520,13 @@ def _two_block_eval(left_a, right_a, d_exact=None):
                 assert t.denominator == 1
                 t_sq[side, kk, j - 1] = int(t)
     cuts = np.arange(1, n) / n
-    lab = SimpleNamespace(n=n, s_norm=0.0, cells=cells,
-                          valid=np.arange(n - 1) < cells[:, :, None],
+    valid = np.arange(n - 1) < cells[:, :, None]
+    width_inv = np.arange(1, n) / np.concatenate((cuts, 1.0 - cuts))[:, None]
+    lab = SimpleNamespace(n=n, s_norm=0.0, cells=cells, valid=valid,
+                          line_slopes=(np.arange(1, n) * (n * cells)[:, :, None])
+                          .reshape(6, 3),
                           blocks=SimpleNamespace(
-                              width=np.concatenate((cuts, 1.0 - cuts))),
+                              width_inv=width_inv * valid.reshape(6, 3)),
                           d_exact=(np.zeros((2, 3, 3)) if d_exact is None
                                    else d_exact))
     ev = _TwoBlockEvaluation(lab=lab, t_sq=t_sq,

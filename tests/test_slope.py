@@ -278,21 +278,25 @@ def test_integer_hull_matches_fraction_chain():
 def test_rational_hull_matches_fraction_chain():
     """Lines over integer denominators, as the two-block lab's merged cut
     lines come: small lines with equal slopes over unequal denominators
-    and full ties, and lines whose slopes and intercepts differ by less
-    than their floats show.  Pieces and exact starts are those of the
-    chain on the ``Fraction`` lines."""
+    and full ties, the same lines times 10^9 (whose crossings are compared
+    as floats, equal floats exactly), the settle lines over denominators,
+    and lines whose slopes and intercepts differ by less than their floats
+    show.  Pieces and exact starts are those of the chain on the
+    ``Fraction`` lines."""
     gen = np.random.default_rng(9)
     big = 10 ** 17
+    settle_d = np.array([3, 5, 7])
     cases = [(np.array([big + 1, big + 2, big + 3]), np.array([-2, 1, 5]),
               np.array([big, big, big])),
              (np.array([big + 2, big + 1, 1]), np.array([-big, -big - 1, 0]),
-              np.array([big, big, 1]))]
+              np.array([big, big, 1])),
+             tuple(x * settle_d for x in _settle_lines()) + (settle_d,)]
     for _ in range(300):
         m = int(gen.integers(1, 40))
         d = gen.integers(1, 7, size=m)
-        cases.append((gen.integers(0, 6, size=m) * d,
-                      gen.integers(-5, 5, size=m) * gen.integers(1, 4, size=m),
-                      d))
+        s = gen.integers(0, 6, size=m) * d
+        c = gen.integers(-5, 5, size=m) * gen.integers(1, 4, size=m)
+        cases += [(s, c, d), (s * 10 ** 9, c * 10 ** 9, d)]
     for s, c, d in cases:
         hull, num, den = _rational_envelope(s, c, d)
         lines = [np.array([Fraction(int(a), int(b)) for a, b in zip(x, d)],
