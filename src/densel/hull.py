@@ -111,7 +111,8 @@ def _rational_envelope(slopes, intercepts, dens):
     the others over all K, and the pieces that end at K <= 0 go.  The
     cross-products stay in int64 while every |slope| and |intercept| times
     the largest den is below 2^62 (for the two-block lab's merged lines,
-    n^7 / 16, up to n = 513), and are Python ints past that."""
+    at most n^4 / 4 times n^3 / 4, up to n = 689), and are Python ints
+    past that."""
     s, c, d = (np.asarray(x) for x in (slopes, intercepts, dens))
     if max(_magnitude(s), _magnitude(c)) * int(d.max()) >= 2 ** 62:
         s, c, d = (x.astype(object) for x in (s, c, d))
@@ -161,11 +162,11 @@ def _prune(s: np.ndarray, c: np.ndarray, inner: np.ndarray, d=None):
     or 2 |intercept| times the largest d), their cross-products stay
     within B^2, and int64 holds them while (B + 1)^2 < 2^63 (for the
     two-block lab's block lines, B <= 2 n^3, up to n = 1,149).  Past that,
-    while B < 2^53 (the two-block lab's merged lines up to n = 265), the
-    crossings' floats are exact and their quotients correctly rounded, so
-    unequal quotients order the crossings and only equal ones are
-    cross-multiplied, in Python ints; past that the lines turn into
-    Python ints."""
+    while B < 2^53 (the two-block lab's merged lines, B <= n^7 / 8, up to
+    n = 255), the crossings' floats are exact and their quotients
+    correctly rounded, so unequal quotients order the crossings and only
+    equal ones are cross-multiplied, in Python ints; past that the lines
+    turn into Python ints."""
     quotients = s.dtype.kind == "f"
     if not quotients and s.dtype != object:
         bound = 2 * max(_magnitude(s), _magnitude(c)) * (
