@@ -14,10 +14,9 @@ which compiles in at most about a megabyte of heap: without cached
 bytecode a command compiles every module it loads, and one module
 holding all of them set the peak memory of every command that loads it.
 This module imports them eagerly and
-re-exports only the names that callers, tests and the benchmark tracer
-reach through it: the labs, the method records, ``CHUNK_BYTES``, and the
-evaluation classes and helpers that the tests check (the tracer wraps
-``_Evaluation.apply`` and ``_TwoBlockEvaluation.apply``).
+re-exports only the names that callers and the benchmark tracer reach
+through it: the labs, the method records, ``CHUNK_BYTES``, and the two
+evaluation classes whose ``apply`` the tracer wraps.
 """
 
 from __future__ import annotations
@@ -28,13 +27,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .densities import Density, PowerLaw
-from .labs import (CHUNK_BYTES, ORACLE_EPS, CollectionLab, ModelRow,
-                   _block_tables, _Evaluation)
+from .labs import CHUNK_BYTES, ORACLE_EPS, CollectionLab, ModelRow, _Evaluation
 from .methods import (DEFAULT_METHODS, Method, MethodOutcome, parse_method,
                       penalty_constant)
 from .rng import RngStream, uniforms
-from .twoblock import (TwoBlockLab, _breakpoint_order, _two_block_id,
-                       _TwoBlockEvaluation, _undominated)
+from .twoblock import TwoBlockLab, _TwoBlockEvaluation
 
 __all__ = [
     "Method",

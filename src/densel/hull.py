@@ -6,7 +6,7 @@ pass, also with arrays: every line that is not strictly convex with its
 two neighbours drops, until none does.  Float lines (the Fourier
 collection's) keep a relative tie tolerance; integer lines are decided
 exactly, and so are lines over integer denominators (the two-block lab's
-merged cut lines), in int64 wherever it holds them.  A batch of integer
+pair lines), in int64 wherever it holds them.  A batch of integer
 rows (the two-block lab's blocks) is filtered row by row and pruned in
 the same passes.  The exact slope paths of ``slope`` run on these.
 """
@@ -105,26 +105,36 @@ def _rational_envelope(slopes, intercepts, dens):
     ties as in ``lower_envelope``.
 
     The lines are sorted by their float slopes and intercepts, correctly
-    rounded, so unequal floats order them; adjacent lines are checked by
-    cross-products, and if a float tie hides an order they are sorted as
-    ``Fraction``s.  The first of each run of equal slopes is pruned with
-    the others over all K, and the pieces that end at K <= 0 go.  The
-    cross-products stay in int64 while every |slope| and |intercept| times
-    the largest den is below 2^62 (for the two-block lab's merged lines,
-    at most n^4 / 4 times n^3 / 4, up to n = 689), and are Python ints
-    past that."""
+    rounded (from Python ints when a term is 2^53 or more in size), so
+    unequal floats order them.  In the same pass every line that a
+    strictly flatter line beats strictly at K = 0 by the floats drops; as
+    rounding is monotone, the exact lines compare so too.  Lines with
+    equal floats stay: adjacent lines are checked by cross-products, and
+    if a float tie hides an order they are sorted as ``Fraction``s.  The
+    first of each run of equal slopes is pruned with the others over all
+    K, and the pieces that end at K <= 0 go.  The cross-products stay in
+    int64 while every |slope| and |intercept| times the largest den is
+    below 2^62 (for the two-block lab's pair lines, at most n^4 / 4 times
+    n^3 / 4, up to n = 689), and are Python ints past that."""
     s, c, d = (np.asarray(x) for x in (slopes, intercepts, dens))
-    if max(_magnitude(s), _magnitude(c)) * int(d.max()) >= 2 ** 62:
+    top, d_max = max(_magnitude(s), _magnitude(c)), int(d.max())
+    if top * d_max >= 2 ** 62 or max(top, d_max) >= 2 ** 53:
         s, c, d = (x.astype(object) for x in (s, c, d))
 
     def steps(order):
         a, b = order[:-1], order[1:]
         return s[a] * d[b] - s[b] * d[a], c[b] * d[a] - c[a] * d[b]
 
-    order = np.lexsort(((c / d).astype(float), -(s / d).astype(float)))
+    fs, fc = (s / d).astype(float), (c / d).astype(float)
+    order = np.lexsort((fc, -fs))
+    # drop a line when a strictly flatter line is strictly cheaper at K = 0
+    # by the floats: past each run of equal float slopes, the cheapest one
+    fs, fc = fs[order], fc[order]
+    cheapest = np.append(np.minimum.accumulate(fc[::-1])[::-1], np.inf)
+    order = order[fc <= cheapest[np.searchsorted(-fs, -fs, side="right")]]
     flatter, dearer = steps(order)
     if np.any((flatter < 0) | ((flatter == 0) & (dearer < 0))):
-        order = np.array(sorted(range(s.size), key=lambda i: (
+        order = np.array(sorted(order.tolist(), key=lambda i: (
             Fraction(-int(s[i]), int(d[i])), Fraction(int(c[i]), int(d[i])),
             i)), dtype=np.int64)
         flatter, _ = steps(order)
@@ -162,7 +172,7 @@ def _prune(s: np.ndarray, c: np.ndarray, inner: np.ndarray, d=None):
     or 2 |intercept| times the largest d), their cross-products stay
     within B^2, and int64 holds them while (B + 1)^2 < 2^63 (for the
     two-block lab's block lines, B <= 2 n^3, up to n = 1,149).  Past that,
-    while B < 2^53 (the two-block lab's merged lines, B <= n^7 / 8, up to
+    while B < 2^53 (the two-block lab's pair lines, B <= n^7 / 8, up to
     n = 255), the crossings' floats are exact and their quotients
     correctly rounded, so unequal quotients order the crossings and only
     equal ones are cross-multiplied, in Python ints; past that the lines

@@ -15,7 +15,7 @@ Every path runs on the one hull of module ``hull``.  Only float lines
 (the Fourier collection's) keep a relative tie tolerance.  Histogram
 contrasts and complexities are rationals built from integer counts, so
 both histogram labs hand in integer lines with exact units, the
-two-block lab's merged lines each over its own integer denominator; the
+two-block lab's pair lines each over its cut's integer denominator; the
 hull decides them exactly, and their breakpoints stay integer
 (numerator, denominator) pairs (``_ExactLines``), from which the jump
 argmax and the pick at 2 * K_min compare exact numbers by

@@ -8,13 +8,13 @@ array work per replication.  An evaluation keeps the integer T = sum c^2,
 the block counts and the loss, and makes the contrast and dmw shares
 from them where a caller reads them.  Its slope paths run on integer
 lines, as the regular histograms' do: the path prunes the lower
-envelopes of all blocks in one integer batch, merges each cut's two
-envelopes by their exact breakpoints, and runs the exact hull once more
-on the merged lines that no other line beats at K = 0, each over its own
-denominator; the breakpoints stay integer pairs, and ``Fraction``s are
-made only when the path's segments are read.  The ``dim`` and ``dmw``
-argmin is a segment of that path.  The block-by-block evaluation and
-selections (the path in ``Fraction``s) are in ``tests/oracles.py``.
+envelopes of all blocks in one integer batch and runs the exact hull once
+more on the pair lines, one per pair of a left and a right envelope piece
+of a cut, each over its cut's denominator; the breakpoints stay integer
+pairs, and ``Fraction``s are made only when the path's segments are
+read.  The ``dim`` and ``dmw`` argmin is a segment of that path.  The
+block-by-block evaluation and selections (the path in ``Fraction``s) are
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -50,10 +50,9 @@ class TwoBlockLab:
     made from them when read.  Selections are array operations
     over all cuts: the ``d_exact`` argmin reduces per (side, cut), and the
     slope path, whose segments are also the ``dim`` and ``dmw`` argmin,
-    prunes the lower envelopes of all 2(n-1) blocks in one integer batch,
-    merges each cut's two envelopes by their exact breakpoints and runs
-    the exact hull once more on the merged lines that may be on it, over
-    their own denominators.
+    prunes the lower envelopes of all 2(n-1) blocks in one integer batch
+    and runs the exact hull once more on every cut's pair lines, over
+    their cuts' denominators.
     """
 
     def __init__(self, n: int, density: Density):
@@ -98,57 +97,6 @@ def _two_block_id(kk: int, i1: int, i2: int) -> str:
     return f"two-block:k={kk + 1},j1={i1 + 1},j2={i2 + 1}"
 
 
-def _breakpoint_order(cut: np.ndarray, num: np.ndarray, den: np.ndarray):
-    """Order of the breakpoints num / den (den > 0) by cut, then exact K,
-    and along it whether each is the last one of its cut and K.
-
-    num and den are at most n^3, so their floats are exact and num / den
-    is correctly rounded; rounding is monotone, so unequal floats order
-    unequal K.  Equal floats are compared by cross-multiplying, within
-    2^63 for the integers of ``lower_envelope``.  Unequal K differ by a
-    relative 1 / n^6 or more, which keeps their floats apart up to
-    n = 406; past that a float tie may hide unequal K, and then the
-    breakpoints are sorted as ``Fraction``s."""
-    order = np.lexsort((np.asarray(num / den, dtype=float), cut))
-    c, p, q = cut[order], num[order], den[order]
-    if np.any((c[1:] == c[:-1]) & (p[:-1] * q[1:] > p[1:] * q[:-1])):
-        order = np.array(sorted(range(cut.size), key=lambda i: (
-            cut[i], Fraction(int(num[i]), int(den[i])))), dtype=np.int64)
-        c, p, q = cut[order], num[order], den[order]
-    last = np.ones(cut.size, dtype=bool)
-    last[:-1] = (c[1:] != c[:-1]) | (p[:-1] * q[1:] != p[1:] * q[:-1])
-    return order, last
-
-
-def _undominated(slopes: np.ndarray, intercepts: np.ndarray,
-                 dens: np.ndarray) -> np.ndarray:
-    """Indices, increasing, of the lines (intercepts + K slopes) / dens
-    that no other line beats by being at least as flat and strictly
-    cheaper at K = 0: a superset of the lines on the lower envelope, which
-    the exact hull narrows down.
-
-    Every term is below 2^53 (n^4 for any n whose lab fits in memory), so
-    the ratios' floats are correctly rounded; rounding is monotone, so
-    unequal floats order the ratios, and equal ones beat nothing.  Equal
-    float slopes are compared exactly by cross-multiplying, at most
-    n^7 / 4: in int64 up to n = 624 and in Python ints past that."""
-    fs, fc = slopes / dens, intercepts / dens
-    order = np.lexsort((fc, -fs))
-    fs, fc = fs[order], fc[order]
-    # the cheapest strictly flatter line, past the run of equal floats
-    cheapest = np.append(np.minimum.accumulate(fc[::-1])[::-1], np.inf)
-    keep = fc <= cheapest[np.searchsorted(-fs, -fs, side="right")]
-    # the cheapest line of a run of exactly equal slopes is its first
-    if int(np.abs(slopes).max()) * int(dens.max()) >= 2 ** 63:
-        slopes, dens = slopes.astype(object), dens.astype(object)
-    s, d = slopes[order], dens[order]
-    tied = np.zeros(fs.size, dtype=bool)
-    tied[1:] = (fs[1:] == fs[:-1]) & (s[1:] * d[:-1] == s[:-1] * d[1:])
-    run = np.maximum.accumulate(np.where(tied, 0, np.arange(fs.size)))
-    keep &= fc <= fc[run]
-    return np.sort(order[keep])
-
-
 class _TwoBlockEvaluation(_LabEvaluation):
     """Block statistics of one replication as (side, cut, cells) arrays: the
     integer T = sum c^2 over the cells (no sum where no model is) and L of
@@ -166,10 +114,12 @@ class _TwoBlockEvaluation(_LabEvaluation):
     of cut k / n, n - k right of it) with j cells has contrast share
     -j T / (s n) and dmw share j (n c - T) / (s (n - 1)), so its line
     times s n is -j T + K j s n for ``dim`` and -j T + K' j (n c - T)
-    for ``dmw``, in the unit K' = K n / (n - 1); a cut's merged line is
-    the sum of its blocks' lines over the denominator D = k (n - k) n.
-    Both paths of an evaluation share the blocks' envelopes: a block's
-    ``dmw`` envelope is the start of its ``dim`` one."""
+    for ``dmw``, in the unit K' = K n / (n - 1).  A cut's envelope is
+    made of sums of a piece of each of its two block envelopes, so the
+    path hulls the pair lines of every cut, a left piece's line plus a
+    right piece's over the denominator D = k (n - k) n.  Both paths of an
+    evaluation share the blocks' envelopes: a block's ``dmw`` envelope is
+    the start of its ``dim`` one."""
 
     def __init__(self, lab, t_sq, count, loss):
         self.lab, self.t_sq, self.count, self.loss = lab, t_sq, count, loss
@@ -256,39 +206,22 @@ class _TwoBlockEvaluation(_LabEvaluation):
             # at w = n c K' / (1 + K'), which runs over [0, n c) as K' runs
             # over [0, inf), and the dim lines are -j T + w j at w = K s n:
             # a block's dmw envelope is its dim one up to w = n c.  A dim
-            # piece starts at w = num / d, d the drop in j, so at
-            # K' = num / (d n c - num).  As T <= c^2, w <= c^2 <= n c:
-            # only a piece starting at w = n c (all n points in one cell)
-            # never starts
+            # piece starts at w = num / d, d the drop in j; as T <= c^2,
+            # w <= c^2 <= n c, so only a piece starting at w = n c (all n
+            # points in one cell) is not on the dmw envelope
             at = np.divmod(idx // m, m)
             reach = den // (n * lab.cells[at]) * (n * self.count[at])
-            keep = (num < reach) | (num == 0)
-            idx, num = idx[keep], num[keep]
-            den = np.where(num == 0, 1, reach[keep] - num)
+            idx = idx[(num < reach) | (num == 0)]
+        # one line per pair of a left and a right envelope piece of a cut,
+        # cut after cut and left piece after left piece
         row, col = np.divmod(idx, m)
-        head = np.ones(idx.size, dtype=bool)   # each row's first piece
-        head[1:] = row[1:] != row[:-1]
-        first = np.flatnonzero(head).reshape(2, m)
-        # per cut, the sorted union of both blocks' breakpoints, equal K on
-        # both sides counting once; past each, the cut's envelope (the
-        # Minkowski sum of its two block envelopes) takes from each block
-        # the piece after the last of its breakpoints passed so far
-        brk = np.flatnonzero(~head)
-        side, cut = np.divmod(row[brk], m)
-        order, last = _breakpoint_order(cut, num[brk], den[brk])
-        side, cut = side[order], cut[order]
-        passed = np.cumsum(np.stack((1 - side, side)), axis=1)
-        cut = cut[last]
-        nbrk = np.diff(first.ravel(), append=idx.size).reshape(2, m) - 1
-        passed = passed[:, last] - (np.cumsum(nbrk, axis=1) - nbrk)[:, cut]
-        # every cut's lines in K order: the two first pieces, then one line
-        # past each breakpoint
-        lcut = np.concatenate((np.arange(m), cut))
-        order = np.argsort(lcut, kind="stable")
-        lcut = lcut[order]
-        steps = np.concatenate((np.zeros((2, m), dtype=passed.dtype), passed),
-                               axis=1)[:, order]
-        i1, i2 = col[first[:, lcut] + steps]
+        first = np.searchsorted(row, np.arange(2 * m))
+        nl, nr = np.diff(first, append=idx.size).reshape(2, m)
+        pairs = nl * nr
+        lcut = np.repeat(np.arange(m), pairs)
+        nth = np.arange(lcut.size) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+        left, right = np.divmod(nth, nr[lcut])
+        i1, i2 = col[first[lcut] + left], col[first[m + lcut] + right]
         # a cut's line is the sum of its blocks' lines times s n over
         # D = k (n - k) n; at most n^4 in size, int64 holds it for any n
         # whose lab fits in memory
@@ -301,16 +234,13 @@ class _TwoBlockEvaluation(_LabEvaluation):
         else:
             s_cut = ((i1 + 1) * (n * self.count[0, lcut] - t1) * (n - k)
                      + (i2 + 1) * (n * self.count[1, lcut] - t2) * k)
-        # the hull takes the lines that may be on it, over their own
-        # denominators; a full tie keeps the earliest cut
-        kept = _undominated(s_cut, c_cut, d_cut)
-        tags = list(zip(lcut[kept].tolist(), i1[kept].tolist(),
-                        i2[kept].tolist()))
+        # the hull takes every pair line; a full tie keeps the earliest cut
         path, hull = slope.envelope_path(
-            c_cut[kept], s_cut[kept], lambda i: _two_block_id(*tags[i]),
+            c_cut, s_cut, lambda i: _two_block_id(lcut[i], i1[i], i2[i]),
             delta_max, (Fraction(1), Fraction(1) if complexity == "dim"
-                        else Fraction(n, n - 1)), dens=d_cut[kept])
-        return path, [tags[i] for i in hull]
+                        else Fraction(n, n - 1)), dens=d_cut)
+        return path, list(zip(lcut[hull].tolist(), i1[hull].tolist(),
+                              i2[hull].tolist()))
 
     def _row(self, key: tuple[int, int, int], penalty: float) -> ModelRow:
         kk, i1, i2 = key

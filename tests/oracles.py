@@ -41,8 +41,8 @@ import numpy as np
 
 from densel.densities import Density, Sample
 from densel.fitting import FittedModel, fit_model, histogram_counts, p_term
-from densel.harness import (Method, TwoBlockLab, _block_tables,
-                            _Evaluation, _two_block_id)
+from densel.harness import Method, TwoBlockLab, _Evaluation
+from densel.labs import _block_tables
 from densel.models import (ExactModelQuantities, ModelSpec, exact_quantities,
                            fourier_basis_matrix, fourier_model,
                            histogram_cell_index, histogram_model,
@@ -51,6 +51,7 @@ from densel.penalties import resampling_dmw
 from densel.rng import RngStream
 from densel.hull import _TIE_RTOL
 from densel.slope import PathSegment, SlopePath, envelope_path
+from densel.twoblock import _two_block_id
 
 
 # ---------------------------------------------------------------------------

@@ -221,7 +221,7 @@ def test_block_engine_matches_block_by_block_oracle():
         for density in (PowerLaw(), Uniform(), STEP):
             lab, hist = TwoBlockLab(n, density), make_lab("regular-hist", n,
                                                           density)
-            tables = harness._block_tables(density, 0.0, 1.0, n, 1.0)
+            tables = labs._block_tables(density, 0.0, 1.0, n, 1.0)
             draws = [density.sample(n, RngStream(31, 10 * n + rep, "data"))
                      for rep in range(3 if n == 100 else 8)]
             for sample in draws + [Sample(np.sort(p), sorted_flag=True)
@@ -430,58 +430,6 @@ def test_two_block_selections_match_per_cut_forms():
         assert ev.oracle_loss() == per_cut.oracle_loss()
         count += 1
     assert count >= 300
-
-
-def test_breakpoint_order_settles_float_ties():
-    """Breakpoints sort by cut, then exact K, equal K counting once, also
-    where unequal K round to the same double: a / b < c / d = a / b +
-    1 / (b d) with b, d near 2^31 (int64), and the settle lines' K near
-    2^40 / 2^30 (Python ints, as ``lower_envelope`` returns them)."""
-    for b, a, dtype in ((2 ** 31 - 1, 2 ** 30 + 7, np.int64),
-                        (2 ** 30 + 3, 2 ** 40 + 12345, object)):
-        d = -pow(a, -1, b) % b
-        c = (a * d + 1) // b
-        assert a / b == c / d
-        cut = np.array([1, 0, 0, 1, 0, 1, 0])
-        num = np.array([c, c, a, a, 1, 2, a], dtype=dtype)
-        den = np.array([d, d, b, b, 3, 1, b], dtype=dtype)
-        order, last = harness._breakpoint_order(cut, num, den)
-        keys = [(int(k), Fraction(int(p), int(q)))
-                for k, p, q in zip(cut, num, den)]
-        assert [keys[i] for i in order] == sorted(keys)
-        assert last.tolist() == [keys[i] != keys[j] for i, j
-                                 in zip(order, order[1:])] + [True]
-
-
-def test_undominated_lines_match_pairwise_definition():
-    """A line is kept unless another line is at least as flat and strictly
-    cheaper at K = 0 (ratios over per-line denominators, exact ties
-    among them), also where slope x denominator passes 2^63, and for two
-    unequal slopes a / b < c / d = a / b + 1 / (b d) that round to the
-    same double, the flatter line dearer."""
-    a, b = 2 ** 40 + 12345, 2 ** 30 + 3
-    d = -pow(a, -1, b) % b
-    c = (a * d + 1) // b
-    inputs = [(np.array([a, c]), np.array([0, -d]), np.array([b, d]))]
-    gen = np.random.default_rng(31)
-    for big in (False, True):
-        for _ in range(60):
-            m = int(gen.integers(1, 40))
-            dens = gen.choice([6, 10, 12, 15], size=m)
-            slopes = gen.integers(0, 5, size=m) * dens // gen.choice(
-                [1, 2, 3], size=m)
-            intercepts = -gen.integers(0, 4, size=m) * dens
-            if big:
-                dens, slopes = dens << 30, slopes << 40
-            inputs.append((slopes, intercepts, dens))
-    assert a / b == c / d
-    for slopes, intercepts, dens in inputs:
-        keep = harness._undominated(slopes, intercepts, dens)
-        frac = [(Fraction(int(s), int(d)), Fraction(int(c), int(d)))
-                for s, c, d in zip(slopes, intercepts, dens)]
-        assert keep.tolist() == [
-            i for i, (s, c) in enumerate(frac)
-            if not any(s2 <= s and c2 < c for s2, c2 in frac)]
 
 
 @pytest.mark.parametrize("n", [100, 200])

@@ -276,27 +276,49 @@ def test_integer_hull_matches_fraction_chain():
 
 
 def test_rational_hull_matches_fraction_chain():
-    """Lines over integer denominators, as the two-block lab's merged cut
-    lines come: small lines with equal slopes over unequal denominators
-    and full ties, the same lines times 10^9 (whose crossings are compared
-    as floats, equal floats exactly), the settle lines over denominators,
-    and lines whose slopes and intercepts differ by less than their floats
-    show.  Pieces and exact starts are those of the chain on the
-    ``Fraction`` lines."""
+    """Lines over integer denominators, as the two-block lab's pair lines
+    come: small lines with equal slopes over unequal denominators and full
+    ties, the same lines times 10^9 (whose crossings are compared as
+    floats, equal floats exactly), the settle lines over denominators,
+    lines whose slopes and intercepts differ by less than their floats
+    show, two slopes a / b < c / d = a / b + 1 / (b d) that round to the
+    same double with the flatter line dearer (in both orders), int64
+    slopes past 2^53 whose floats put the cheaper, exactly steeper line
+    flatter, and random rows with many dominated lines, also with slope x
+    denominator past 2^63.  Pieces and exact starts are those of the chain
+    on the ``Fraction`` lines."""
     gen = np.random.default_rng(9)
     big = 10 ** 17
     settle_d = np.array([3, 5, 7])
+    a, b = 2 ** 40 + 12345, 2 ** 30 + 3
+    d = -pow(a, -1, b) % b
+    c = (a * d + 1) // b
+    assert a / b == c / d
     cases = [(np.array([big + 1, big + 2, big + 3]), np.array([-2, 1, 5]),
               np.array([big, big, big])),
              (np.array([big + 2, big + 1, 1]), np.array([-big, -big - 1, 0]),
               np.array([big, big, 1])),
-             tuple(x * settle_d for x in _settle_lines()) + (settle_d,)]
+             tuple(x * settle_d for x in _settle_lines()) + (settle_d,),
+             (np.array([a, c]), np.array([0, -d]), np.array([b, d])),
+             (np.array([c, a]), np.array([-d, 0]), np.array([d, b])),
+             (np.array([18014679725416958, 198161476979586540]),
+              np.array([0, -11]), np.array([1, 11]))]
     for _ in range(300):
         m = int(gen.integers(1, 40))
         d = gen.integers(1, 7, size=m)
         s = gen.integers(0, 6, size=m) * d
         c = gen.integers(-5, 5, size=m) * gen.integers(1, 4, size=m)
         cases += [(s, c, d), (s * 10 ** 9, c * 10 ** 9, d)]
+    gen = np.random.default_rng(31)
+    for shift in (False, True):
+        for _ in range(60):
+            m = int(gen.integers(1, 40))
+            d = gen.choice([6, 10, 12, 15], size=m)
+            s = gen.integers(0, 5, size=m) * d // gen.choice([1, 2, 3], size=m)
+            c = -gen.integers(0, 4, size=m) * d
+            if shift:
+                d, s = d << 30, s << 40
+            cases.append((s, c, d))
     for s, c, d in cases:
         hull, num, den = _rational_envelope(s, c, d)
         lines = [np.array([Fraction(int(a), int(b)) for a, b in zip(x, d)],
