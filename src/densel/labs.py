@@ -14,18 +14,19 @@ full tie to the earliest line), and on the histogram labs the ``dim``
 and ``dmw`` argmin is the path's segment at the penalty constant.
 
 Both histogram families run on one block engine over a row of blocks
-[lo, hi): ``_block_row`` holds the cell probabilities of j = 1..J equal
-cells of every block, ``_bin_counts`` bins one sample's points in every
-block for the j in (J/2, J], one pass per chunk of blocks whose (points
-x J) size fits ``CHUNK_BYTES``, and gets the counts of every smaller j
-as pair sums of those of 2j; ``_row_stats`` turns the sums into each j's
-statistics.  ``CollectionLab`` runs it on the single block
-[0, 1] for the regular histograms, whose slope paths are integer lines
-decided exactly, and keeps the nested Fourier models as arrays.  The
-two-block family's lab runs it on a row of all cuts' blocks (module
-``twoblock``); ``harness`` picks the lab for a kind and runs the
-experiments.  The model lists and the per-model loop both labs are
-checked against are in ``tests/oracles.py``.
+[lo, hi): ``_block_row`` builds the cell probabilities of j = 1..J equal
+cells of every block, one ``cdf`` call per chunk of blocks whose
+(points x J) size fits ``CHUNK_BYTES``, in the chunk's own layout;
+``_bin_counts`` bins one sample's points in every block for the j in
+(J/2, J], one pass per chunk, and gets the counts of every smaller j as
+pair sums of those of 2j; ``_row_stats`` turns the sums into each j's
+statistics.  ``CollectionLab`` runs it on the single block [0, 1] for
+the regular histograms, whose slope paths are integer lines decided
+exactly, and keeps the nested Fourier models as arrays.  The two-block
+family's lab runs it on a row of all cuts' blocks (module ``twoblock``);
+``harness`` picks the lab for a kind and runs the experiments.  The
+model lists, the per-model loop and the block-by-block tables both labs
+are checked against are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -132,27 +133,6 @@ class _LabEvaluation:
 # The block engine: j = 1..J equal cells on each block of a row
 # ---------------------------------------------------------------------------
 
-def _block_tables(density: Density, lo: float, hi: float, jmax: int,
-                  mass: float, out: np.ndarray | None = None):
-    """Flat cell-probability tables for j = 1..jmax cells on [lo, hi):
-    (starts, pop, js, d_vec), with one ``cdf`` call over every edge; pop
-    is written into ``out`` when given."""
-    js = np.arange(1, jmax + 1)
-    starts = np.concatenate(([0], np.cumsum(js)[:-1]))
-    first = starts + np.arange(jmax)         # edge 0 of each j; j has j + 1
-    i = np.arange(first[-1] + jmax + 1) - np.repeat(first, js + 1)
-    edges = np.clip(lo + (hi - lo) * i / np.repeat(js, js + 1), 0.0, 1.0)
-    edges[first], edges[first + js] = lo, hi  # pin float tails of the ends
-    cdf = np.asarray(density.cdf(edges))
-    cell = np.ones(cdf.size - 1, dtype=bool)
-    cell[(first + js)[:-1]] = False          # drop the j -> j+1 steps
-    pop = np.compress(cell, np.diff(cdf), out=out)
-    sumsq = np.add.reduceat(pop * pop, starts)
-    width_inv = js / (hi - lo)           # 1/cell width per j
-    d_vec = width_inv * (mass - sumsq)
-    return starts, pop, js, d_vec
-
-
 # A chunk of blocks keeps its (points x cells) index array of n points per
 # block within this many bytes; a block larger than that is a chunk alone.
 # A batch of replications (``harness._run_reps``) keeps its (reps x n)
@@ -163,7 +143,7 @@ _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 class _Chunk(NamedTuple):
     """Consecutive blocks b0..b1 - 1, each padded to J cells for every
-    j = 1..J, their cell tables at ``offset`` in the row's ``pop``.
+    j = 1..J, their cell tables built at ``offset`` in the row's ``pop``.
 
     The j fall into levels (J / 2^(L+1), J / 2^L] (in integers), and the
     even j of level L are twice the j of level L + 1.  The tables hold the
@@ -212,25 +192,16 @@ def _chunk(b0: int, b1: int, jmax: int, offset: int) -> _Chunk:
                   cols=js - 1, starts=starts.ravel())
 
 
-def _plain_positions(ch: _Chunk) -> np.ndarray:
-    """The position of each entry of a chunk's tables in its plain tables:
-    block after block, segment j at j (j - 1) / 2."""
-    nb, js = ch.b1 - ch.b0, ch.cols + 1
-    plain = (np.arange(nb) * (ch.jmax * (ch.jmax + 1) // 2)
-             + (js * (js - 1) // 2)[:, None]).ravel()
-    return np.arange(nb * js.sum()) + np.repeat(plain - ch.starts,
-                                                np.repeat(js, nb))
-
-
 class _BlockRow(NamedTuple):
     """A row of blocks [lo_b, lo_b + width_b), each cut into j = 1..cells_b
     equal cells for every j, with the cell probabilities of all of them.
 
-    The tables come in chunks of consecutive blocks (``_Chunk``).  A chunk
-    pads each of its blocks to its largest cell count J with probability
-    0, so a block holds J (J + 1) / 2 cells there.  ``d`` is D and
-    ``width_inv`` the inverse cell width j / width_b per (block, j - 1),
-    both 0 past a block's cells.
+    The tables come in chunks of consecutive blocks (``_Chunk``), each
+    built in its layout by one ``cdf`` call.  A chunk pads each of its
+    blocks to its largest cell count J with probability 0, so a block
+    holds J (J + 1) / 2 cells there.  ``d`` is D and ``width_inv`` the
+    inverse cell width j / width_b per (block, j - 1), both 0 past a
+    block's cells.
     """
 
     lo: np.ndarray
@@ -244,7 +215,9 @@ class _BlockRow(NamedTuple):
 def _block_row(density: Density, lo, hi, mass, cells, n: int) -> _BlockRow:
     """The tables of blocks [lo_b, hi_b) of mass mass_b with j = 1..cells_b
     cells, chunked so that n points per block times J cells stay within
-    CHUNK_BYTES (the binning pass's index array takes half of that)."""
+    CHUNK_BYTES (the binning pass's index array takes half of that); a
+    chunk's cells are the differences of one ``cdf`` call over the j + 1
+    edges of each of its (j, block) segments that hold cells."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     cells = np.asarray(cells, dtype=np.int64)
     bounds, b0, jmax = [], 0, 0
@@ -256,20 +229,32 @@ def _block_row(density: Density, lo, hi, mass, cells, n: int) -> _BlockRow:
     bounds.append((b0, cells.size, jmax))
     offsets = np.cumsum([0] + [(b1 - b0) * (jmax * (jmax + 1) // 2)
                                for b0, b1, jmax in bounds]).tolist()
-    pop = np.empty(offsets[-1])
-    d = np.zeros((cells.size, int(cells.max())))
+    pop = np.zeros(offsets[-1])
+    sumsq = np.zeros((cells.size, int(cells.max())))
     chunks = []
-    for (b0, b1, jmax), offset in zip(bounds, offsets):
-        chunks.append(_chunk(b0, b1, jmax, offset))
-        plain = np.zeros((b1 - b0, jmax * (jmax + 1) // 2))
-        for b in range(b0, b1):
-            d[b, :cells[b]] = _block_tables(
-                density, lo[b], hi[b], cells[b], mass[b],
-                plain[b - b0, :cells[b] * (cells[b] + 1) // 2])[3]
-        np.take(plain.ravel(), _plain_positions(chunks[-1]),
-                out=pop[offset:offset + plain.size])
-    width_inv = np.arange(1, d.shape[1] + 1) / (hi - lo)[:, None]
-    width_inv[np.arange(d.shape[1]) >= cells[:, None]] = 0.0
+    for (b0, b1, jmax), offset, end in zip(bounds, offsets, offsets[1:]):
+        ch = _chunk(b0, b1, jmax, offset)
+        chunks.append(ch)
+        seg = np.repeat(ch.cols + 1, b1 - b0)  # j per segment, table order
+        held = seg <= np.tile(cells[b0:b1], jmax)
+        js, blk = seg[held], np.tile(np.arange(b0, b1), jmax)[held]
+        first = np.cumsum(js + 1) - js - 1     # edge 0 of each segment
+        edges = (np.arange(first[-1] + js[-1] + 1, dtype=float)
+                 - np.repeat(first, js + 1))  # i of each edge, then edge i
+        edges *= np.repeat((hi - lo)[blk], js + 1)
+        edges /= np.repeat(js, js + 1)
+        edges += np.repeat(lo[blk], js + 1)
+        np.clip(edges, 0.0, 1.0, out=edges)
+        edges[first], edges[first + js] = lo[blk], hi[blk]  # pin the ends
+        diff = np.diff(density.cdf(edges))
+        table = pop[offset:end]
+        # drop the steps from one segment to the next
+        table[np.repeat(held, seg)] = np.delete(diff, (first + js)[:-1])
+        sumsq[b0:b1, ch.cols] = np.add.reduceat(
+            table * table, ch.starts).reshape(jmax, -1).T
+    width_inv = np.arange(1, sumsq.shape[1] + 1) / (hi - lo)[:, None]
+    width_inv[np.arange(sumsq.shape[1]) >= cells[:, None]] = 0.0
+    d = width_inv * (np.asarray(mass)[:, None] - sumsq)
     return _BlockRow(lo=lo, width=hi - lo, pop=pop, chunks=tuple(chunks),
                      d=d, width_inv=width_inv)
 

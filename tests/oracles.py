@@ -24,6 +24,9 @@ steps:
   oracle ratio of one method on one sample through it;
 * the slope pick on regular histograms in ``Fraction`` arithmetic, walked
   along the envelope without a hull;
+* the cell-probability tables and D of one block at a time
+  (``_block_tables``), the reference for the block engine's chunked
+  build;
 * the lower envelope as one monotone chain per set of lines, and the
   two-block lab cut by cut: each block's statistics binned on their own,
   the per-cut argmin and oracle loss, and the slope path in ``Fraction``s
@@ -42,7 +45,6 @@ import numpy as np
 from densel.densities import Density, Sample
 from densel.fitting import FittedModel, fit_model, histogram_counts, p_term
 from densel.harness import Method, TwoBlockLab, _Evaluation
-from densel.labs import _block_tables
 from densel.models import (ExactModelQuantities, ModelSpec, exact_quantities,
                            fourier_basis_matrix, fourier_model,
                            histogram_cell_index, histogram_model,
@@ -559,6 +561,27 @@ def lower_envelope_chain(slopes, intercepts) -> tuple[list[int], list]:
         hull.append(i)
         starts.append(k_cross if len(hull) > 1 else 0.0)
     return hull, starts
+
+
+def _block_tables(density: Density, lo: float, hi: float, jmax: int,
+                  mass: float, out: np.ndarray | None = None):
+    """Flat cell-probability tables for j = 1..jmax cells on [lo, hi):
+    (starts, pop, js, d_vec), with one ``cdf`` call over every edge; pop
+    is written into ``out`` when given."""
+    js = np.arange(1, jmax + 1)
+    starts = np.concatenate(([0], np.cumsum(js)[:-1]))
+    first = starts + np.arange(jmax)         # edge 0 of each j; j has j + 1
+    i = np.arange(first[-1] + jmax + 1) - np.repeat(first, js + 1)
+    edges = np.clip(lo + (hi - lo) * i / np.repeat(js, js + 1), 0.0, 1.0)
+    edges[first], edges[first + js] = lo, hi  # pin float tails of the ends
+    cdf = np.asarray(density.cdf(edges))
+    cell = np.ones(cdf.size - 1, dtype=bool)
+    cell[(first + js)[:-1]] = False          # drop the j -> j+1 steps
+    pop = np.compress(cell, np.diff(cdf), out=out)
+    sumsq = np.add.reduceat(pop * pop, starts)
+    width_inv = js / (hi - lo)           # 1/cell width per j
+    d_vec = width_inv * (mass - sumsq)
+    return starts, pop, js, d_vec
 
 
 def block_stats(tables, x: np.ndarray, lo: float, hi: float, n: int):

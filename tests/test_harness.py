@@ -17,10 +17,11 @@ from densel.harness import (CollectionLab, Method, TwoBlockLab, _Evaluation,
                             penalty_sweep, run_example, summarize)
 from densel.models import fourier_basis_matrix
 from densel.rng import RngStream
-from oracles import (PerCutTwoBlock, PerModelLab, block_stats,
-                     build_collection, build_regular_histograms,
+from oracles import (PerCutTwoBlock, PerModelLab, _block_tables,
+                     block_stats, build_collection, build_regular_histograms,
                      build_two_block_collection, exact_argmin,
-                     exact_histogram_slope_pick, oracle_ratio, per_cut_arrays)
+                     exact_histogram_slope_pick, oracle_ratio, per_cut_arrays,
+                     per_cut_tables)
 
 ALL_METHODS = (Method("slope-dim"), Method("resampling"),
                Method("resampling-slope"), Method("ideal", 2.0))
@@ -179,7 +180,7 @@ def test_both_histogram_labs_run_the_block_engine(monkeypatch):
     """Every module that calls the engine's functions runs them from its
     own namespace; each binding is wrapped."""
     calls = []
-    for name in ("_block_tables", "_bin_counts", "_row_stats"):
+    for name in ("_block_row", "_bin_counts", "_row_stats"):
         fn = getattr(labs, name)
         for module in (labs, twoblock):
             if hasattr(module, name):
@@ -190,7 +191,7 @@ def test_both_histogram_labs_run_the_block_engine(monkeypatch):
         calls.clear()
         make_lab(kind, 6, PowerLaw()).evaluate(
             PowerLaw().sample(6, RngStream(26, 0, "data")))
-        assert {"_block_tables", "_bin_counts", "_row_stats"} <= set(calls), \
+        assert {"_block_row", "_bin_counts", "_row_stats"} <= set(calls), \
             kind
 
 
@@ -213,15 +214,21 @@ def _edge_samples(n: int):
 
 def test_block_engine_matches_block_by_block_oracle():
     """Both labs give the same floats as the block-by-block loop with the
-    clamp on the cell index: contrast, var and loss of every two-block
-    block, and every regular histogram's contrast, dmw, loss and T, over
-    random and hand-made samples."""
+    clamp on the cell index: D, and contrast, var and loss of every
+    two-block block, and every regular histogram's D, contrast, dmw, loss
+    and T, over random and hand-made samples."""
     count = 0
     for n in (2, 3, 7, 13, 40, 100):
         for density in (PowerLaw(), Uniform(), STEP):
             lab, hist = TwoBlockLab(n, density), make_lab("regular-hist", n,
                                                           density)
-            tables = labs._block_tables(density, 0.0, 1.0, n, 1.0)
+            tables = _block_tables(density, 0.0, 1.0, n, 1.0)
+            assert np.array_equal(hist.block.d[0], tables[3])
+            d_want = np.zeros((2, n - 1, n - 1))
+            for kk, blocks in enumerate(per_cut_tables(lab)):
+                for side, (_, _, js, d_vec) in enumerate(blocks):
+                    d_want[side, kk, :js.size] = d_vec
+            assert np.array_equal(lab.d_exact[lab.valid], d_want[lab.valid])
             draws = [density.sample(n, RngStream(31, 10 * n + rep, "data"))
                      for rep in range(3 if n == 100 else 8)]
             for sample in draws + [Sample(np.sort(p), sorted_flag=True)
@@ -239,6 +246,76 @@ def test_block_engine_matches_block_by_block_oracle():
                 assert np.array_equal(ev.dmws, v * n / (n - 1.0))
                 count += 1
     assert count == 255
+
+
+def _block_row_and_oracle(kind: str, n: int, density):
+    """A histogram lab's block row, the ``density.cdf`` calls of its build,
+    and each block's (lo, hi, oracle tables) in row order."""
+    calls = []
+    cdf = type(density).cdf
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(type(density), "cdf",
+                   lambda self, x: calls.append(np.size(x)) or cdf(self, x))
+        lab = make_lab(kind, n, density)
+    if kind == "regular-hist":
+        return lab.block, calls, [(0.0, 1.0,
+                                   _block_tables(density, 0.0, 1.0, n, 1.0))]
+    tables = per_cut_tables(lab)
+    return lab.blocks, calls, (
+        [(0.0, c, left) for c, (left, _) in zip(lab.cuts, tables)]
+        + [(c, 1.0, right) for c, (_, right) in zip(lab.cuts, tables)])
+
+
+@pytest.mark.parametrize("kind,sizes", [("regular-hist", (1, 2, 37, 300)),
+                                        ("two-block", (2, 3, 40, 100))])
+@pytest.mark.parametrize("density", [PowerLaw(), Uniform(), STEP],
+                         ids=["power", "uniform", "step"])
+def test_block_row_matches_block_tables(kind, sizes, density):
+    """The chunked build gives, bit for bit, every block's cell
+    probabilities, D and inverse cell widths of the block-by-block tables:
+    each (j, block) segment of a chunk, found through its ``cols`` and
+    ``starts``, holds the block's cells for that j, or zeros where the
+    block has fewer than j cells; one ``cdf`` call builds each chunk."""
+    for n in sizes:
+        row, calls, blocks = _block_row_and_oracle(kind, n, density)
+        assert len(calls) == len(row.chunks) + (kind == "two-block"), n
+        end = 0
+        for ch in row.chunks:
+            nb = ch.b1 - ch.b0
+            assert ch.offset == end
+            end += nb * (ch.jmax * (ch.jmax + 1) // 2)
+            table = row.pop[ch.offset:end]
+            want = np.zeros(table.size)
+            for r, j in enumerate(ch.cols + 1):
+                for b in range(ch.b0, ch.b1):
+                    starts, pop = blocks[b][2][:2]
+                    if j <= starts.size:
+                        at = ch.starts[r * nb + b - ch.b0]
+                        want[at:at + j] = pop[starts[j - 1]:starts[j - 1] + j]
+            assert np.array_equal(table, want), (n, ch.b0)
+        assert end == row.pop.size
+        for b, (lo, hi, (_, _, js, d_vec)) in enumerate(blocks):
+            assert np.array_equal(row.d[b, :js.size], d_vec), (n, b)
+            assert np.array_equal(row.width_inv[b, :js.size], js / (hi - lo))
+            assert not row.d[b, js.size:].any()
+            assert not row.width_inv[b, js.size:].any()
+
+
+@pytest.mark.parametrize("n", [1000, 2000])
+@pytest.mark.parametrize("density", [PowerLaw(), Uniform(), STEP],
+                         ids=["power", "uniform", "step"])
+def test_regular_hist_build_memory_bounded(n, density):
+    """Building the regular histograms' tables holds at its peak at most
+    7.5 times the cell table it keeps: the table, one chunk's edges and
+    the temporaries of one ``cdf`` call over them."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        lab = CollectionLab("regular-hist", n, density)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5 * lab.block.pop.nbytes
 
 
 def test_cell_clamp_on_points():
