@@ -207,7 +207,10 @@ class PiecewiseConstant(_Frozen, Density):
         cum = np.concatenate(([0.0], np.cumsum(self.heights * np.diff(self.breaks))))
         idx = np.minimum(np.searchsorted(self.breaks, x, side="right") - 1,
                          self.heights.size - 1)
-        out = cum[idx] + self.heights[idx] * (x - self.breaks[idx])
+        # cum + heights * (x - breaks) in one array, the same floats
+        out = x - self.breaks[idx]
+        out *= self.heights[idx]
+        out += cum[idx]
         # clamp the float tail so cdf(1.0) == 1.0 exactly
         return np.clip(out, 0.0, 1.0)
 

@@ -4,11 +4,12 @@
 The lines are sorted and filtered with arrays, then pruned pass after
 pass, also with arrays: every line that is not strictly convex with its
 two neighbours drops, until none does.  Float lines (the Fourier
-collection's) keep a relative tie tolerance; integer lines are decided
-exactly, and so are lines over integer denominators (the two-block lab's
-pair lines), in int64 wherever it holds them.  A batch of integer
-rows (the two-block lab's blocks) is filtered row by row and pruned in
-the same passes.  The exact slope paths of ``slope`` run on these.
+collection's) keep a relative tie tolerance; integer lines, also over
+integer denominators (the two-block lab's pair lines), are decided
+exactly by cross-products, in int64 wherever it holds them.  A batch of
+integer rows (the two-block lab's blocks) is filtered row by row and
+pruned in the same passes.  The exact slope paths of ``slope`` run on
+these.
 """
 
 from __future__ import annotations
@@ -104,13 +105,13 @@ def _rational_envelope(slopes, intercepts, dens):
     K -> (intercept + K * slope) / den, all three integers and den > 0,
     ties as in ``lower_envelope``.
 
-    The lines are sorted by their float slopes and intercepts, correctly
-    rounded (from Python ints when a term is 2^53 or more in size), so
-    unequal floats order them.  In the same pass every line that a
-    strictly flatter line beats strictly at K = 0 by the floats drops; as
-    rounding is monotone, the exact lines compare so too.  Lines with
-    equal floats stay: adjacent lines are checked by cross-products, and
-    if a float tie hides an order they are sorted as ``Fraction``s.  The
+    First every line that a strictly flatter line beats strictly at K = 0
+    drops, by the floats of the slopes and intercepts, correctly rounded
+    (from Python ints when a term is 2^53 or more in size); as rounding is
+    monotone, the exact lines compare so too.  The lines left are sorted
+    by their floats, so unequal floats order them.  Lines with equal
+    floats stay: adjacent lines are checked by cross-products, and if a
+    float tie hides an order they are sorted as ``Fraction``s.  The
     first of each run of equal slopes is pruned with the others over all
     K, and the pieces that end at K <= 0 go.  The cross-products stay in
     int64 while every |slope| and |intercept| times the largest den is
@@ -126,12 +127,14 @@ def _rational_envelope(slopes, intercepts, dens):
         return s[a] * d[b] - s[b] * d[a], c[b] * d[a] - c[a] * d[b]
 
     fs, fc = (s / d).astype(float), (c / d).astype(float)
-    order = np.lexsort((fc, -fs))
     # drop a line when a strictly flatter line is strictly cheaper at K = 0
-    # by the floats: past each run of equal float slopes, the cheapest one
-    fs, fc = fs[order], fc[order]
-    cheapest = np.append(np.minimum.accumulate(fc[::-1])[::-1], np.inf)
-    order = order[fc <= cheapest[np.searchsorted(-fs, -fs, side="right")]]
+    # by the floats (the cheapest line before its run of equal float slopes)
+    rise = np.argsort(fs)
+    flat, cost = fs[rise], fc[rise]
+    cheapest = np.append(np.inf, np.minimum.accumulate(cost))
+    order = np.sort(rise[cost <= cheapest[np.searchsorted(flat, flat)]])
+    # sort the lines left, in index order, by (-slope, intercept, index)
+    order = order[np.lexsort((fc[order], -fs[order]))]
     flatter, dearer = steps(order)
     if np.any((flatter < 0) | ((flatter == 0) & (dearer < 0))):
         order = np.array(sorted(order.tolist(), key=lambda i: (
@@ -168,24 +171,18 @@ def _prune(s: np.ndarray, c: np.ndarray, inner: np.ndarray, d=None):
     Float lines compare crossings as quotients, as a chain would; where
     many crossings agree to rounding (long collinear runs), which sliver
     survives can differ from a chain's.  Integer lines are decided
-    exactly.  With B the largest |num| or |den| of a crossing (2 |slope|
-    or 2 |intercept| times the largest d), their cross-products stay
-    within B^2, and int64 holds them while (B + 1)^2 < 2^63 (for the
-    two-block lab's block lines, B <= 2 n^3, up to n = 1,149).  Past that,
-    while B < 2^53 (the two-block lab's pair lines, B <= n^7 / 8, up to
-    n = 255), the crossings' floats are exact and their quotients
-    correctly rounded, so unequal quotients order the crossings and only
-    equal ones are cross-multiplied, in Python ints; past that the lines
-    turn into Python ints."""
-    quotients = s.dtype.kind == "f"
-    if not quotients and s.dtype != object:
+    exactly, by cross-products alone.  With B the largest |num| or |den|
+    of a crossing (2 |slope| or 2 |intercept| times the largest d), the
+    cross-products stay within B^2, and int64 holds them while
+    (B + 1)^2 < 2^63 (for the two-block lab's block lines, B <= 2 n^3, up
+    to n = 1,149; for its pair lines, B <= n^7 / 8, up to n = 30); past
+    that the lines turn into Python ints."""
+    if s.dtype.kind in "iu":
         bound = 2 * max(_magnitude(s), _magnitude(c)) * (
             1 if d is None else int(d.max()))
         if (bound + 1) ** 2 >= 2 ** 63:
-            quotients = bound < 2 ** 53
-            if not quotients:
-                s, c = s.astype(object), c.astype(object)
-                d = None if d is None else d.astype(object)
+            s, c = s.astype(object), c.astype(object)
+            d = None if d is None else d.astype(object)
     pos = np.arange(s.size)
     while True:
         if d is None:
@@ -193,13 +190,9 @@ def _prune(s: np.ndarray, c: np.ndarray, inner: np.ndarray, d=None):
         else:
             ds = s[:-1] * d[1:] - s[1:] * d[:-1]
             dc = c[1:] * d[:-1] - c[:-1] * d[1:]
-        if quotients:
+        if s.dtype.kind == "f":
             k = dc / ds
             drop = k[:-1] >= k[1:]
-            if s.dtype.kind != "f":
-                for i in np.flatnonzero(k[:-1] == k[1:]).tolist():
-                    drop[i] = (int(dc[i]) * int(ds[i + 1])
-                               >= int(dc[i + 1]) * int(ds[i]))
         else:
             drop = dc[:-1] * ds[1:] >= dc[1:] * ds[:-1]
         drop &= inner

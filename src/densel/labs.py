@@ -231,9 +231,11 @@ def _block_row(density: Density, lo, hi, mass, cells, n: int) -> _BlockRow:
                                for b0, b1, jmax in bounds]).tolist()
     pop = np.zeros(offsets[-1])
     sumsq = np.zeros((cells.size, int(cells.max())))
-    chunks = []
+    chunks, layouts = [], {}
     for (b0, b1, jmax), offset, end in zip(bounds, offsets, offsets[1:]):
-        ch = _chunk(b0, b1, jmax, offset)
+        if (b1 - b0, jmax) not in layouts:     # one layout per shape
+            layouts[b1 - b0, jmax] = _chunk(b0, b1, jmax, offset)
+        ch = layouts[b1 - b0, jmax]._replace(b0=b0, b1=b1, offset=offset)
         chunks.append(ch)
         seg = np.repeat(ch.cols + 1, b1 - b0)  # j per segment, table order
         held = seg <= np.tile(cells[b0:b1], jmax)

@@ -120,6 +120,29 @@ def test_piecewise_l2_is_exact_sum():
     assert d.l2_norm_sq() == expected
 
 
+@pytest.mark.parametrize("density", [
+    ALL_DENSITIES[2],
+    density_from_config("piecewise", breaks=[0.0, 0.3, 1.0],
+                        heights=[2.0, 4.0 / 7.0])])
+def test_piecewise_cdf_is_the_one_expression(density):
+    """The step cdf gives, bit for bit, cum + heights * (x - breaks) of the
+    point's cell, clipped to [0, 1], on points across the support, its
+    ends and breaks among them; a scalar point gives a numpy float."""
+    x = np.concatenate((np.random.default_rng(4).random(10 ** 6),
+                        density.breaks, [0.0, 0.3, 0.5, 1.0]))
+    cum = np.concatenate(
+        ([0.0], np.cumsum(density.heights * np.diff(density.breaks))))
+    idx = np.minimum(np.searchsorted(density.breaks, x, side="right") - 1,
+                     density.heights.size - 1)
+    want = np.clip(cum[idx] + density.heights[idx] * (x - density.breaks[idx]),
+                   0.0, 1.0)
+    assert np.array_equal(density.cdf(x), want)
+    for point in (0.0, 0.3, 0.5, 1.0):
+        got = density.cdf(point)
+        assert type(got) is np.float64
+        assert got == want[np.flatnonzero(x == point)[0]]
+
+
 def test_piecewise_validation():
     with pytest.raises(ValueError):
         PiecewiseConstant(breaks=np.array([0.0, 0.5, 1.0]),

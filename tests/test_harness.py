@@ -249,19 +249,22 @@ def test_block_engine_matches_block_by_block_oracle():
 
 
 def _block_row_and_oracle(kind: str, n: int, density):
-    """A histogram lab's block row, the ``density.cdf`` calls of its build,
-    and each block's (lo, hi, oracle tables) in row order."""
-    calls = []
-    cdf = type(density).cdf
+    """A histogram lab's block row, the ``density.cdf`` and ``labs._chunk``
+    calls of its build, and each block's (lo, hi, oracle tables) in row
+    order."""
+    calls, layouts = [], []
+    cdf, chunk = type(density).cdf, labs._chunk
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(type(density), "cdf",
                    lambda self, x: calls.append(np.size(x)) or cdf(self, x))
+        mp.setattr(labs, "_chunk",
+                   lambda *args: layouts.append(args) or chunk(*args))
         lab = make_lab(kind, n, density)
     if kind == "regular-hist":
-        return lab.block, calls, [(0.0, 1.0,
-                                   _block_tables(density, 0.0, 1.0, n, 1.0))]
+        return lab.block, calls, layouts, [
+            (0.0, 1.0, _block_tables(density, 0.0, 1.0, n, 1.0))]
     tables = per_cut_tables(lab)
-    return lab.blocks, calls, (
+    return lab.blocks, calls, layouts, (
         [(0.0, c, left) for c, (left, _) in zip(lab.cuts, tables)]
         + [(c, 1.0, right) for c, (_, right) in zip(lab.cuts, tables)])
 
@@ -275,10 +278,14 @@ def test_block_row_matches_block_tables(kind, sizes, density):
     probabilities, D and inverse cell widths of the block-by-block tables:
     each (j, block) segment of a chunk, found through its ``cols`` and
     ``starts``, holds the block's cells for that j, or zeros where the
-    block has fewer than j cells; one ``cdf`` call builds each chunk."""
+    block has fewer than j cells; one ``cdf`` call builds each chunk, and
+    one ``_chunk`` call each distinct (blocks, J) layout."""
     for n in sizes:
-        row, calls, blocks = _block_row_and_oracle(kind, n, density)
+        row, calls, layouts, blocks = _block_row_and_oracle(kind, n, density)
         assert len(calls) == len(row.chunks) + (kind == "two-block"), n
+        shapes = [(b1 - b0, jmax) for b0, b1, jmax, _ in layouts]
+        assert sorted(shapes) == sorted(
+            {(ch.b1 - ch.b0, ch.jmax) for ch in row.chunks}), n
         end = 0
         for ch in row.chunks:
             nb = ch.b1 - ch.b0
@@ -306,7 +313,7 @@ def test_block_row_matches_block_tables(kind, sizes, density):
                          ids=["power", "uniform", "step"])
 def test_regular_hist_build_memory_bounded(n, density):
     """Building the regular histograms' tables holds at its peak at most
-    7.5 times the cell table it keeps: the table, one chunk's edges and
+    5.5 times the cell table it keeps: the table, one chunk's edges and
     the temporaries of one ``cdf`` call over them."""
     tracemalloc.start()
     try:
@@ -315,7 +322,7 @@ def test_regular_hist_build_memory_bounded(n, density):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 7.5 * lab.block.pop.nbytes
+    assert peak <= 5.5 * lab.block.pop.nbytes
 
 
 def test_cell_clamp_on_points():
@@ -462,9 +469,10 @@ def test_forked_workers_byte_identical(monkeypatch):
 def _two_block_samples():
     """(n, density, sample): 17 draws for each n and density, plus samples
     whose points all lie above 0.9 or below 0.1 (empty left or right
-    blocks at most cuts)."""
+    blocks at most cuts), and one draw for each density at n = 100."""
+    densities = (PowerLaw(), Uniform(), STEP)
     for n in (2, 3, 5, 7, 13, 40):
-        for d, density in enumerate((PowerLaw(), Uniform(), STEP)):
+        for d, density in enumerate(densities):
             for rep in range(17):
                 yield n, density, density.sample(
                     n, RngStream(29, 100 * n + 20 * d + rep, "data"))
@@ -472,6 +480,9 @@ def _two_block_samples():
             gen = np.random.default_rng(n)
             pts = np.sort(lo + 0.1 * gen.random(n))
             yield n, PowerLaw(), Sample(pts)
+    for d, density in enumerate(densities):
+        yield 100, density, density.sample(
+            100, RngStream(29, 10_000 + 20 * d, "data"))
 
 
 def _sliver_samples():

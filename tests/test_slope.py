@@ -285,8 +285,14 @@ def test_rational_hull_matches_fraction_chain():
     same double with the flatter line dearer (in both orders), int64
     slopes past 2^53 whose floats put the cheaper, exactly steeper line
     flatter, and random rows with many dominated lines, also with slope x
-    denominator past 2^63.  Pieces and exact starts are those of the chain
-    on the ``Fraction`` lines."""
+    denominator past 2^63.  Rows aimed at the filter at K = 0: equal float
+    slopes over unequal exact ones, the steeper line cheaper; equal float
+    intercepts over unequal exact ones, the steeper line cheaper; lines
+    beaten only by a line of equal slope; every line but one beaten.
+    Rows of the pair lines' sizes (slopes to 2.5e7, denominators to
+    2.5e5), whose crossings pass int64 and are pruned in Python ints.
+    Pieces and exact starts are those of the chain on the ``Fraction``
+    lines."""
     gen = np.random.default_rng(9)
     big = 10 ** 17
     settle_d = np.array([3, 5, 7])
@@ -302,7 +308,25 @@ def test_rational_hull_matches_fraction_chain():
              (np.array([a, c]), np.array([0, -d]), np.array([b, d])),
              (np.array([c, a]), np.array([-d, 0]), np.array([d, b])),
              (np.array([18014679725416958, 198161476979586540]),
-              np.array([0, -11]), np.array([1, 11]))]
+              np.array([0, -11]), np.array([1, 11])),
+             (np.array([a, c, 1]), np.array([0, -d, 5]), np.array([b, d, 1])),
+             (np.array([2, 1]), np.array([-2 ** 60 - 1, -2 ** 60]),
+              np.array([1, 1])),
+             (np.array([6, 3, 0]),
+              np.array([-3 * 2 ** 60 - 3, -3 * 2 ** 60, -3 * 2 ** 60 + 3]),
+              np.array([3, 3, 3])),
+             (np.array([4, 2, 6, 0]), np.array([1, 0, 3, 5]),
+              np.array([2, 1, 3, 1])),
+             (np.array([9, 3, 0, 12, 6]), np.array([4, 2, -1, 7, 3]),
+              np.array([3, 1, 1, 2, 3]))]
+    gen = np.random.default_rng(12)
+    for _ in range(40):
+        m = int(gen.integers(2, 200))
+        d = gen.integers(1, 250_000, size=m)
+        x = 100.0 * gen.random(m)
+        cases.append((np.rint(x * d).astype(np.int64),
+                      np.rint((2.0 * gen.random(m) - 10.0 * np.sqrt(x)) * d)
+                      .astype(np.int64), d))
     for _ in range(300):
         m = int(gen.integers(1, 40))
         d = gen.integers(1, 7, size=m)
