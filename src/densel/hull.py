@@ -4,17 +4,17 @@
 The lines are sorted and filtered with arrays, then pruned pass after
 pass, also with arrays: every line that is not strictly convex with its
 two neighbours drops, until none does.  Float lines (the Fourier
-collection's) keep a relative tie tolerance; integer lines, also over
-integer denominators (the two-block lab's pair lines), are decided
+collection's) keep a relative tie tolerance; integer lines are decided
 exactly by cross-products, in int64 wherever it holds them.  A batch of
-integer rows (the two-block lab's blocks) is filtered row by row and
-pruned in the same passes.  The exact slope paths of ``slope`` run on
-these.
+integer rows in rising slope order (the blocks of both histogram labs)
+is filtered row by row and pruned in the same passes; any other integer
+lines, over integer denominators (the two-block lab's pair lines, or
+ones), go through ``_rational_envelope``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import cmp_to_key
 
 import numpy as np
 
@@ -31,20 +31,16 @@ def lower_envelope(slopes: np.ndarray, intercepts: np.ndarray, sizes=None):
     """Lower envelopes of the lines K -> intercept + K * slope on [0, inf).
 
     Returns (indices, start_ks): the active pieces in slope-decreasing
-    order, each one's index and the K at which it starts; the first piece
-    starts at K = 0.  Among lines with equal slope only the smallest
-    intercept survives (smallest index on full ties), and a breakpoint
-    belongs to the flatter of its two lines, so the selected slope is
-    right-continuous in K.
+    order, each one's index and start K (0 at the first).  Of lines with
+    equal slope only the smallest intercept survives (smallest index on
+    full ties), and a breakpoint belongs to the flatter of its two lines.
 
-    One row of lines is sorted and filtered with arrays (a line is dropped
-    when a flatter line is at least as cheap at K = 0), then ``_prune``
-    prunes the lines left.  Integer lines (integer dtypes, or Python ints
-    in an object array) are decided exactly and their breakpoints are
-    ``Fraction``s.  Float lines (the Fourier collection's) count
-    intercepts within one part in 1e12 as tied: float noise on an exact
-    tie would otherwise open a sliver segment of width ~1e-16 that the
-    jump detectors would see as a genuine complexity jump.
+    One row of float lines (integer ones take ``_rational_envelope``) is
+    sorted and filtered with arrays (a line drops when a flatter line is
+    at least as cheap at K = 0), then ``_prune`` prunes the lines left.
+    Intercepts within one part in 1e12 count as tied: float noise on an
+    exact tie would otherwise open a sliver segment of width ~1e-16 that
+    the jump detectors would see as a genuine complexity jump.
 
     A 2-D batch of integer rows, row r holding its lines in its first
     ``sizes[r]`` entries in increasing slope order (as cell counts rise),
@@ -60,44 +56,20 @@ def lower_envelope(slopes: np.ndarray, intercepts: np.ndarray, sizes=None):
         if slopes.dtype.kind not in "iu" or intercepts.dtype.kind not in "iu":
             raise ValueError("a batch of rows needs integer lines")
         return _pruned_envelopes(slopes, intercepts, np.asarray(sizes))
-    exact = slopes.dtype.kind in "iuO" and intercepts.dtype.kind in "iuO"
-    if not exact:
-        slopes = slopes.astype(float, copy=False)
-        intercepts = intercepts.astype(float, copy=False)
-    order, num, den = _filtered_envelope(slopes, intercepts)
-    if not exact:
-        return order, num / den
-    starts = [Fraction(p, q) for p, q in zip(num.tolist(), den.tolist())]
-    starts[0] = 0.0
-    return order, np.array(starts, dtype=object)
-
-
-def _filtered_envelope(slopes: np.ndarray, intercepts: np.ndarray):
-    """(indices, num, den) of ``lower_envelope`` on one row of lines, float
-    or integer: sorted and filtered with arrays, then pruned."""
-    exact = slopes.dtype.kind != "f"
-    # sort by (-slope, intercept, index); lines already in increasing slope
-    # order (dimensions) are simply reversed
-    if np.all(slopes[1:] > slopes[:-1]):
-        order = np.arange(slopes.size - 1, -1, -1)
-    else:
-        order = np.lexsort((intercepts, -slopes))
+    if slopes.dtype.kind in "iuO" and intercepts.dtype.kind in "iuO":
+        raise ValueError("one row of integer lines takes slope.envelope_path")
+    slopes, intercepts = slopes.astype(float), intercepts.astype(float)
+    order = np.lexsort((intercepts, -slopes))  # (-slope, intercept, index)
     s, c = slopes[order], intercepts[order]
-    live = np.ones(s.size, dtype=bool)
-    live[1:] = s[1:] != s[:-1]          # drop the later of equal slopes
+    live = np.append(True, s[1:] != s[:-1])  # drop the later of equal slopes
     order, s, c = order[live], s[live], c[live]
     # drop a line when a later (flatter) line is at least as cheap at K = 0
     # up to the tie tolerance; what is left rises strictly
-    tie = c[:-1]
-    if not exact:
-        tie = np.maximum(np.abs(tie), 1.0)
-        tie *= _TIE_RTOL
-        tie += c[:-1]
-    keep = np.ones(s.size, dtype=bool)
-    keep[:-1] = ~(np.minimum.accumulate(c[:0:-1])[::-1] <= tie)
+    tie = c[:-1] + _TIE_RTOL * np.maximum(np.abs(c[:-1]), 1.0)
+    keep = np.append(~(np.minimum.accumulate(c[:0:-1])[::-1] <= tie), True)
     order, s, c = order[keep], s[keep], c[keep]
     pos, num, den = _prune(s, c, np.ones(max(s.size - 2, 0), dtype=bool))
-    return order[pos], num, den
+    return order[pos], num / den
 
 
 def _rational_envelope(slopes, intercepts, dens):
@@ -105,18 +77,17 @@ def _rational_envelope(slopes, intercepts, dens):
     K -> (intercept + K * slope) / den, all three integers and den > 0,
     ties as in ``lower_envelope``.
 
-    First every line that a strictly flatter line beats strictly at K = 0
-    drops, by the floats of the slopes and intercepts, correctly rounded
-    (from Python ints when a term is 2^53 or more in size); as rounding is
-    monotone, the exact lines compare so too.  The lines left are sorted
-    by their floats, so unequal floats order them.  Lines with equal
-    floats stay: adjacent lines are checked by cross-products, and if a
-    float tie hides an order they are sorted as ``Fraction``s.  The
-    first of each run of equal slopes is pruned with the others over all
-    K, and the pieces that end at K <= 0 go.  The cross-products stay in
-    int64 while every |slope| and |intercept| times the largest den is
-    below 2^62 (for the two-block lab's pair lines, at most n^4 / 4 times
-    n^3 / 4, up to n = 689), and are Python ints past that."""
+    Every line that a strictly flatter line beats strictly at K = 0 drops
+    first, by the correctly rounded floats of the slopes and intercepts
+    (from Python ints past 2^53); rounding being monotone, the exact lines
+    compare so too.  The lines left are sorted by their floats and checked
+    pair by pair by cross-products, which sort them where equal floats
+    hide their order.  The first of each run of equal slopes is pruned
+    with the others over all K, and the pieces that end at K <= 0 go.
+    The cross-products stay in int64 while every |slope| and |intercept|
+    times the largest den is below 2^62 (for the two-block lab's pair
+    lines, at most n^4 / 4 times n^3 / 4, up to n = 689), and are Python
+    ints past that."""
     s, c, d = (np.asarray(x) for x in (slopes, intercepts, dens))
     top, d_max = max(_magnitude(s), _magnitude(c)), int(d.max())
     if top * d_max >= 2 ** 62 or max(top, d_max) >= 2 ** 53:
@@ -125,6 +96,12 @@ def _rational_envelope(slopes, intercepts, dens):
     def steps(order):
         a, b = order[:-1], order[1:]
         return s[a] * d[b] - s[b] * d[a], c[b] * d[a] - c[a] * d[b]
+
+    def compare(i, k):
+        """Line i against line k in (-slope, intercept, index) order, by
+        cross-products in Python ints: negative when i comes first."""
+        si, ci, di, sk, ck, dk = (int(x[j]) for j in (i, k) for x in (s, c, d))
+        return (sk * di - si * dk) or (ci * dk - ck * di) or (i - k)
 
     fs, fc = (s / d).astype(float), (c / d).astype(float)
     # drop a line when a strictly flatter line is strictly cheaper at K = 0
@@ -137,9 +114,8 @@ def _rational_envelope(slopes, intercepts, dens):
     order = order[np.lexsort((fc[order], -fs[order]))]
     flatter, dearer = steps(order)
     if np.any((flatter < 0) | ((flatter == 0) & (dearer < 0))):
-        order = np.array(sorted(order.tolist(), key=lambda i: (
-            Fraction(-int(s[i]), int(d[i])), Fraction(int(c[i]), int(d[i])),
-            i)), dtype=np.int64)
+        order = np.array(sorted(order.tolist(), key=cmp_to_key(compare)),
+                         dtype=np.int64)
         flatter, _ = steps(order)
     order = order[np.concatenate(([True], flatter != 0))]
     pos, num, den = _prune(s[order], c[order],
@@ -174,9 +150,9 @@ def _prune(s: np.ndarray, c: np.ndarray, inner: np.ndarray, d=None):
     exactly, by cross-products alone.  With B the largest |num| or |den|
     of a crossing (2 |slope| or 2 |intercept| times the largest d), the
     cross-products stay within B^2, and int64 holds them while
-    (B + 1)^2 < 2^63 (for the two-block lab's block lines, B <= 2 n^3, up
-    to n = 1,149; for its pair lines, B <= n^7 / 8, up to n = 30); past
-    that the lines turn into Python ints."""
+    (B + 1)^2 < 2^63 (for the histogram labs' block lines, B <= 2 n^3, up
+    to n = 1,149; for the two-block lab's pair lines, B <= n^7 / 8, up to
+    n = 30); past that the lines turn into Python ints."""
     if s.dtype.kind in "iu":
         bound = 2 * max(_magnitude(s), _magnitude(c)) * (
             1 if d is None else int(d.max()))

@@ -21,9 +21,10 @@ cells of every block, one ``cdf`` call per chunk of blocks whose
 (J/2, J], one pass per chunk, and gets the counts of every smaller j as
 pair sums of those of 2j; ``_row_stats`` turns the sums into each j's
 statistics.  ``CollectionLab`` runs it on the single block [0, 1] for
-the regular histograms, whose slope paths are integer lines decided
-exactly, and keeps the nested Fourier models as arrays.  The two-block
-family's lab runs it on a row of all cuts' blocks (module ``twoblock``);
+the regular histograms and keeps the nested Fourier models as arrays.
+The two-block family's lab runs it on a row of all cuts' blocks (module
+``twoblock``).  Both hull their blocks' integer ``dim`` lines in one
+batch and read a block's ``dmw`` envelope off it (``_dmw_prefix``).
 ``harness`` picks the lab for a kind and runs the experiments.  The
 model lists, the per-model loop and the block-by-block tables both labs
 are checked against are in ``tests/oracles.py``.
@@ -40,7 +41,8 @@ import numpy as np
 from .densities import Density, Sample
 from .methods import Method, MethodOutcome
 from .models import fourier_means, fourier_pop_coeffs
-from .slope import SlopePath, envelope_path, slope_pick
+from . import slope
+from .slope import SlopePath, envelope_path, integer_path, slope_pick
 
 __all__ = [
     "ModelRow",
@@ -360,10 +362,11 @@ class CollectionLab:
     and dims, ``reg-hist:d={d}`` (d) and ``fourier:j={j}`` (2j+1), 1..n.
 
     Regular histograms are the one-block case of the block engine: j = 1..n
-    equal cells on [0, 1].  Nested Fourier models share coefficients:
+    equal cells on [0, 1], whose envelope gives the exact slope paths
+    (``_HistogramEvaluation``).  Nested Fourier models share coefficients:
     ``pop`` holds those of the largest model, every model's bias and D fall
     out of one cumulative sum, and each sample is fitted once, from the
-    basis means of ``fourier_means``.
+    basis means of ``fourier_means``; their paths run on float lines.
     """
 
     def __init__(self, kind: str, n: int, density: Density):
@@ -441,15 +444,10 @@ class _Evaluation(_LabEvaluation):
         idx = int(np.lexsort((deltas, self.contrasts + pens))[0])
         return idx, pens[idx]
 
-    def _lines(self, complexity: str):
-        """(contrasts, complexities, units) of the path's lines."""
-        return self.contrasts, self._complexity(complexity), (1, 1)
-
     def _build_path(self, complexity: str) -> tuple[SlopePath, list[int]]:
-        delta_max = self._complexity(complexity).max()
-        contrasts, deltas, units = self._lines(complexity)
-        return envelope_path(contrasts, deltas, self.ids.__getitem__,
-                             delta_max, units)
+        deltas = self._complexity(complexity)
+        return envelope_path(self.contrasts, deltas, self.ids.__getitem__,
+                             deltas.max(), (1, 1))
 
     def _row(self, idx: int, penalty: float) -> ModelRow:
         return ModelRow(model_id=self.ids[idx],
@@ -468,21 +466,50 @@ class _HistogramEvaluation(_Evaluation):
     lines: with T = sum c^2 over the j cells, the contrast is -j T / n^2,
     and the complexity j for ``dim`` or j (n^2 - T) / (n (n - 1)) for
     ``dmw``, so the lines are -j T + K' j or -j T + K' j (n^2 - T) with K'
-    in units of 1/n^2 or (n - 1)/n."""
+    in units of 1/n^2 or (n - 1)/n.  The ``dmw`` path is the start of the
+    ``dim`` one (``_dmw_prefix``, s = c = n)."""
 
     def __init__(self, *args, t_sq: np.ndarray, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.t_sq = t_sq
 
-    def _lines(self, complexity: str):
+    @cached_property
+    def _dim_envelope(self):
+        """(index, num, den), each piece from K' = num / den on: the ``dim``
+        lines hulled as a row of one block, as ``twoblock`` hulls its own."""
+        js = np.arange(1, self.n + 1)
+        idx, (num, den) = slope.lower_envelope(
+            js[None], -(js * self.t_sq)[None], [self.n])
+        return idx, num, den
+
+    def _build_path(self, complexity: str) -> tuple[SlopePath, list[int]]:
         n, j, t = self.n, self.dims.astype(np.int64), self.t_sq
-        if complexity == "dim":
-            return -j * t, j, (Fraction(1, n * n), 1)
-        return (-j * t, j * (n * n - t),
-                (Fraction(1, n * n), Fraction(1, n * (n - 1))))
+        delta_max = self._complexity(complexity).max()
+        idx, num, den = self._dim_envelope
+        deltas, units = j, (Fraction(1, n * n), 1)
+        if complexity == "dmw":
+            keep, den = _dmw_prefix(num, den, n * n)
+            idx, num, den = idx[keep], num[keep], den[keep]
+            deltas, units = j * (n * n - t), (units[0], Fraction(1, n * n - n))
+        return integer_path(idx, num, den, (deltas, -j * t, np.ones_like(j)),
+                            self.ids.__getitem__, delta_max, units)
 
     def _argmin(self, k_const: float, complexity: str) -> tuple[int, float]:
         if complexity == "d_exact":
             return super()._argmin(k_const, complexity)
         idx = self._path_key(k_const, complexity)
         return idx, k_const * self._complexity(complexity)[idx] / self.n
+
+
+def _dmw_prefix(num, drop, reach):
+    """(mask, ``dmw`` start denominators) of the pieces of blocks' ``dim``
+    envelopes on their ``dmw`` ones.  A block of s / n holding c of the n
+    points has the ``dim`` lines -j T + w j, w = K s n, and the ``dmw``
+    lines -j T + K' j (n c - T) = (1 + K') (-j T + w j) at w = n c K' /
+    (1 + K') in [0, n c).  A ``dim`` piece from w = num / drop on (drop
+    its fall in j, num = 0 at a row's first piece) starts at K' = num /
+    (reach drop - num), reach = n c.  As T <= c^2, w <= n c, and only a
+    piece at w = n c (all n points in one cell) is off the ``dmw`` one."""
+    den = reach * drop - num
+    den[num == 0] = 1
+    return den > 0, den

@@ -9,14 +9,17 @@ path: either the breakpoint with the largest complexity drop, or the first
 K beyond which the selected complexity falls under max_complexity / ln(n).
 ``slope_pick`` is the slope algorithm itself: K_min from either rule,
 then the model selected at twice that constant.  The experiment labs feed
-their arrays to ``envelope_path``.
+their arrays to ``envelope_path``, or their exact hulls to
+``integer_path``.
 
 Every path runs on the one hull of module ``hull``.  Only float lines
 (the Fourier collection's) keep a relative tie tolerance.  Histogram
 contrasts and complexities are rationals built from integer counts, so
-both histogram labs hand in integer lines with exact units, the
-two-block lab's pair lines each over its cut's integer denominator; the
-hull decides them exactly, and their breakpoints stay integer
+both histogram labs build integer lines with exact units: the regular
+histograms' paths come from their block's batched envelope
+(``integer_path``), and every other set of integer lines, such as the
+two-block lab's pair lines over their cuts' denominators, takes the
+exact hull of ``envelope_path``.  Their breakpoints stay integer
 (numerator, denominator) pairs (``_ExactLines``), from which the jump
 argmax and the pick at 2 * K_min compare exact numbers by
 cross-multiplying.  A path makes ``Fraction``s only when its segments
@@ -33,7 +36,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .densities import _Frozen
-from .hull import _filtered_envelope, _rational_envelope, lower_envelope
+from .hull import _rational_envelope, lower_envelope
 
 __all__ = [
     "PathSegment",
@@ -67,12 +70,10 @@ class SlopePath(_Frozen):
     """The exact piecewise-constant map K -> selected model on [0, inf).
 
     ``delta_max`` is the largest complexity in the whole collection, not
-    only on the path; the log-threshold rule is scaled by it.  On an exact
-    path the segments' K, delta and contrast are ``Fraction``s or ints.
-    An exact path from ``envelope_path`` keeps its segments as integers
-    (``_ExactLines``), on which the slope pick and the argmin compare K
-    exactly, and makes the ``Fraction``s of ``segments`` when they are
-    first read.
+    only on the path; the log-threshold rule is scaled by it.  An exact
+    path keeps its segments as integers (``_ExactLines``), on which the
+    slope pick and the argmin compare K exactly, and makes their K, delta
+    and contrast ``Fraction``s or ints when ``segments`` is first read.
     """
 
     _fields = ("segments", "delta_max")
@@ -211,25 +212,19 @@ def envelope_path(contrasts: np.ndarray, deltas: np.ndarray,
     path's scale: a segment's contrast is contrasts[i] * units[0], its
     delta deltas[i] * units[1], and its K the hull's K times
     units[0] / units[1].  Integer lines with ``Fraction`` units give an
-    exact path, kept in integers (``_ExactLines``); float lines already
-    on the path's scale come with units (1, 1).  Returns the path and, per
-    segment, the index of its line; only the lines on the envelope get an
-    id, through ``model_id(index)``.  Ties follow ``lower_envelope``.
+    exact path (``integer_path``), ``dens`` defaulting to ones; float
+    lines come on the path's scale, with units (1, 1).  Returns the path
+    and each segment's line; only the lines on the envelope get an id,
+    ``model_id(index)``.  Ties follow ``lower_envelope``.
     """
     deltas, contrasts = np.asarray(deltas), np.asarray(contrasts)
     if np.any(deltas < 0):
         raise ValueError("complexities must be >= 0")
     if deltas.dtype.kind in "iuO" and contrasts.dtype.kind in "iuO":
-        hull, num, den = (_filtered_envelope(deltas, contrasts) if dens is None
-                          else _rational_envelope(deltas, contrasts, dens))
-        hull = hull.tolist()
-        exact = _ExactLines(
-            hull=hull, num=num.tolist(), den=den.tolist(),
-            delta=deltas[hull].tolist(), contrast=contrasts[hull].tolist(),
-            scale=([1] * len(hull) if dens is None
-                   else np.asarray(dens)[hull].tolist()),
-            units=units, model_id=model_id)
-        return SlopePath((), float(delta_max), exact=exact), hull
+        lines = (deltas, contrasts, np.ones(deltas.size, dtype=np.int64)
+                 if dens is None else np.asarray(dens))
+        return integer_path(*_rational_envelope(*lines), lines, model_id,
+                            delta_max, units)
     hull, starts = lower_envelope(deltas, contrasts)
     hull, starts = hull.tolist(), starts.tolist()
     c_unit, d_unit = units
@@ -241,6 +236,17 @@ def envelope_path(contrasts: np.ndarray, deltas: np.ndarray,
                     delta=deltas[i] * d_unit, contrast=contrasts[i] * c_unit)
         for pos, i in enumerate(hull))
     return SlopePath(segments=segs, delta_max=float(delta_max)), hull
+
+
+def integer_path(hull, num, den, lines: tuple, model_id: Callable[[int], str],
+                 delta_max: float, units: tuple) -> tuple[SlopePath, list]:
+    """``envelope_path`` of the integer lines = (deltas, contrasts, dens)
+    from their exact hull: segment i selects line hull[i] from the hull's
+    K = num[i] / den[i] on."""
+    hull = hull.tolist()
+    exact = _ExactLines(hull, num.tolist(), den.tolist(),
+                        *(x[hull].tolist() for x in lines), units, model_id)
+    return SlopePath((), float(delta_max), exact=exact), hull
 
 
 def _kmin_position(path: SlopePath, rule: str, n: int,
@@ -278,7 +284,7 @@ def detect_kmin(path: SlopePath, rule: str, n: int,
     when no segment qualifies, the last breakpoint (or 0 for a one-segment
     path) is returned.
     """
-    if rule == MAX_JUMP and len(path.segments) < 2:
+    if rule == MAX_JUMP and path._size() < 2:
         raise NoJumpError("path has a single segment, no jump to detect")
     return float(path.segments[_kmin_position(path, rule, n, delta_max)].k_lo)
 

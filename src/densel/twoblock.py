@@ -7,14 +7,12 @@ float argmin under ``d_exact`` over roughly n^3/6 models costs O(n^2)
 array work per replication.  An evaluation keeps the integer T = sum c^2,
 the block counts and the loss, and makes the contrast and dmw shares
 from them where a caller reads them.  Its slope paths run on integer
-lines, as the regular histograms' do: the path prunes the lower
-envelopes of all blocks in one integer batch and runs the exact hull once
-more on the pair lines, one per pair of a left and a right envelope piece
-of a cut, each over its cut's denominator; the breakpoints stay integer
-pairs, and ``Fraction``s are made only when the path's segments are
-read.  The ``dim`` and ``dmw`` argmin is a segment of that path.  The
-block-by-block evaluation and selections (the path in ``Fraction``s) are
-in ``tests/oracles.py``.
+lines, as the regular histograms' do: the lower envelopes of all blocks
+in one integer batch, then the exact hull of the pair lines, one per
+pair of a left and a right envelope piece of a cut, each over its cut's
+denominator.  The ``dim`` and ``dmw`` argmin is a segment of that path.
+The block-by-block evaluation and selections (the path in
+``Fraction``s) are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import numpy as np
 from . import slope
 from .densities import Density, Sample
 from .labs import (ModelRow, _LabEvaluation, _bin_counts, _block_row,
-                   _contrast_part, _row_stats, _variance_part)
+                   _contrast_part, _dmw_prefix, _row_stats, _variance_part)
 
 __all__ = ["TwoBlockLab"]
 
@@ -45,14 +43,10 @@ class TwoBlockLab:
     block [0, k/n) with j <= k cells and side 1 the right block with
     j <= n - k; ``valid`` marks the existing entries, ``d_exact`` holds D
     (0 elsewhere).  An evaluation keeps only the integer T = sum c^2 per
-    (side, cut, cells), the block counts and the loss: the slope paths
-    build integer lines from T and the counts, and the contrast and V are
-    made from them when read.  Selections are array operations
-    over all cuts: the ``d_exact`` argmin reduces per (side, cut), and the
-    slope path, whose segments are also the ``dim`` and ``dmw`` argmin,
-    prunes the lower envelopes of all 2(n-1) blocks in one integer batch
-    and runs the exact hull once more on every cut's pair lines, over
-    their cuts' denominators.
+    (side, cut, cells), the block counts and the loss (see
+    ``_TwoBlockEvaluation``).  Selections are array operations over all
+    cuts: the ``d_exact`` argmin reduces per (side, cut), and the ``dim``
+    and ``dmw`` argmin are segments of the slope paths.
     """
 
     def __init__(self, n: int, density: Density):
@@ -119,7 +113,8 @@ class _TwoBlockEvaluation(_LabEvaluation):
     path hulls the pair lines of every cut, a left piece's line plus a
     right piece's over the denominator D = k (n - k) n.  Both paths of an
     evaluation share the blocks' envelopes: a block's ``dmw`` envelope is
-    the start of its ``dim`` one."""
+    the start of its ``dim`` one (``labs._dmw_prefix``, which the regular
+    histograms' one block shares)."""
 
     def __init__(self, lab, t_sq, count, loss):
         self.lab, self.t_sq, self.count, self.loss = lab, t_sq, count, loss
@@ -202,16 +197,11 @@ class _TwoBlockEvaluation(_LabEvaluation):
             # monotonely, so scaling the largest V scales the largest share
             tops = self.var.max(axis=2) * n / (n - 1.0)
             delta_max = float((tops[0] + tops[1]).max())
-            # the dmw lines -j T + K' j (n c - T) are (1 + K') (-j T + w j)
-            # at w = n c K' / (1 + K'), which runs over [0, n c) as K' runs
-            # over [0, inf), and the dim lines are -j T + w j at w = K s n:
-            # a block's dmw envelope is its dim one up to w = n c.  A dim
-            # piece starts at w = num / d, d the drop in j; as T <= c^2,
-            # w <= c^2 <= n c, so only a piece starting at w = n c (all n
-            # points in one cell) is not on the dmw envelope
+            # a block's dmw envelope is the start of its dim one; a piece's
+            # fall in j is its den over the slope unit s n
             at = np.divmod(idx // m, m)
-            reach = den // (n * lab.cells[at]) * (n * self.count[at])
-            idx = idx[(num < reach) | (num == 0)]
+            idx = idx[_dmw_prefix(num, den // (n * lab.cells[at]),
+                                  n * self.count[at])[0]]
         # one line per pair of a left and a right envelope piece of a cut,
         # cut after cut and left piece after left piece
         row, col = np.divmod(idx, m)

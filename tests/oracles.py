@@ -478,7 +478,8 @@ def exact_argmin(kind: str, sample: Sample, k_const: float,
     return _two_block_id(*(v - 1 for v in best[3]))
 
 
-def exact_histogram_slope_pick(sample: Sample, complexity: str) -> str:
+def exact_histogram_slope_pick(sample: Sample,
+                               complexity: str) -> tuple[str, list]:
     """The slope pick on the regular histograms with 1..n cells, in exact
     arithmetic: lines -j T / n^2 + K delta_j, T = sum c^2 over the j cells,
     with delta_j = j (``dim``) or j (n^2 - T) / (n (n - 1)) (``dmw``).
@@ -488,7 +489,8 @@ def exact_histogram_slope_pick(sample: Sample, complexity: str) -> str:
     The selected model at K minimizes (criterion, delta, j), so a
     breakpoint belongs to its smaller-delta side.  K_min is the start of
     the segment after the largest delta drop (the earliest on ties), and
-    the pick is the model selected at 2 K_min.
+    the pick is the model selected at 2 K_min.  Returns the pick's id and
+    the walked path, (start K as a ``Fraction``, model id) per segment.
     """
     n = sample.n
     contrast, delta = [], []
@@ -511,11 +513,12 @@ def exact_histogram_slope_pick(sample: Sample, complexity: str) -> str:
             break
         starts.append(min(cross))
         segs.append(pick(starts[-1]))
+    path = [(k, f"reg-hist:d={i + 1}") for k, i in zip(starts, segs)]
     if len(segs) == 1:
-        return f"reg-hist:d={segs[0] + 1}"
+        return path[0][1], path
     drops = [delta[a] - delta[b] for a, b in zip(segs, segs[1:])]
     k_min = starts[drops.index(max(drops)) + 1]
-    return f"reg-hist:d={pick(2 * k_min) + 1}"
+    return f"reg-hist:d={pick(2 * k_min) + 1}", path
 
 
 # ---------------------------------------------------------------------------

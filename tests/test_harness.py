@@ -386,22 +386,41 @@ def test_slope_pick_on_exact_breakpoint(seed, rep, picked):
     sample = PowerLaw().sample(100, RngStream(seed, rep, "data"))
     ev = make_lab("regular-hist", 100, PowerLaw()).evaluate(sample)
     assert ev.apply(Method("slope-dim")).selected == picked
-    assert exact_histogram_slope_pick(sample, "dim") == picked
+    assert exact_histogram_slope_pick(sample, "dim")[0] == picked
 
 
 def test_histogram_slope_picks_match_fraction_oracle():
-    """Random samples with n from 2 to 40: both slope methods pick what
-    Fraction arithmetic picks, exact ties included."""
+    """Random samples with n from 2 to 40, and samples of n = 2, 3 and 17
+    points all at 0 or all at 1 (every point in one cell): both slope
+    methods pick what Fraction arithmetic picks, exact ties included, and
+    every segment of both paths, its start K and its model, is the one
+    the Fraction walk finds; so is the one-segment dim path at n = 1.
+    No point lies on an inner float cell edge, where the oracle's breaks
+    and the lab's floor bin apart."""
     gen = np.random.default_rng(27)
+    cases = []
     for rep in range(120):
         n = int(gen.integers(2, 41))
         density = (PowerLaw(), Uniform(), STEP)[rep % 3]
-        sample = density.sample(n, RngStream(27, rep, "data"))
+        cases.append((density, density.sample(n, RngStream(27, rep, "data"))))
+    cases += [(Uniform(), Sample(np.full(n, x)))
+              for n in (2, 3, 17) for x in (0.0, 1.0)]
+    for density, sample in cases:
+        n = sample.n
         ev = make_lab("regular-hist", n, density).evaluate(sample)
         for kind, complexity in (("slope-dim", "dim"),
                                  ("resampling-slope", "dmw")):
-            assert (ev.apply(Method(kind)).selected
-                    == exact_histogram_slope_pick(sample, complexity)), (n, rep)
+            picked, segs = exact_histogram_slope_pick(sample, complexity)
+            assert ev.apply(Method(kind)).selected == picked, (n, complexity)
+            got = [(seg.k_lo, seg.model_id)
+                   for seg in ev.path(complexity).segments]
+            assert got == segs, (n, complexity)
+            assert all(isinstance(k, Fraction) for k, _ in got[1:])
+    sample = Sample(np.array([0.3]))
+    ev = make_lab("regular-hist", 1, Uniform()).evaluate(sample)
+    assert ([(seg.k_lo, seg.model_id) for seg in ev.path("dim").segments]
+            == exact_histogram_slope_pick(sample, "dim")[1]
+            == [(0, "reg-hist:d=1")])
 
 
 def _record_pools(monkeypatch) -> list:
@@ -663,7 +682,8 @@ def test_a_replication_builds_each_path_once(monkeypatch):
     """resampling reads the dmw path that resampling-slope picks from, so
     a replication of every method builds one dim and one dmw path."""
     built = []
-    for cls in (labs._Evaluation, twoblock._TwoBlockEvaluation):
+    for cls in (labs._Evaluation, labs._HistogramEvaluation,
+                twoblock._TwoBlockEvaluation):
         monkeypatch.setattr(cls, "_build_path",
                             lambda ev, c, _build=cls._build_path:
                             built.append((ev, c)) or _build(ev, c))

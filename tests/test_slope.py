@@ -251,9 +251,11 @@ def _settle_lines():
 
 
 def test_integer_hull_matches_fraction_chain():
-    """Small integer lines with ties, the settle lines, and rows whose
-    cross-products pass 2^63: int64 rows, and the same rows times 2^40 as
-    Python ints, as the two-block lab's merged cut lines come."""
+    """One row of integer lines, over unit denominators as
+    ``envelope_path`` hands them to the exact hull by default: small
+    lines with ties and unsorted slopes, the settle lines, and rows whose
+    cross-products pass 2^63, int64 rows and the same rows times 2^40 as
+    Python ints.  Pieces and exact starts are those of the chain."""
     gen = np.random.default_rng(6)
     inputs = [_settle_lines()]
     for _ in range(200):
@@ -269,10 +271,27 @@ def test_integer_hull_matches_fraction_chain():
         inputs.append((slopes.astype(object) * 2 ** 40,
                        intercepts.astype(object) * 2 ** 40))
     for slopes, intercepts in inputs:
-        hull, starts = lower_envelope(slopes, intercepts)
-        assert (hull.tolist(), starts.tolist()) == lower_envelope_chain(
-            slopes, intercepts)
-    assert lower_envelope(*inputs[0])[0].tolist() == [0, 1, 2]
+        hull, num, den = _rational_envelope(
+            slopes, intercepts, np.ones(len(slopes), dtype=np.int64))
+        want, starts = lower_envelope_chain(slopes, intercepts)
+        assert hull.tolist() == want
+        assert [Fraction(int(p), int(q)) for p, q in zip(num, den)] == starts
+    assert _rational_envelope(*inputs[0], np.ones(3, dtype=np.int64))[
+        0].tolist() == [0, 1, 2]
+
+
+def test_lower_envelope_refuses_one_integer_row():
+    """One row of integer lines, int64 or Python ints, goes through the
+    exact hull of ``envelope_path``: ``lower_envelope`` refuses it, and
+    takes integer slopes with float intercepts as float lines."""
+    slopes, intercepts = _settle_lines()
+    for s, c in ((slopes, intercepts),
+                 (slopes.astype(object), intercepts.astype(object)),
+                 (slopes, intercepts.astype(object))):
+        with pytest.raises(ValueError):
+            lower_envelope(s, c)
+    hull, starts = lower_envelope(np.array([2, 1]), np.array([-1.0, 0.0]))
+    assert hull.tolist() == [0, 1] and starts.tolist() == [0.0, 1.0]
 
 
 def test_rational_hull_matches_fraction_chain():
@@ -291,8 +310,11 @@ def test_rational_hull_matches_fraction_chain():
     beaten only by a line of equal slope; every line but one beaten.
     Rows of the pair lines' sizes (slopes to 2.5e7, denominators to
     2.5e5), whose crossings pass int64 and are pruned in Python ints.
-    Pieces and exact starts are those of the chain on the ``Fraction``
-    lines."""
+    Rows of three and four lines whose floats sort them the wrong way, so
+    that they are sorted by cross-products: the float-tied slopes above,
+    the steeper line dearer, in both orders among other lines; equal
+    slopes whose intercepts' floats tie, the dearer line first.  Pieces
+    and exact starts are those of the chain on the ``Fraction`` lines."""
     gen = np.random.default_rng(9)
     big = 10 ** 17
     settle_d = np.array([3, 5, 7])
@@ -318,7 +340,23 @@ def test_rational_hull_matches_fraction_chain():
              (np.array([4, 2, 6, 0]), np.array([1, 0, 3, 5]),
               np.array([2, 1, 3, 1])),
              (np.array([9, 3, 0, 12, 6]), np.array([4, 2, -1, 7, 3]),
-              np.array([3, 1, 1, 2, 3]))]
+              np.array([3, 1, 1, 2, 3])),
+             # the float-tied slopes a / b < c / d between a steeper and a
+             # flatter line, the steeper of the two dearer: their floats
+             # order them the wrong way, so the lines are sorted by
+             # cross-products (both orders)
+             (np.array([2 * a, a, c, 0]), np.array([-b, 0, d, 5]),
+              np.array([b, b, d, 1])),
+             (np.array([2 * a, c, a, 0]), np.array([-b, d, 0, 5]),
+              np.array([b, d, b, 1])),
+             (np.array([c, 0, a, 2 * a]), np.array([d, 7, 0, -b]),
+              np.array([d, 1, b, b])),
+             # equal slopes, intercepts whose floats tie: the dearer line
+             # first in index order (sorted by cross-products), then second
+             (np.array([1, 1, 0]), np.array([-2 ** 60, -2 ** 60 - 1, 5]),
+              np.array([1, 1, 1])),
+             (np.array([1, 1, 0]), np.array([-2 ** 60 - 1, -2 ** 60, 5]),
+              np.array([1, 1, 1]))]
     gen = np.random.default_rng(12)
     for _ in range(40):
         m = int(gen.integers(2, 200))
